@@ -8,7 +8,6 @@ the rest with witness subdomains.
 from .classify import (
     Classification,
     TaaLabeling,
-    acyclic_partition,
     classify,
     forbidden_patterns,
     is_cyclic,
@@ -58,7 +57,6 @@ __all__ = [
     "TaaLabeling",
     "ValidationReport",
     "WitnessReport",
-    "acyclic_partition",
     "all_stable_matchings",
     "canonical_form",
     "check_implements",

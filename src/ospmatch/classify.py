@@ -1,21 +1,34 @@
 """Priority-structure predicates: cyclicity, block partitions, the
 two-adjacent-alternating pattern, limited-cyclic classification, and the
-forbidden-pattern restriction scanner."""
+forbidden-pattern restriction scanner.
+
+Each predicate has one implementation, on the id layer: a table is a tuple
+of ranking ids (see :func:`ospmatch.core.ranking_id`), restricted rows and
+the x -> u/v pattern ids are memoized per order id as they are first
+needed, and the forbidden tables are matched through their relabeling
+orbits.  The dataclass functions (``classify``, ``scan_forbidden``,
+``taa_labeling_table``, ``is_two_adjacent_alternating``) are thin wrappers
+over these kernels, and the exhaustive sweeps in :mod:`ospmatch.sweep`
+call the kernels directly.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Sequence
+from itertools import combinations, permutations
+from typing import Callable, Sequence
 
 from .core import (
     PrioritySet,
     Ranking,
     Restriction,
     canonical_table,
-    restrict_table,
-    restrictions,
+    ranking_at,
+    ranking_id,
+    restrict_ranking,
 )
+
+IdTuple = tuple[int, ...]
 
 # The irreducible non-implementable priority tables, keyed by the letter of
 # the subfigure they appear under.  Letter "b" covers three concrete tables
@@ -44,11 +57,6 @@ def forbidden_patterns() -> tuple[tuple[str, tuple[Ranking, ...]], ...]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _forbidden_lookup() -> dict[tuple[Ranking, ...], str]:
-    return {table: letter for letter, table in forbidden_patterns()}
-
-
 @dataclass(frozen=True)
 class TaaLabeling:
     """Witness that a table is two-adjacent-alternating: the applicant
@@ -75,7 +83,8 @@ class Classification:
 
 def is_cyclic(q: PrioritySet) -> bool:
     """Ergin cyclicity: some position ranks a above b above c while another
-    ranks c above a."""
+    ranks c above a.  Kept as the independent oracle for the dominance
+    blocks: q is cyclic iff some block has three or more applicants."""
     tables = q.rank_table()
     n = q.n
     for a in range(n):
@@ -87,27 +96,6 @@ def is_cyclic(q: PrioritySet) -> bool:
             if any(ranks[c] < ranks[a] for ranks in tables):
                 return True
     return False
-
-
-def _tops(lists: Sequence[Ranking]) -> set[int]:
-    return {lst[0] for lst in lists}
-
-
-def acyclic_partition(q: PrioritySet) -> list[set[int]] | None:
-    """Ordered partition into blocks of size <= 2 with unanimous dominance
-    between blocks, built by peeling the top one or two applicants; None
-    when the priorities are cyclic."""
-    lists = list(q.rankings)
-    blocks: list[set[int]] = []
-    while lists and lists[0]:
-        tops = _tops(lists)
-        if len(tops) > 2:
-            return None
-        if len(tops) == 2 and any(set(lst[:2]) != tops for lst in lists):
-            return None
-        blocks.append(tops)
-        lists = [tuple(x for x in lst if x not in tops) for lst in lists]
-    return blocks
 
 
 def flip_adjacent(seq: Sequence[int]) -> tuple[int, ...]:
@@ -126,57 +114,189 @@ def taa_patterns(base: Sequence[int]) -> tuple[Ranking, Ranking, Ranking]:
     return x, u, v
 
 
-def _match_taa(lists: Sequence[Ranking], base: Sequence[int]) -> TaaLabeling | None:
-    x, u, v = taa_patterns(base)
-    x_positions, u_positions, v_positions = [], [], []
-    for pos, lst in enumerate(lists):
-        if lst == x:
-            x_positions.append(pos)
-        elif lst == u:
-            u_positions.append(pos)
-        elif lst == v:
-            v_positions.append(pos)
-        else:
+# ---------------------------------------------------------------------------
+# Id layer
+# ---------------------------------------------------------------------------
+
+class _Memo(dict):
+    """Dict that computes and keeps an entry on its first lookup."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _inverse(ranking: Sequence[int]) -> tuple[int, ...]:
+    ranks = [0] * len(ranking)
+    for spot, item in enumerate(ranking):
+        ranks[item] = spot
+    return tuple(ranks)
+
+
+@lru_cache(maxsize=None)
+def _orders(n: int) -> _Memo:
+    """order id -> (ranking, rank of each item)."""
+    def fill(i: int):
+        ranking = ranking_at(n, i)
+        return ranking, _inverse(ranking)
+    return _Memo(fill)
+
+
+@lru_cache(maxsize=None)
+def _restricted_rows(n: int, keep: IdTuple) -> _Memo:
+    """order id over n items -> id of its restriction to ``keep``."""
+    return _Memo(lambda i: ranking_id(restrict_ranking(ranking_at(n, i), keep)))
+
+
+@lru_cache(maxsize=None)
+def _uv_ids(k: int) -> _Memo:
+    """id of a base list x -> ids of its u and v lists."""
+    def fill(x: int) -> tuple[int, int]:
+        _, u, v = taa_patterns(ranking_at(k, x))
+        return ranking_id(u), ranking_id(v)
+    return _Memo(fill)
+
+
+@lru_cache(maxsize=None)
+def forbidden_orbit(size: int) -> dict[IdTuple, str]:
+    """Every forbidden table of the given side length, closed under
+    relabeling, keyed as a sorted tuple of order ids."""
+    out: dict[IdTuple, str] = {}
+    for letter, table in FORBIDDEN_TABLES:
+        if len(table) != size:
+            continue
+        for sigma in permutations(range(size)):
+            key = tuple(sorted(ranking_id([sigma[x] for x in row]) for row in table))
+            assert out.get(key, letter) == letter
+            out[key] = letter
+    return out
+
+
+def _blocks(order: Ranking, rank_rows: Sequence[Sequence[int]]) -> list[IdTuple]:
+    """Finest ordered partition of the applicants with unanimous dominance
+    between blocks, given the first list and every list's rank of each
+    applicant.
+
+    Applicants are taken in the first list's order; a boundary falls after
+    the first ``end`` of them exactly when every list ranks those ``end``
+    applicants on top, i.e. when the worst rank any list gives them is
+    ``end - 1``.  Any pair some two positions disagree on therefore shares
+    a block, and the result does not depend on which list anchors the order.
+    """
+    blocks: list[IdTuple] = []
+    start = worst = 0
+    for end, item in enumerate(order, 1):
+        for ranks in rank_rows:
+            if ranks[item] > worst:
+                worst = ranks[item]
+        if worst == end - 1:
+            blocks.append(tuple(sorted(order[start:end])))
+            start = end
+    return blocks
+
+
+def id_blocks(n: int, ids: IdTuple) -> list[IdTuple]:
+    """Dominance blocks of a table of order ids over n applicants."""
+    orders = _orders(n)
+    return _blocks(orders[ids[0]][0], [orders[i][1] for i in ids])
+
+
+def restrict_ids(n: int, ids: IdTuple, keep: IdTuple) -> IdTuple:
+    """Each list of the table restricted to the applicants in ``keep``."""
+    if len(keep) == n:
+        return ids
+    rows = _restricted_rows(n, keep)
+    return tuple(rows[i] for i in ids)
+
+
+def taa_base(k: int, ids: IdTuple) -> int | None:
+    """Least id of a base list x for which the table (ids of lists over k
+    applicants) is two-adjacent-alternating, or None.
+
+    x must occur exactly l - 2 times among the l lists and its u and v
+    lists once each; the least such id is the lexicographically first
+    applicant order that fits."""
+    counts: dict[int, int] = {}
+    for i in ids:
+        counts[i] = counts.get(i, 0) + 1
+    target = len(ids) - 2
+    uv = _uv_ids(k)
+    for x in sorted(i for i, count in counts.items() if count == target):
+        u, v = uv[x]
+        if counts.get(u) == 1 and counts.get(v) == 1:
+            return x
+    return None
+
+
+def block_bases(
+    n: int, ids: IdTuple, blocks: Sequence[IdTuple]
+) -> list[tuple[int, IdTuple, int]] | None:
+    """(block index, restricted ids, base id) for every block of three or
+    more applicants, or None when one of them is not two-adjacent-alternating
+    over all positions, i.e. when the table is not limited cyclic."""
+    out = []
+    for index, block in enumerate(blocks):
+        k = len(block)
+        if k < 3:
+            continue
+        restricted = restrict_ids(n, ids, block)
+        x = taa_base(k, restricted)
+        if x is None:
             return None
-    if len(u_positions) != 1 or len(v_positions) != 1:
-        return None
-    if len(x_positions) != len(lists) - 2:
-        return None
-    return TaaLabeling(tuple(base), tuple(x_positions), u_positions[0], v_positions[0])
+        out.append((index, restricted, x))
+    return out
+
+
+def scan_ids(n: int, ids: IdTuple) -> tuple[IdTuple, IdTuple, str] | None:
+    """First (applicants, positions, letter), in ``restrictions`` order and
+    trying size 3 before size 4, whose restricted table is a forbidden
+    pattern up to relabeling."""
+    for m in (3, 4):
+        if m > n:
+            break
+        orbit = forbidden_orbit(m)
+        subsets = tuple(combinations(range(n), m))
+        for s in subsets:
+            rows = _restricted_rows(n, s)
+            restricted = [rows[i] for i in ids]
+            for t in subsets:
+                letter = orbit.get(tuple(sorted([restricted[x] for x in t])))
+                if letter is not None:
+                    return s, t, letter
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Dataclass wrappers
+# ---------------------------------------------------------------------------
+
+def _table_ids(lists: Sequence[Sequence[int]]) -> IdTuple:
+    return tuple(ranking_id(lst) for lst in lists)
+
+
+def _labeling(k: int, ids: IdTuple, x: int, applicants: Sequence[int]) -> TaaLabeling:
+    u, v = _uv_ids(k)[x]
+    return TaaLabeling(
+        tuple(applicants[a] for a in ranking_at(k, x)),
+        tuple(pos for pos, i in enumerate(ids) if i == x),
+        ids.index(u),
+        ids.index(v),
+    )
 
 
 def taa_labeling_table(lists: Sequence[Ranking]) -> TaaLabeling | None:
     """Two-adjacent-alternating detection on a raw table of ``l`` lists over
-    k applicants.  Searches every applicant labeling for k <= 7; for larger
-    k the labeling is read off the repeated majority list directly.  Both
-    routes decide the same predicate (cross-checked in tests)."""
-    lists = tuple(tuple(lst) for lst in lists)
+    k applicants, reporting the lexicographically first applicant order."""
     k = len(lists[0])
     if len(lists) < 3 or k < 3:
         raise ValueError("two-adjacent-alternating needs >= 3 lists over >= 3 applicants")
-    if k <= 7:
-        for base in permutations(range(k)):
-            found = _match_taa(lists, base)
-            if found is not None:
-                return found
-        return None
-    return _taa_by_fingerprint(lists)
-
-
-def _taa_by_fingerprint(lists: Sequence[Ranking]) -> TaaLabeling | None:
-    # x must appear exactly l-2 times, so candidate bases are the lists
-    # with that multiplicity; each candidate pins a_1..a_k and hence u, v.
-    target = len(lists) - 2
-    counts: dict[Ranking, int] = {}
-    for lst in lists:
-        counts[lst] = counts.get(lst, 0) + 1
-    for candidate, count in counts.items():
-        if count != target:
-            continue
-        found = _match_taa(lists, candidate)
-        if found is not None:
-            return found
-    return None
+    ids = _table_ids(lists)
+    x = taa_base(k, ids)
+    return None if x is None else _labeling(k, ids, x, range(k))
 
 
 def is_two_adjacent_alternating(q: PrioritySet) -> TaaLabeling | None:
@@ -184,86 +304,34 @@ def is_two_adjacent_alternating(q: PrioritySet) -> TaaLabeling | None:
 
 
 def dominance_blocks(lists: Sequence[Ranking]) -> list[tuple[int, ...]]:
-    """Finest ordered partition with unanimous dominance between blocks.
-
-    Applicants are taken in the first list's order; a boundary is cut
-    exactly where every earlier applicant beats every later one on all
-    lists.  Any pair some two positions disagree on therefore shares a
-    block, and the result does not depend on which list anchors the order.
-    """
-    lists = tuple(tuple(lst) for lst in lists)
-    k = len(lists[0])
-    order = lists[0]
-    rank_tables = []
-    for lst in lists:
-        ranks = [0] * k
-        for spot, item in enumerate(lst):
-            ranks[item] = spot
-        rank_tables.append(ranks)
-
-    def dominates(a: int, b: int) -> bool:
-        return all(ranks[a] < ranks[b] for ranks in rank_tables)
-
-    blocks: list[tuple[int, ...]] = []
-    start = 0
-    for end in range(1, k + 1):
-        if end < k and not all(
-            dominates(order[i], order[j])
-            for i in range(start, end)
-            for j in range(end, k)
-        ):
-            continue
-        blocks.append(tuple(sorted(order[start:end])))
-        start = end
-    return blocks
+    """Finest ordered partition with unanimous dominance between blocks
+    (see :func:`_blocks`)."""
+    return _blocks(tuple(lists[0]), [_inverse(lst) for lst in lists])
 
 
 def classify(q: PrioritySet) -> Classification:
     """Decide limited cyclicity via the finest dominance partition, checking
     that every block of three or more applicants restricts to a
     two-adjacent-alternating table over all positions."""
-    lists = q.rankings
-    blocks = tuple(dominance_blocks(lists))
-    labelings: list[tuple[int, TaaLabeling]] = []
-    for i, block in enumerate(blocks):
-        if len(block) < 3:
-            continue
-        restricted = restrict_table(lists, block, range(q.n))
-        found = taa_labeling_table(restricted)
-        if found is None:
-            witness = scan_forbidden(q)
-            return Classification("not-limited-cyclic", witness=witness)
-        # report the labeling in original applicant / position indices
-        labelings.append((
-            i,
-            TaaLabeling(
-                tuple(block[a] for a in found.applicant_order),
-                found.x_positions,
-                found.u_position,
-                found.v_position,
-            ),
-        ))
-    return Classification("limited-cyclic", blocks=blocks,
-                          block_labelings=tuple(labelings))
-
-
-@lru_cache(maxsize=200_000)
-def _canonical_cached(lists: tuple[Ranking, ...]) -> tuple[Ranking, ...]:
-    return canonical_table(lists)
+    ids = _table_ids(q.rankings)
+    blocks = tuple(id_blocks(q.n, ids))
+    bases = block_bases(q.n, ids, blocks)
+    if bases is None:
+        return Classification("not-limited-cyclic", witness=scan_forbidden(q))
+    # report the labelings in original applicant / position indices
+    labelings = tuple(
+        (i, _labeling(len(blocks[i]), restricted, x, blocks[i]))
+        for i, restricted, x in bases
+    )
+    return Classification("limited-cyclic", blocks=blocks, block_labelings=labelings)
 
 
 def scan_forbidden(q: PrioritySet) -> tuple[Restriction, str] | None:
     """First restriction of size 3 or 4 that is a forbidden pattern up to
     relabeling, or None.  Sizes beyond 4 never need scanning: the pattern
     list is complete at those sizes."""
-    lookup = _forbidden_lookup()
-    lists = q.rankings
-    for m in (3, 4):
-        if m > q.n:
-            break
-        for r in restrictions(q.n, m):
-            table = restrict_table(lists, r.applicants, r.positions)
-            letter = lookup.get(_canonical_cached(table))
-            if letter is not None:
-                return r, letter
-    return None
+    found = scan_ids(q.n, _table_ids(q.rankings))
+    if found is None:
+        return None
+    s, t, letter = found
+    return Restriction(s, t), letter

@@ -313,8 +313,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             return EXIT_NEGATIVE
         subdomain = fixture.subdomain
     else:
-        subdomain = find_witness(q, budget=args.budget, seed=args.seed,
-                                 threads=args.threads)
+        subdomain = find_witness(q, budget=args.budget, seed=args.seed)
         if subdomain is None:
             if args.json:
                 _dump_json({"found": False, "reason": "budget exhausted"})
@@ -338,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify, synthesize, and certify OSP implementations "
         "of deferred acceptance with fixed priorities.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism degree for sweeps and searches")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,15 +4,15 @@ Applicants and positions are 0-based indices internally.  Human-facing
 names (``a, b, c, ...`` for applicants, ``1, 2, 3, ...`` for positions)
 are applied only at the I/O boundary (see :mod:`ospmatch.jsonio`).
 
-All types here are immutable and hashable; every operation is a pure
-function, so everything is safe to share across threads.
+All types here are immutable and hashable, and every operation is a pure
+function.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
 Ranking = tuple[int, ...]
@@ -29,14 +29,26 @@ def all_rankings(n: int) -> tuple[Ranking, ...]:
     return tuple(permutations(range(n)))
 
 
-@lru_cache(maxsize=None)
-def _ranking_index(n: int) -> dict[Ranking, int]:
-    return {r: i for i, r in enumerate(all_rankings(n))}
+def ranking_id(ranking: Sequence[int]) -> int:
+    """Lexicographic rank of a ranking among all rankings of its length,
+    so ``all_rankings(n)[ranking_id(r)] == r``."""
+    rest = sorted(ranking)
+    out = 0
+    for item in ranking:
+        spot = rest.index(item)
+        out = out * len(rest) + spot
+        rest.pop(spot)
+    return out
 
 
-def ranking_id(ranking: Ranking) -> int:
-    """Lexicographic rank of a ranking among all rankings of its length."""
-    return _ranking_index(len(ranking))[tuple(ranking)]
+def ranking_at(n: int, index: int) -> Ranking:
+    """The ranking of 0..n-1 whose ``ranking_id`` is ``index``."""
+    digits = []
+    for base in range(1, n + 1):
+        index, spot = divmod(index, base)
+        digits.append(spot)
+    rest = list(range(n))
+    return tuple(rest.pop(spot) for spot in reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -276,34 +288,20 @@ def priority_set_count(n: int) -> int:
     return math.factorial(n) ** n
 
 
-def priority_set_from_index(n: int, index: int) -> PrioritySet:
-    """The index-th set of enumerate_priority_sets(n); position 0 is the
-    most significant digit in base n!."""
-    base = math.factorial(n)
-    if not 0 <= index < base**n:
-        raise ValueError("enumeration index out of range")
-    rankings = all_rankings(n)
-    digits = []
-    for _ in range(n):
-        index, d = divmod(index, base)
-        digits.append(d)
-    return PrioritySet.from_rankings(rankings[d] for d in reversed(digits))
-
-
-def enumerate_priority_sets(
-    n: int, start: int = 0, stop: int | None = None
-) -> Iterator[PrioritySet]:
-    """Yield all (n!)^n priority sets exactly once, in a fixed order.
-
-    The stream is restartable: ``start``/``stop`` select an index range,
-    which is how exhaustive sweeps shard work across threads.
-    """
+def priority_set_ids(n: int) -> Iterator[tuple[int, ...]]:
+    """Every priority set of size n as a tuple of ranking ids, one per
+    position, with position 0 as the most significant digit in base n!."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = priority_set_count(n)
-    stop = total if stop is None else min(stop, total)
-    for index in range(start, stop):
-        yield priority_set_from_index(n, index)
+    return product(range(math.factorial(n)), repeat=n)
+
+
+def enumerate_priority_sets(n: int) -> Iterator[PrioritySet]:
+    """Yield all (n!)^n priority sets exactly once, in the order of
+    ``priority_set_ids``."""
+    rankings = all_rankings(n)
+    for ids in priority_set_ids(n):
+        yield PrioritySet.from_rankings(rankings[i] for i in ids)
 
 
 def restrictions(n: "int | PrioritySet", m: int) -> Iterator[Restriction]:

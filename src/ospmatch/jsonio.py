@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import re
 import string
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .core import (
     Matching,
@@ -59,7 +60,7 @@ def _expect_mapping(doc: Any, what: str) -> Mapping[str, Any]:
 
 def _expect_n(doc: Mapping[str, Any], what: str) -> int:
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f"{what}: field 'n' must be a positive integer")
     return n
 
@@ -71,6 +72,8 @@ def _ranking_from_names(
         raise FormatError(f"{where}: expected a list of names")
     seen = []
     for token in row:
+        if not isinstance(token, str):
+            raise FormatError(f"{where}: expected a name, got {token!r}")
         if token not in index:
             raise FormatError(f"{where}: unknown name {token!r}")
         seen.append(index[token])
@@ -88,12 +91,12 @@ def parse_priorities(doc: Any) -> tuple[PrioritySet, Names]:
     first = rows[0]
     if not isinstance(first, Sequence) or isinstance(first, str):
         raise FormatError("priorities[0]: expected a list of applicant names")
+    for token in first:
+        if not isinstance(token, str) or not _NAME_RE.match(token):
+            raise FormatError(f"priorities: applicant name {token!r} is not a lowercase token")
     tokens = sorted(set(first))
     if len(tokens) != n:
         raise FormatError("priorities[0]: needs n distinct applicant names")
-    for token in tokens:
-        if not isinstance(token, str) or not _NAME_RE.match(token):
-            raise FormatError(f"priorities: applicant name {token!r} is not a lowercase token")
     names = Names(tuple(tokens), tuple(str(i + 1) for i in range(n)))
     index = names.applicant_index()
     rankings = tuple(
@@ -169,6 +172,9 @@ def parse_subdomain(doc: Any, names: Names | None = None) -> tuple[Subdomain, Na
     if not isinstance(types, Mapping) or set(types) != set(names.applicants):
         raise FormatError("subdomain: field 'types' must map every applicant name")
     index = names.position_index()
+    for name in names.applicants:
+        if not isinstance(types[name], Sequence) or isinstance(types[name], str):
+            raise FormatError(f"types[{name}]: expected a list of orders")
     type_lists = tuple(
         tuple(
             _ranking_from_names(row, index, f"types[{name}][{j}]")
@@ -260,6 +266,7 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         or not isinstance(positions, Sequence)
         or len(applicants) != n
         or len(positions) != n
+        or not all(isinstance(name, str) for name in (*applicants, *positions))
     ):
         raise FormatError("tree: 'applicants' and 'positions' must name n entries each")
     names = Names(tuple(applicants), tuple(positions))
@@ -272,6 +279,8 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     given: list[tuple[int, ...]] = []
     universes: list[tuple[int, ...]] = []
     for i, universe in enumerate(raw_universes):
+        if not isinstance(universe, Sequence) or isinstance(universe, str):
+            raise FormatError(f"universes[{i}]: expected a list of orders")
         ids = [
             ranking_id(_ranking_from_names(row, pos_index, f"universes[{i}][{j}]"))
             for j, row in enumerate(universe)
@@ -284,10 +293,11 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     if not isinstance(records, Sequence) or not records:
         raise FormatError("tree: 'nodes' must be a nonempty list")
     app_index = names.applicant_index()
+    valid = [frozenset(range(len(ids))) for ids in given]
     visited: set[int] = set()
 
     def build(idx: int) -> Node:
-        if not isinstance(idx, int) or not 0 <= idx < len(records):
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(records):
             raise FormatError(f"tree: node reference {idx!r} out of range")
         if idx in visited:
             raise FormatError(f"tree: node {idx} referenced twice")
@@ -301,13 +311,13 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
                 matching = tuple(
                     pos_index[mapping[name]] for name in names.applicants
                 )
-            except KeyError as exc:
+            except (KeyError, TypeError) as exc:
                 raise FormatError(f"nodes[{idx}]: unknown position {exc}") from exc
             if sorted(matching) != list(range(n)):
                 raise FormatError(f"nodes[{idx}]: matching is not a bijection")
             return Leaf(matching)
         player_name = record.get("player")
-        if player_name not in app_index:
+        if not isinstance(player_name, str) or player_name not in app_index:
             raise FormatError(f"nodes[{idx}]: unknown player {player_name!r}")
         player = app_index[player_name]
         children_doc = record.get("children")
@@ -319,10 +329,18 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             local_ids = child.get("types")
             if not isinstance(local_ids, Sequence) or not local_ids:
                 raise FormatError(f"nodes[{idx}]: child needs a type list")
-            try:
-                types = tuple(sorted(given[player][j] for j in local_ids))
-            except (TypeError, IndexError) as exc:
-                raise FormatError(f"nodes[{idx}]: bad type index") from exc
+            # whole-list set operations keep these checks cheap on trees
+            # with millions of indices; the exact type test rules out bools
+            if set(map(type, local_ids)) != {int}:
+                raise FormatError(f"nodes[{idx}]: type indices must be integers")
+            distinct = set(local_ids)
+            if not distinct <= valid[player]:
+                raise FormatError(
+                    f"nodes[{idx}]: type index outside 0..{len(given[player]) - 1}"
+                )
+            if len(distinct) != len(local_ids):
+                raise FormatError(f"nodes[{idx}]: child repeats a type index")
+            types = tuple(sorted([given[player][j] for j in local_ids]))
             children.append((types, build(child.get("node"))))
         return Internal(player, tuple(children))
 

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Matching, PreferenceProfile, PrioritySet, Ranking, all_rankings
+from .core import Matching, PreferenceProfile, PrioritySet, Ranking, all_rankings, ranking_id
 from .da import da_match
 
 IdSet = tuple[int, ...]  # sorted type ids
@@ -148,8 +148,7 @@ def execute(tree: MechanismTree, p: PreferenceProfile) -> Matching:
     """Follow the unique path consistent with the profile to its leaf."""
     if p.n != tree.n:
         raise ValueError("profile size does not match the tree")
-    ids = {r: i for i, r in enumerate(all_rankings(tree.n))}
-    type_ids = tuple(ids[pref.ranking] for pref in p.prefs)
+    type_ids = tuple(ranking_id(pref.ranking) for pref in p.prefs)
     for i, t in enumerate(type_ids):
         if t not in tree.universes[i]:
             raise ValueError(f"applicant {i} holds a type outside the environment")

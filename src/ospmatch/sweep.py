@@ -2,169 +2,28 @@
 
 These back the ``enumerate`` CLI subcommand and the desk-scale checks of
 the classifier/scanner equivalence.  Priority sets are handled as tuples
-of order ids (lexicographic index of each position's ranking), with all
-relabeling and restriction work done through precomputed id tables, so a
-full pass over the 331,776 sets at n = 4 stays cheap on one core.
+of order ids and fed to the id-layer kernels of :mod:`ospmatch.classify`,
+the same ones behind ``classify`` and ``scan_forbidden``, so a full pass
+over the 331,776 sets at n = 4 stays cheap on one core.
 """
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from itertools import permutations
 
-from .classify import FORBIDDEN_TABLES, dominance_blocks, taa_patterns
-from .core import Ranking, all_rankings, canonical_table, restrict_ranking
-
-IdTuple = tuple[int, ...]
+from .classify import IdTuple, block_bases, id_blocks, scan_ids
+from .core import Ranking, all_rankings, canonical_table, priority_set_ids, ranking_id
 
 
 @lru_cache(maxsize=None)
-def _id_of(n: int) -> dict[Ranking, int]:
-    return {r: i for i, r in enumerate(all_rankings(n))}
-
-
-@lru_cache(maxsize=None)
-def _sigma_map(n: int) -> dict[IdTuple, tuple[int, ...]]:
+def _sigma_map(n: int) -> tuple[IdTuple, ...]:
     """For each applicant relabeling sigma: order id -> relabeled order id."""
     rankings = all_rankings(n)
-    ids = _id_of(n)
-    return {
-        sigma: tuple(ids[tuple(sigma[x] for x in r)] for r in rankings)
+    return tuple(
+        tuple(ranking_id([sigma[x] for x in r]) for r in rankings)
         for sigma in permutations(range(n))
-    }
-
-
-@lru_cache(maxsize=None)
-def _restrict_map(n: int, m: int) -> dict[tuple[int, IdTuple], int]:
-    """(order id over n items, kept subset) -> order id over m items."""
-    rankings = all_rankings(n)
-    small_ids = _id_of(m)
-    out = {}
-    for subset in combinations(range(n), m):
-        for i, r in enumerate(rankings):
-            out[(i, subset)] = small_ids[restrict_ranking(r, subset)]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _taa_uv_ids(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """u/v pattern ids indexed by the id of the base list x."""
-    rankings = all_rankings(k)
-    ids = _id_of(k)
-    u_of, v_of = [], []
-    for base in rankings:
-        _, u, v = taa_patterns(base)
-        u_of.append(ids[u])
-        v_of.append(ids[v])
-    return tuple(u_of), tuple(v_of)
-
-
-@lru_cache(maxsize=None)
-def forbidden_orbit(size: int) -> dict[IdTuple, str]:
-    """Every forbidden table of the given side length, closed under
-    relabeling, keyed as a sorted tuple of order ids."""
-    ids = _id_of(size)
-    out: dict[IdTuple, str] = {}
-    for letter, table in FORBIDDEN_TABLES:
-        if len(table) != size:
-            continue
-        for sigma in permutations(range(size)):
-            key = tuple(sorted(ids[tuple(sigma[x] for x in row)] for row in table))
-            assert out.get(key, letter) == letter
-            out[key] = letter
-    return out
-
-
-def limited_cyclic_ids(n: int, ids: IdTuple) -> bool:
-    """Limited-cyclic test on an id tuple, mirroring classify()."""
-    rankings = all_rankings(n)
-    lists = tuple(rankings[i] for i in ids)
-    for block in dominance_blocks(lists):
-        k = len(block)
-        if k < 3:
-            continue
-        if k == n:
-            rids: Sequence[int] = ids
-        else:
-            rmap = _restrict_map(n, k)
-            rids = [rmap[(i, block)] for i in ids]
-        counts: dict[int, int] = {}
-        for i in rids:
-            counts[i] = counts.get(i, 0) + 1
-        u_of, v_of = _taa_uv_ids(k)
-        target = len(rids) - 2
-        if not any(
-            cnt == target
-            and counts.get(u_of[x], 0) == 1
-            and counts.get(v_of[x], 0) == 1
-            for x, cnt in counts.items()
-        ):
-            return False
-    return True
-
-
-def scan_letter_ids(n: int, ids: IdTuple) -> str | None:
-    """Forbidden-pattern scan on an id tuple, mirroring scan_forbidden()."""
-    forb3 = forbidden_orbit(3)
-    if n == 3:
-        return forb3.get(tuple(sorted(ids)))
-    rmap = _restrict_map(n, 3)
-    for s in combinations(range(n), 3):
-        restricted = [rmap[(i, s)] for i in ids]
-        for t in combinations(range(n), 3):
-            letter = forb3.get(tuple(sorted(restricted[x] for x in t)))
-            if letter is not None:
-                return letter
-    forb4 = forbidden_orbit(4)
-    if n == 4:
-        return "e" if tuple(sorted(ids)) in forb4 else None
-    rmap4 = _restrict_map(n, 4)
-    for s in combinations(range(n), 4):
-        restricted = [rmap4[(i, s)] for i in ids]
-        for t in combinations(range(n), 4):
-            if tuple(sorted(restricted[x] for x in t)) in forb4:
-                return "e"
-    return None
-
-
-def cyclic_ids(n: int, ids: IdTuple) -> bool:
-    rankings = all_rankings(n)
-    lists = tuple(rankings[i] for i in ids)
-    return any(len(b) >= 3 for b in dominance_blocks(lists))
-
-
-def has_small_forbidden_ids(n: int, ids: IdTuple) -> bool:
-    """True iff some size-3 restriction matches a forbidden pattern."""
-    forb3 = forbidden_orbit(3)
-    if n == 3:
-        return tuple(sorted(ids)) in forb3
-    rmap = _restrict_map(n, 3)
-    for s in combinations(range(n), 3):
-        restricted = [rmap[(i, s)] for i in ids]
-        for t in combinations(range(n), 3):
-            if tuple(sorted(restricted[x] for x in t)) in forb3:
-                return True
-    return False
-
-
-def _all_id_tuples(n: int, start: int, stop: int) -> Iterable[IdTuple]:
-    base = math.factorial(n)
-    digits = []
-    idx = start
-    for _ in range(n):
-        idx, d = divmod(idx, base)
-        digits.append(d)
-    current = list(reversed(digits))
-    for _ in range(start, stop):
-        yield tuple(current)
-        for slot in range(n - 1, -1, -1):
-            current[slot] += 1
-            if current[slot] < base:
-                break
-            current[slot] = 0
+    )
 
 
 @dataclass
@@ -175,50 +34,35 @@ class SweepResult:
     mismatches: list[tuple[IdTuple, bool, str | None]]
     cyclic_no_small_witness: set[tuple[Ranking, ...]]
 
-    def merge(self, other: "SweepResult") -> "SweepResult":
-        return SweepResult(
-            self.n,
-            self.total + other.total,
-            self.limited_cyclic + other.limited_cyclic,
-            self.mismatches + other.mismatches,
-            self.cyclic_no_small_witness | other.cyclic_no_small_witness,
-        )
 
+def sweep_equivalence(n: int) -> SweepResult:
+    """Check classify == scan over every priority set at this n, counting
+    verdicts and collecting the canonical forms of the cyclic sets that
+    carry no size-3 forbidden restriction.
 
-def _sweep_range(n: int, start: int, stop: int) -> SweepResult:
-    rankings = all_rankings(n)
-    lc_count = 0
+    One pass per set: the dominance blocks give both the verdict and the
+    cyclic flag (a block of three or more), and the scan, which tries the
+    4x4 restrictions only when no 3x3 one matches, gives both the letter
+    and whether a size-3 witness exists."""
+    total = lc_count = 0
     mismatches: list[tuple[IdTuple, bool, str | None]] = []
     hard: set[IdTuple] = set()
-    for ids in _all_id_tuples(n, start, stop):
-        lc = limited_cyclic_ids(n, ids)
-        letter = scan_letter_ids(n, ids)
+    for ids in priority_set_ids(n):
+        total += 1
+        blocks = id_blocks(n, ids)
+        lc = block_bases(n, ids, blocks) is not None
+        found = scan_ids(n, ids)
+        letter = None if found is None else found[2]
         if lc != (letter is None):
             mismatches.append((ids, lc, letter))
         if lc:
             lc_count += 1
-        if cyclic_ids(n, ids) and not has_small_forbidden_ids(n, ids):
+        small = found is not None and len(found[0]) == 3
+        if not small and any(len(b) >= 3 for b in blocks):
             hard.add(tuple(sorted(ids)))
+    rankings = all_rankings(n)
     canon = {canonical_table(tuple(rankings[i] for i in ids)) for ids in hard}
-    return SweepResult(n, stop - start, lc_count, mismatches, canon)
-
-
-def sweep_equivalence(n: int, threads: int = 1) -> SweepResult:
-    """Check classify == scan over every priority set at this n, counting
-    verdicts and collecting the canonical forms of the cyclic sets that
-    carry no size-3 forbidden restriction."""
-    total = math.factorial(n) ** n
-    if threads <= 1:
-        return _sweep_range(n, 0, total)
-    bounds = [total * i // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda se: _sweep_range(n, *se), zip(bounds, bounds[1:]))
-        )
-    result = parts[0]
-    for part in parts[1:]:
-        result = result.merge(part)
-    return result
+    return SweepResult(n, total, lc_count, mismatches, canon)
 
 
 @dataclass
@@ -234,24 +78,24 @@ def class_census(n: int) -> list[ClassRow]:
     and the forbidden-pattern letter when one exists."""
     rankings = all_rankings(n)
     sigma_maps = _sigma_map(n)
-    total = math.factorial(n) ** n
     visited: set[IdTuple] = set()
     rows: list[ClassRow] = []
-    for ids in _all_id_tuples(n, 0, total):
+    for ids in priority_set_ids(n):
         if ids in visited:
             continue
         orbit: set[IdTuple] = set()
-        for mapping in sigma_maps.values():
+        for mapping in sigma_maps:
             relabeled = sorted(mapping[i] for i in ids)
             orbit.update(permutations(relabeled))
         visited.update(orbit)
         canonical = canonical_table(tuple(rankings[i] for i in ids))
+        found = scan_ids(n, ids)
         rows.append(
             ClassRow(
                 canonical,
                 len(orbit),
-                limited_cyclic_ids(n, ids),
-                scan_letter_ids(n, ids),
+                block_bases(n, ids, id_blocks(n, ids)) is not None,
+                None if found is None else found[2],
             )
         )
     rows.sort(key=lambda row: row.canonical)

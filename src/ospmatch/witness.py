@@ -11,7 +11,6 @@ for each forbidden pattern.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -177,34 +176,15 @@ def _sample_subdomain(rng: random.Random, n: int) -> Subdomain:
     return Subdomain(tuple(type_lists))
 
 
-def _search_range(q: PrioritySet, seed: int, lo: int, hi: int) -> tuple[int, Subdomain] | None:
-    for i in range(lo, hi):
-        rng = random.Random(f"{seed}/{i}")
-        candidate = _sample_subdomain(rng, q.n)
-        if check_witness(q, candidate).ok:
-            return i, candidate
-    return None
-
-
-def find_witness(
-    q: PrioritySet, budget: int, seed: int, threads: int = 1
-) -> Subdomain | None:
+def find_witness(q: PrioritySet, budget: int, seed: int) -> Subdomain | None:
     """Sample subdomains until one passes check_witness or the budget runs
     out.  Iteration i draws from its own stream derived from (seed, i), so
-    the result is reproducible and independent of the thread count."""
-    if threads <= 1:
-        found = _search_range(q, seed, 0, budget)
-        return None if found is None else found[1]
-    chunk = 512
-    spans = [(lo, min(lo + chunk, budget)) for lo in range(0, budget, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_search_range, q, seed, lo, hi) for lo, hi in spans]
-        for future in futures:
-            found = future.result()
-            if found is not None:
-                for later in futures:
-                    later.cancel()
-                return found[1]
+    the result is reproducible and a search that first succeeds at
+    iteration i returns the same subdomain for every budget above i."""
+    for i in range(budget):
+        candidate = _sample_subdomain(random.Random(f"{seed}/{i}"), q.n)
+        if check_witness(q, candidate).ok:
+            return candidate
     return None
 
 

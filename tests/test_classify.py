@@ -1,15 +1,20 @@
-"""Cyclicity, partitions, the alternating pattern, and the scanner."""
+"""Cyclicity, partitions, the alternating pattern, and the scanner.
+
+The id-layer kernels behind ``classify`` and ``scan_forbidden`` are checked
+against two brute oracles kept here: a permutation search for the
+two-adjacent-alternating labeling and a ``canonical_table`` scan over
+``restrictions()``.
+"""
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import FIG_A, FIG_B, FIG_C, FIG_D, FIG_E, STAR6, TAA3, q_of
 from ospmatch.classify import (
-    _taa_by_fingerprint,
-    acyclic_partition,
+    TaaLabeling,
     classify,
     dominance_blocks,
     forbidden_patterns,
@@ -24,17 +29,54 @@ from ospmatch.core import (
     Restriction,
     all_rankings,
     canonical_table,
+    enumerate_priority_sets,
     relabel_table,
     restrict,
     restrict_table,
+    restrictions,
 )
-from ospmatch.sweep import (
-    class_census,
-    cyclic_ids,
-    limited_cyclic_ids,
-    scan_letter_ids,
-    sweep_equivalence,
-)
+from ospmatch.sweep import class_census, sweep_equivalence
+
+
+def brute_taa(lists):
+    """Labeling with the lexicographically first applicant order, found by
+    trying every order."""
+    lists = tuple(tuple(lst) for lst in lists)
+    for base in permutations(range(len(lists[0]))):
+        x, u, v = taa_patterns(base)
+        xs = [pos for pos, lst in enumerate(lists) if lst == x]
+        us = [pos for pos, lst in enumerate(lists) if lst == u]
+        vs = [pos for pos, lst in enumerate(lists) if lst == v]
+        if len(us) == 1 and len(vs) == 1 and len(xs) == len(lists) - 2:
+            return TaaLabeling(base, tuple(xs), us[0], vs[0])
+    return None
+
+
+def brute_scan(q):
+    """First restriction of size 3, then 4, whose canonical table is a
+    forbidden pattern."""
+    lookup = {table: letter for letter, table in forbidden_patterns()}
+    for m in (3, 4):
+        if m > q.n:
+            break
+        for r in restrictions(q.n, m):
+            table = canonical_table(restrict_table(q.rankings, r.applicants, r.positions))
+            if table in lookup:
+                return r, lookup[table]
+    return None
+
+
+def taa_like(rng, n):
+    """An n x n table built from one relabeled (x, u, v) triple, with one
+    list swapped for a random one now and then."""
+    base = list(range(n))
+    rng.shuffle(base)
+    x, u, v = taa_patterns(tuple(base))
+    lists = [x] * (n - 2) + [u, v]
+    rng.shuffle(lists)
+    if rng.random() < 0.3:
+        lists[rng.randrange(n)] = rng.choice(all_rankings(n))
+    return PrioritySet.from_rankings(lists)
 
 
 def test_is_cyclic_on_figure_tables():
@@ -43,19 +85,14 @@ def test_is_cyclic_on_figure_tables():
     assert not is_cyclic(q_of("abc", "abc", "abc"))
 
 
-def test_acyclic_partition_examples():
-    assert acyclic_partition(q_of("abc", "abc", "bac")) == [{0, 1}, {2}]
-    assert acyclic_partition(q_of("abc", "abc", "abc")) == [{0}, {1}, {2}]
-    assert acyclic_partition(FIG_A) is None
-
-
 @pytest.mark.parametrize("n", [3, 4])
-def test_acyclic_partition_matches_is_cyclic_exhaustively(n):
+def test_dominance_blocks_match_is_cyclic_exhaustively(n):
+    # Ergin's cyclicity test is the oracle: a set is cyclic iff its finest
+    # dominance partition has a block of three or more applicants
     rankings = all_rankings(n)
-    size = len(rankings)
-    for ids in product(range(size), repeat=n):
+    for ids in product(range(len(rankings)), repeat=n):
         q = PrioritySet.from_rankings(tuple(rankings[i] for i in ids))
-        assert (acyclic_partition(q) is None) == is_cyclic(q)
+        assert any(len(b) >= 3 for b in dominance_blocks(q.rankings)) == is_cyclic(q)
 
 
 def test_taa_patterns_shapes():
@@ -104,9 +141,7 @@ def test_taa_brute_and_fingerprint_agree():
             else:
                 lists = [rng.choice(rankings) for _ in range(rng.randrange(3, 6))]
             table = tuple(lists)
-            brute = taa_labeling_table(table)
-            fast = _taa_by_fingerprint(table)
-            assert (brute is None) == (fast is None)
+            assert taa_labeling_table(table) == brute_taa(table)
 
 
 def test_taa_fingerprint_handles_large_blocks():
@@ -219,32 +254,57 @@ def test_classifier_equals_scanner_at_three():
     assert not result.mismatches
 
 
-def test_sweep_sharding_is_lossless():
-    whole = sweep_equivalence(3)
-    sharded = sweep_equivalence(3, threads=3)
-    assert sharded.total == whole.total
-    assert sharded.limited_cyclic == whole.limited_cyclic
-    assert sharded.mismatches == whole.mismatches
-    assert sharded.cyclic_no_small_witness == whole.cyclic_no_small_witness
+def test_sweep_matches_per_set_wrappers():
+    # the fused pass agrees with classify / scan_forbidden / is_cyclic run
+    # set by set through the dataclass API
+    result = sweep_equivalence(3)
+    limited = hard = 0
+    hard_forms = set()
+    for q in enumerate_priority_sets(3):
+        verdict = classify(q).limited_cyclic
+        found = scan_forbidden(q)
+        assert verdict == (found is None)
+        limited += verdict
+        if is_cyclic(q) and (found is None or found[0].m > 3):
+            hard += 1
+            hard_forms.add(canonical_table(q.rankings))
+    assert result.total == 216
+    assert result.limited_cyclic == limited
+    assert not result.mismatches
+    assert result.cyclic_no_small_witness == hard_forms and hard > 0
+
+
+def _check_against_oracles(q):
+    assert scan_forbidden(q) == brute_scan(q)
+    assert taa_labeling_table(q.rankings) == brute_taa(q.rankings)
+    result = classify(q)
+    if not result.limited_cyclic:
+        assert result.witness == brute_scan(q)
+        return
+    for index, lab in result.block_labelings:
+        block = result.blocks[index]
+        brute = brute_taa(restrict_table(q.rankings, block, range(q.n)))
+        assert lab == TaaLabeling(
+            tuple(block[a] for a in brute.applicant_order),
+            brute.x_positions, brute.u_position, brute.v_position,
+        )
 
 
 def test_sweep_fast_paths_match_slow_paths():
+    # the id-layer kernels against the brute oracles on full return values:
+    # every table at n = 3, seeded samples at n = 4..6
     rankings3 = all_rankings(3)
     for ids in product(range(6), repeat=3):
-        q = PrioritySet.from_rankings(tuple(rankings3[i] for i in ids))
-        assert limited_cyclic_ids(3, ids) == classify(q).limited_cyclic
-        slow = scan_forbidden(q)
-        assert scan_letter_ids(3, ids) == (None if slow is None else slow[1])
-        assert cyclic_ids(3, ids) == is_cyclic(q)
+        _check_against_oracles(PrioritySet.from_rankings(tuple(rankings3[i] for i in ids)))
     rng = random.Random(7)
-    rankings4 = all_rankings(4)
-    for _ in range(400):
-        ids = tuple(rng.randrange(24) for _ in range(4))
-        q = PrioritySet.from_rankings(tuple(rankings4[i] for i in ids))
-        assert limited_cyclic_ids(4, ids) == classify(q).limited_cyclic
-        slow = scan_forbidden(q)
-        assert scan_letter_ids(4, ids) == (None if slow is None else slow[1])
-        assert cyclic_ids(4, ids) == is_cyclic(q)
+    for n, count in ((4, 300), (5, 80), (6, 30)):
+        rankings = all_rankings(n)
+        for _ in range(count):
+            if rng.random() < 0.5:
+                q = taa_like(rng, n)
+            else:
+                q = PrioritySet.from_rankings([rng.choice(rankings) for _ in range(n)])
+            _check_against_oracles(q)
 
 
 def test_census_three():
@@ -258,6 +318,7 @@ def test_census_three():
 
 
 def test_dominance_blocks_examples():
+    assert dominance_blocks(FIG_A.rankings) == [(0, 1, 2)]
     assert dominance_blocks(STAR6.rankings) == [(0, 1, 2, 3, 4, 5)]
     assert dominance_blocks(q_of("abc", "abc", "abc").rankings) == [(0,), (1,), (2,)]
     assert dominance_blocks(q_of("abc", "abc", "bac").rankings) == [(0, 1), (2,)]
@@ -268,3 +329,17 @@ def test_restrict_table_keeps_all_positions_for_blocks():
     restricted = restrict_table(STAR6.rankings, (0, 1, 2), range(6))
     assert len(restricted) == 6
     assert taa_labeling_table(restricted) is not None
+
+
+def test_scan_on_a_seven_market_fills_rows_lazily():
+    # a full no-hit scan touches only the order ids the table holds, not
+    # every ranking of seven applicants
+    from ospmatch.classify import _restricted_rows
+
+    base = tuple(range(7))
+    x, u, v = taa_patterns(base)
+    q = PrioritySet.from_rankings([x] * 5 + [u, v])
+    assert scan_forbidden(q) is None and classify(q).limited_cyclic
+    for m in (3, 4):
+        for keep in combinations(range(7), m):
+            assert len(_restricted_rows(7, keep)) <= 3

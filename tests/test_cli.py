@@ -124,8 +124,6 @@ def test_witness_search_deterministic(files, capsys):
     first = capsys.readouterr().out
     main(["witness", files["fig1a"], "--budget", "5000", "--seed", "9"])
     assert capsys.readouterr().out == first
-    main(["--threads", "2", "witness", files["fig1a"], "--budget", "5000", "--seed", "9"])
-    assert capsys.readouterr().out == first
 
 
 def test_enumerate_report(files, capsys):
@@ -198,3 +196,73 @@ def test_json_flag_round_trips(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["matching"] == {"a": "2", "b": "1", "c": "3"}
     assert doc["transcript"][0][0] == ["b", "c"]
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _mutated_tree(files, tmp_path, mutate):
+    """The TAA3 tree with one child's type list rewritten by ``mutate``.
+    Under plain Python indexing the negative, bool and repeated rewrites
+    still name the same types, so only strict parsing can refuse them."""
+    tree_path = tmp_path / "t.json"
+    assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
+    doc = json.loads(tree_path.read_text())
+    node = next(n for n in doc["nodes"] if "children" in n)
+    universe = doc["universes"][doc["applicants"].index(node["player"])]
+    child = next(c for c in node["children"] if 1 in c["types"])
+    child["types"] = mutate(child["types"], len(universe))
+    return write(tmp_path / "mutated.json", doc)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda types, size: [1 - size if t == 1 else t for t in types],
+    lambda types, size: [True if t == 1 else t for t in types],
+    lambda types, size: types + [types[0]],
+    lambda types, size: types + [[types[0]]],
+], ids=["negative", "bool", "repeated", "nested"])
+def test_verify_tree_rejects_bad_type_indices(files, tmp_path, capsys, mutate):
+    mutated = _mutated_tree(files, tmp_path, mutate)
+    capsys.readouterr()
+    assert main(["verify-tree", mutated, files["taa3"]]) == 2
+    _one_error_line(capsys)
+    assert main(["check-osp", mutated]) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("row", [0, 2], ids=["first", "later"])
+def test_priorities_reject_non_string_names(tmp_path, capsys, row):
+    rows = [["a", "b", "c"], ["a", "c", "b"], ["b", "a", "c"]]
+    rows[row] = [["a"], "b", "c"]
+    path = write(tmp_path / "bad.json", {"n": 3, "priorities": rows})
+    assert main(["classify", path]) == 2
+    _one_error_line(capsys)
+
+
+def test_priorities_reject_bool_size(tmp_path, capsys):
+    path = write(tmp_path / "bad.json", {"n": True, "priorities": [["a"]]})
+    assert main(["classify", path]) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("field", ["node", "player", "applicants", "positions", "universes"])
+def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
+    tree_path = tmp_path / "t.json"
+    assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
+    doc = json.loads(tree_path.read_text())
+    root = doc["nodes"][0]
+    if field == "node":
+        assert root["children"][0]["node"] == 1
+        root["children"][0]["node"] = True
+    elif field == "player":
+        root["player"] = ["a"]
+    elif field == "universes":
+        doc["universes"][1] = True
+    else:
+        doc[field][0] = [doc[field][0]]
+    mutated = write(tmp_path / "mutated.json", doc)
+    capsys.readouterr()
+    assert main(["verify-tree", mutated, files["taa3"]]) == 2
+    _one_error_line(capsys)

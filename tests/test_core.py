@@ -18,7 +18,7 @@ from ospmatch.core import (
     canonical_table,
     enumerate_priority_sets,
     priority_set_count,
-    priority_set_from_index,
+    priority_set_ids,
     relabel,
     restrict,
     restrictions,
@@ -126,10 +126,14 @@ def test_enumeration_counts():
 
 
 def test_enumeration_restartable():
+    # every call restarts the same stream: position 0 is the most
+    # significant digit over the lexicographic ranking ids
     whole = [q.rankings for q in enumerate_priority_sets(3)]
-    sliced = [q.rankings for q in enumerate_priority_sets(3, start=100, stop=130)]
-    assert sliced == whole[100:130]
-    assert priority_set_from_index(3, 215).rankings == whole[-1]
+    assert whole == [q.rankings for q in enumerate_priority_sets(3)]
+    rankings = all_rankings(3)
+    assert whole == [tuple(rankings[i] for i in ids) for ids in priority_set_ids(3)]
+    assert whole[1] == (rankings[0], rankings[0], rankings[1])
+    assert whole[-1] == (rankings[-1],) * 3
 
 
 def test_restriction_stream_counts():

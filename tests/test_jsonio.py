@@ -87,6 +87,12 @@ def test_subdomain_rejects_all_singletons():
         parse_subdomain(doc)
 
 
+def test_subdomain_rejects_a_type_list_that_is_not_a_list():
+    doc = {"n": 2, "types": {"a": 5, "b": [["2", "1"], ["1", "2"]]}}
+    with pytest.raises(FormatError):
+        parse_subdomain(doc)
+
+
 def test_tree_round_trip(taa3_tree):
     doc = tree_to_doc(taa3_tree)
     rebuilt, names = parse_tree(doc)

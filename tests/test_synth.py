@@ -212,15 +212,15 @@ def test_sampled_limited_cyclic_four_members():
     # beyond the 16 canonical classes, spot-check relabeled members
     rng = random.Random(21)
     rankings = all_rankings(4)
-    from ospmatch.sweep import limited_cyclic_ids
+    from ospmatch.classify import classify
 
     checked = 0
     while checked < 84:
         ids = tuple(rng.randrange(24) for _ in range(4))
-        if not limited_cyclic_ids(4, ids):
+        q = PrioritySet.from_rankings(tuple(rankings[i] for i in ids))
+        if not classify(q).limited_cyclic:
             continue
         checked += 1
-        q = PrioritySet.from_rankings(tuple(rankings[i] for i in ids))
         tree = synthesize(q)
         assert check_implements(tree, q, samples=50_000, seed=checked).ok
         assert check_osp(tree).ok

@@ -1,6 +1,8 @@
 """Witness subdomains: the checker, the bundled fixtures, the search."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import FIG_A, STAR6, TAA3, q_of
@@ -8,6 +10,7 @@ from ospmatch.classify import scan_forbidden
 from ospmatch.da import da_match
 from ospmatch.witness import (
     Subdomain,
+    _sample_subdomain,
     check_witness,
     find_witness,
     fixture_for,
@@ -135,8 +138,14 @@ def test_find_witness_deterministic():
     a = find_witness(FIG_A, budget=5000, seed=3)
     b = find_witness(FIG_A, budget=5000, seed=3)
     assert a == b
-    c = find_witness(FIG_A, budget=5000, seed=3, threads=3)
-    assert c == a
+    # iteration i draws from its own seed stream, so the first success
+    # pins the result for every larger budget and none for smaller ones
+    first = next(
+        i for i in range(5000)
+        if check_witness(FIG_A, _sample_subdomain(random.Random(f"3/{i}"), 3)).ok
+    )
+    assert find_witness(FIG_A, budget=first + 1, seed=3) == a
+    assert find_witness(FIG_A, budget=first, seed=3) is None
 
 
 def test_find_witness_gives_up_on_implementable_table():
