@@ -197,7 +197,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 def _describe_violations(tree: MechanismTree, names: Names, report) -> list[str]:
     rankings = all_rankings(tree.n)
-    nodes = dict(tree.nodes())
+    nodes = tree.preorder.nodes
     lines = []
     for v in report.violations:
         truth_leaf = nodes[v.truthful_leaf]
@@ -295,6 +295,8 @@ def _cmd_check_osp(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise FormatError(f"--budget must be at least 1, got {args.budget}")
     q, names = jsonio.parse_priorities(_load(args.priorities))
     classification = classify_priorities(q)
     if classification.limited_cyclic:

@@ -225,10 +225,9 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
     local = [
         {t: j for j, t in enumerate(universe)} for universe in tree.universes
     ]
-    order = list(tree.nodes())
-    ids = {id(node): i for i, node in order}
+    index = tree.preorder
     nodes: list[dict[str, Any]] = []
-    for _, node in order:
+    for node, child_ids in zip(index.nodes, index.children):
         if isinstance(node, Leaf):
             nodes.append({
                 "matching": {
@@ -242,9 +241,9 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
                 "children": [
                     {
                         "types": [local[node.player][t] for t in types],
-                        "node": ids[id(child)],
+                        "node": child,
                     }
-                    for types, child in node.children
+                    for (types, _), child in zip(node.children, child_ids)
                 ],
             })
     return {
@@ -295,8 +294,12 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     app_index = names.applicant_index()
     valid = [frozenset(range(len(ids))) for ids in given]
     visited: set[int] = set()
-
-    def build(idx: int) -> Node:
+    # records are checked in preorder; nodes are built children-first
+    built: dict[int, Node] = {}
+    internals: list[tuple[int, int, list[tuple[tuple[int, ...], Any]]]] = []
+    stack: list[Any] = [0]
+    while stack:
+        idx = stack.pop()
         if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(records):
             raise FormatError(f"tree: node reference {idx!r} out of range")
         if idx in visited:
@@ -315,7 +318,8 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
                 raise FormatError(f"nodes[{idx}]: unknown position {exc}") from exc
             if sorted(matching) != list(range(n)):
                 raise FormatError(f"nodes[{idx}]: matching is not a bijection")
-            return Leaf(matching)
+            built[idx] = Leaf(matching)
+            continue
         player_name = record.get("player")
         if not isinstance(player_name, str) or player_name not in app_index:
             raise FormatError(f"nodes[{idx}]: unknown player {player_name!r}")
@@ -341,10 +345,11 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             if len(distinct) != len(local_ids):
                 raise FormatError(f"nodes[{idx}]: child repeats a type index")
             types = tuple(sorted([given[player][j] for j in local_ids]))
-            children.append((types, build(child.get("node"))))
-        return Internal(player, tuple(children))
-
-    root = build(0)
+            children.append((types, child.get("node")))
+        internals.append((idx, player, children))
+        stack.extend(ref for _, ref in reversed(children))
     if len(visited) != len(records):
         raise FormatError("tree: some nodes are unreachable from the root")
-    return MechanismTree(n, tuple(universes), root), names
+    for idx, player, children in reversed(internals):
+        built[idx] = Internal(player, tuple((t, built.pop(ref)) for t, ref in children))
+    return MechanismTree(n, tuple(universes), built[0]), names

@@ -6,14 +6,22 @@ in; leaves carry full matchings.  Type ids are lexicographic ranking ids
 along a path only refines at nodes where that applicant acts, so the
 partition axioms hold by construction for synthesized trees and are
 re-checked from scratch by :func:`validate` for arbitrary ones.
+
+Tree walks are loops over the cached :class:`Preorder` index, built with
+an explicit stack, so trees of any depth run under the default recursion
+limit.  A node's id is its place in preorder (the record order
+:func:`ospmatch.jsonio.tree_to_doc` writes) and its subtree follows it:
+top-down walks run forward with per-node state keyed by id, bottom-up
+walks run backward and pop each child's result when the parent merges it.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +55,16 @@ class Internal:
 Node = Leaf | Internal
 
 
+@dataclass(frozen=True)
+class Preorder:
+    """Nodes in preorder (a node's id is its index), each node's child ids
+    in child order, and subtree ends: node i's subtree is ids i..end[i]-1."""
+
+    nodes: list[Node]
+    children: list[list[int]]
+    end: list[int]
+
+
 @dataclass(eq=False)
 class MechanismTree:
     """Rooted tree plus the per-applicant type universes it is played over."""
@@ -55,23 +73,31 @@ class MechanismTree:
     universes: tuple[IdSet, ...]
     root: Node
 
-    def nodes(self) -> Iterator[tuple[int, Node]]:
-        """Preorder (id, node) pairs; ids are the serialization order."""
-        stack = [self.root]
-        idx = 0
+    @cached_property
+    def preorder(self) -> Preorder:
+        nodes: list[Node] = []
+        children: list[list[int]] = []
+        stack: list[tuple[Node, int]] = [(self.root, -1)]
         while stack:
-            node = stack.pop()
-            yield idx, node
-            idx += 1
+            node, parent = stack.pop()
+            if parent >= 0:
+                children[parent].append(len(nodes))
+            nodes.append(node)
+            children.append([])
             if isinstance(node, Internal):
-                for _, child in reversed(node.children):
-                    stack.append(child)
+                nid = len(nodes) - 1
+                stack.extend((child, nid) for _, child in reversed(node.children))
+        end = list(range(1, len(nodes) + 1))
+        for i in range(len(nodes) - 1, -1, -1):
+            if children[i]:
+                end[i] = end[children[i][-1]]
+        return Preorder(nodes, children, end)
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
+        return len(self.preorder.nodes)
 
     def leaf_count(self) -> int:
-        return sum(1 for _, node in self.nodes() if isinstance(node, Leaf))
+        return sum(isinstance(node, Leaf) for node in self.preorder.nodes)
 
 
 def full_universe(n: int) -> IdSet:
@@ -95,21 +121,23 @@ def validate(tree: MechanismTree) -> ValidationReport:
     reported with the node's preorder id.
     """
     problems: list[str] = []
-    ids = {id(node): i for i, node in tree.nodes()}
-    universe_sets = tuple(frozenset(u) for u in tree.universes)
     for i, u in enumerate(tree.universes):
         if not u or list(u) != sorted(set(u)):
             problems.append(f"universe of applicant {i} is empty or unsorted")
-
-    def walk(node: Node, current: tuple[frozenset[int], ...]) -> None:
-        nid = ids[id(node)]
+    index = tree.preorder
+    # type sets inherited from the path, for nodes whose parent was entered
+    states = {0: tuple(frozenset(u) for u in tree.universes)}
+    for nid, node in enumerate(index.nodes):
+        current = states.pop(nid, None)
+        if current is None:
+            continue
         if isinstance(node, Leaf):
             if sorted(node.matching) != list(range(tree.n)):
                 problems.append(f"node {nid}: leaf matching is not a bijection")
-            return
+            continue
         if not 0 <= node.player < tree.n:
             problems.append(f"node {nid}: player index out of range")
-            return
+            continue
         inherited = current[node.player]
         seen: set[int] = set()
         for types, _ in node.children:
@@ -124,16 +152,9 @@ def validate(tree: MechanismTree) -> ValidationReport:
         if seen != inherited:
             problems.append(f"node {nid}: child sets do not cover the parent set")
         if problems:
-            return
-        for types, child in node.children:
-            next_state = (
-                current[: node.player]
-                + (frozenset(types),)
-                + current[node.player + 1 :]
-            )
-            walk(child, next_state)
-
-    walk(tree.root, universe_sets)
+            continue
+        for (types, _), child in zip(node.children, index.children[nid]):
+            states[child] = current[: node.player] + (frozenset(types),) + current[node.player + 1 :]
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -178,6 +199,8 @@ def check_implements(
     environment (exhaustive, the default) or on seeded random samples."""
     if q.n != tree.n:
         raise ValueError("priorities do not match the tree size")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rankings = all_rankings(tree.n)
     ranks = q.rank_table()
 
@@ -226,6 +249,8 @@ def check_osp(tree: MechanismTree) -> OspReport:
     the worst position over truthful-consistent leaves under that child
     must be weakly preferred to the best position over all leaves under
     the sibling children (no type restriction on the deviating side).
+    Violations come by node id, then type id, each with the first leaf in
+    preorder that attains the truthful worst case and the best deviation.
     """
     n = tree.n
     rankings = all_rankings(n)
@@ -237,19 +262,22 @@ def check_osp(tree: MechanismTree) -> OspReport:
             for spot, pos in enumerate(rankings[t]):
                 table[j, pos] = spot
         rank.append(table)
-    node_ids = {id(node): i for i, node in tree.nodes()}
-    raw_violations: list[tuple[Node, int, int, int, int, int]] = []
-
-    def visit(node: Node) -> tuple[list[np.ndarray], list[int]]:
+    index = tree.preorder
+    raw_violations: list[tuple[int, int, int, int, int, int]] = []
+    # per-node (worst truthful position per type, reachable position masks),
+    # held until the parent merges them
+    results: dict[int, tuple[list[np.ndarray], list[int]]] = {}
+    for nid in range(len(index.nodes) - 1, -1, -1):
+        node = index.nodes[nid]
         if isinstance(node, Leaf):
             worst = [
-                np.full(len(tree.universes[i]), node.matching[i], dtype=np.int8)
-                for i in range(n)
+                np.full(len(u), pos, dtype=np.int8)
+                for u, pos in zip(tree.universes, node.matching)
             ]
-            masks = [1 << node.matching[i] for i in range(n)]
-            return worst, masks
+            results[nid] = (worst, [1 << pos for pos in node.matching])
+            continue
         pl = node.player
-        child_results = [visit(child) for _, child in node.children]
+        child_results = [results.pop(child) for child in index.children[nid]]
         child_idx = [
             np.fromiter((local[pl][t] for t in types), dtype=np.intp, count=len(types))
             for types, _ in node.children
@@ -270,9 +298,9 @@ def check_osp(tree: MechanismTree) -> OspReport:
             bad = np.nonzero(truth_rank > dev_rank)[0]
             for b in bad:
                 j = int(idx[b])
-                raw_violations.append(
-                    (node, pl, tree.universes[pl][j], k,
-                     int(truth_worst[b]), int(dev_rank[b])))
+                t = tree.universes[pl][j]
+                raw_violations.append((nid, pl, t, index.children[nid][k],
+                                       int(truth_worst[b]), rankings[t][dev_rank[b]]))
         # merge children upward
         worst: list[np.ndarray] = []
         masks: list[int] = []
@@ -294,80 +322,45 @@ def check_osp(tree: MechanismTree) -> OspReport:
                     keep = rank[i][ar, merged] >= rank[i][ar, other]
                     merged = np.where(keep, merged, other)
             worst.append(merged)
-        return worst, masks
+        results[nid] = (worst, masks)
 
-    visit(tree.root)
+    end = index.end
     violations = tuple(
         Violation(
-            node_ids[id(node)],
-            pl,
-            t,
-            _find_truthful_leaf(tree, node.children[k][1], pl, t, worst_pos, node_ids),
-            _find_leaf_with_position(
-                tree, node, pl, k, dev_rank_target, rankings[t], node_ids
-            ),
+            nid, pl, t,
+            _first_leaf(index, [(truthful, end[truthful])], pl, truth_pos, t),
+            _first_leaf(index, [(nid + 1, truthful), (end[truthful], end[nid])], pl, dev_pos),
         )
-        for node, pl, t, k, worst_pos, dev_rank_target in raw_violations
+        for nid, pl, t, truthful, truth_pos, dev_pos in sorted(raw_violations)
     )
     return OspReport(not violations, violations)
 
 
-def _find_truthful_leaf(
-    tree: MechanismTree,
-    start: Node,
-    player: int,
-    type_id: int,
-    target_position: int,
-    node_ids: dict[int, int],
-) -> int:
-    """A truthful-consistent leaf under ``start`` matching ``player`` to
-    ``target_position`` (the recorded worst case)."""
-
-    def dfs(node: Node) -> Node | None:
-        if isinstance(node, Leaf):
-            return node if node.matching[player] == target_position else None
-        if node.player == player:
-            return dfs(node.dispatch(type_id))
-        for _, child in node.children:
-            found = dfs(child)
-            if found is not None:
-                return found
-        return None
-
-    leaf = dfs(start)
-    assert leaf is not None
-    return node_ids[id(leaf)]
-
-
-def _find_leaf_with_position(
-    tree: MechanismTree,
-    node: Internal,
-    player: int,
-    truthful_child: int,
-    dev_rank: int,
-    type_ranking: Ranking,
-    node_ids: dict[int, int],
-) -> int:
-    """A leaf under a sibling of the truthful child where ``player`` gets
-    the best deviating position."""
-    target = type_ranking[dev_rank]
-
-    def dfs(n: Node) -> Node | None:
-        if isinstance(n, Leaf):
-            return n if n.matching[player] == target else None
-        for _, child in n.children:
-            found = dfs(child)
-            if found is not None:
-                return found
-        return None
-
-    for k, (_, child) in enumerate(node.children):
-        if k == truthful_child:
-            continue
-        found = dfs(child)
-        if found is not None:
-            return node_ids[id(found)]
-    raise AssertionError("recorded deviation position not found under siblings")
+def _first_leaf(index: Preorder, spans: list[tuple[int, int]], player: int,
+                position: int, type_id: int | None = None) -> int:
+    """The first leaf in preorder, within the given id spans, that matches
+    ``player`` to ``position``.  With a ``type_id``, only the child holding
+    that type is entered below ``player``'s own nodes (the leaves
+    consistent with ``player`` reporting truthfully)."""
+    nodes, children, end = index.nodes, index.children, index.end
+    spans = spans[::-1]
+    while spans:
+        nid, stop = spans.pop()
+        while nid < stop:
+            node = nodes[nid]
+            if isinstance(node, Leaf):
+                if node.matching[player] == position:
+                    return nid
+            elif type_id is not None and node.player == player:
+                spans.append((end[nid], stop))
+                nid, stop = next(
+                    (child, end[child])
+                    for (types, _), child in zip(node.children, children[nid])
+                    if type_id in types
+                )
+                continue
+            nid += 1
+    raise AssertionError("recorded position not found under the searched spans")
 
 
 def restrict_environment(
@@ -376,28 +369,36 @@ def restrict_environment(
     """Prune the tree to a subdomain: intersect every type set with the
     sub-universe and drop children that become empty."""
     subs = tuple(tuple(sorted(set(u))) for u in sub_universes)
+    if len(subs) != tree.n:
+        raise ValueError(f"expected {tree.n} sub-universes, got {len(subs)}")
     for i, (sub, full) in enumerate(zip(subs, tree.universes)):
         if not sub:
             raise ValueError(f"empty sub-universe for applicant {i}")
         if not set(sub) <= set(full):
             raise ValueError(f"sub-universe of applicant {i} escapes the environment")
-
-    def rebuild(node: Node, current: tuple[frozenset[int], ...]) -> Node:
+    index = tree.preorder
+    states = {0: tuple(frozenset(u) for u in subs)}
+    built: dict[int, Node] = {}
+    # surviving internal nodes in preorder, with their kept (types, child id)
+    internals: list[tuple[int, list[tuple[IdSet, int]]]] = []
+    for nid, node in enumerate(index.nodes):
+        current = states.pop(nid, None)
+        if current is None:
+            continue
         if isinstance(node, Leaf):
-            return Leaf(node.matching)
-        children = []
-        for types, child in node.children:
+            built[nid] = Leaf(node.matching)
+            continue
+        kept = []
+        for (types, _), child in zip(node.children, index.children[nid]):
             keep = frozenset(types) & current[node.player]
-            if not keep:
-                continue
-            next_state = (
-                current[: node.player] + (keep,) + current[node.player + 1 :]
-            )
-            children.append((tuple(sorted(keep)), rebuild(child, next_state)))
-        return Internal(node.player, tuple(children))
-
-    root = rebuild(tree.root, tuple(frozenset(u) for u in subs))
-    return MechanismTree(tree.n, subs, root)
+            if keep:
+                states[child] = current[: node.player] + (keep,) + current[node.player + 1 :]
+                kept.append((tuple(sorted(keep)), child))
+        internals.append((nid, kept))
+    for nid, kept in reversed(internals):
+        children = tuple((types, built.pop(child)) for types, child in kept)
+        built[nid] = Internal(index.nodes[nid].player, children)
+    return MechanismTree(tree.n, subs, built[0])
 
 
 def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None) -> MechanismTree:
@@ -432,18 +433,17 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
 
 def player_move_bound(tree: MechanismTree) -> int:
     """Largest number of times any applicant acts on one root-to-leaf path."""
+    index = tree.preorder
     best = 0
-
-    def walk(node: Node, counts: tuple[int, ...]) -> None:
-        nonlocal best
+    counts = {0: (0,) * tree.n}
+    for nid, node in enumerate(index.nodes):
+        here = counts.pop(nid)
         if isinstance(node, Leaf):
-            best = max(best, max(counts, default=0))
-            return
-        bumped = counts[: node.player] + (counts[node.player] + 1,) + counts[node.player + 1 :]
-        for _, child in node.children:
-            walk(child, bumped)
-
-    walk(tree.root, (0,) * tree.n)
+            best = max(best, max(here, default=0))
+            continue
+        bumped = here[: node.player] + (here[node.player] + 1,) + here[node.player + 1 :]
+        for child in index.children[nid]:
+            counts[child] = bumped
     return best
 
 
@@ -451,34 +451,26 @@ def max_active_applicants(tree: MechanismTree) -> int:
     """Most applicants simultaneously active at any node: those who already
     acted on the path but whose matched position still varies among the
     node's descendant leaves."""
-    position_sets: dict[int, tuple[int, ...]] = {}
-
-    def masks(node: Node) -> tuple[int, ...]:
+    index = tree.preorder
+    # per node, each applicant's reachable positions below it as a bitmask
+    position_sets: list[tuple[int, ...]] = [()] * len(index.nodes)
+    for nid in range(len(index.nodes) - 1, -1, -1):
+        node = index.nodes[nid]
         if isinstance(node, Leaf):
-            out = tuple(1 << pos for pos in node.matching)
-        else:
-            acc = [0] * tree.n
-            for _, child in node.children:
-                for i, m in enumerate(masks(child)):
-                    acc[i] |= m
-            out = tuple(acc)
-        position_sets[id(node)] = out
-        return out
-
-    masks(tree.root)
+            position_sets[nid] = tuple(1 << pos for pos in node.matching)
+            continue
+        acc = [0] * tree.n
+        for child in index.children[nid]:
+            for i, m in enumerate(position_sets[child]):
+                acc[i] |= m
+        position_sets[nid] = tuple(acc)
     best = 0
-
-    def walk(node: Node, acted: frozenset[int]) -> None:
-        nonlocal best
-        undetermined = sum(
-            1
-            for i in acted
-            if position_sets[id(node)][i] & (position_sets[id(node)][i] - 1)
-        )
-        best = max(best, undetermined)
+    acted: dict[int, frozenset[int]] = {0: frozenset()}
+    for nid, node in enumerate(index.nodes):
+        players = acted.pop(nid)
+        here = position_sets[nid]
+        best = max(best, sum(1 for i in players if here[i] & (here[i] - 1)))
         if isinstance(node, Internal):
-            for _, child in node.children:
-                walk(child, acted | {node.player})
-
-    walk(tree.root, frozenset())
+            for child in index.children[nid]:
+                acted[child] = players | {node.player}
     return best

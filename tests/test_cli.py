@@ -266,3 +266,18 @@ def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
     capsys.readouterr()
     assert main(["verify-tree", mutated, files["taa3"]]) == 2
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_tree_rejects_nonpositive_samples(files, capsys, samples):
+    tree_path = str(files["tmp"] / "tree.json")
+    assert main(["synthesize", files["taa3"], "-o", tree_path]) == 0
+    capsys.readouterr()
+    assert main(["verify-tree", tree_path, files["taa3"], "--samples", samples]) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_witness_rejects_nonpositive_budget(files, capsys, budget):
+    assert main(["witness", files["fig1a"], "--budget", budget]) == 2
+    _one_error_line(capsys)

@@ -89,6 +89,12 @@ def test_check_implements_sampled(star6_tree):
     assert report.ok and report.checked == 2000
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_check_implements_refuses_no_samples(taa3_tree, samples):
+    with pytest.raises(ValueError):
+        check_implements(taa3_tree, TAA3, samples=samples)
+
+
 def test_check_osp_accepts_gadget_tree(taa3_tree):
     assert check_osp(taa3_tree).ok
 
@@ -125,7 +131,7 @@ def test_reveal_tree_violates_osp_under_cyclic_table():
 def test_osp_violations_replay():
     tree = reveal_tree(FIG_A)
     report = check_osp(tree)
-    nodes = dict(tree.nodes())
+    nodes = tree.preorder.nodes
     rankings = all_rankings(3)
     for v in report.violations[:8]:
         truthful = nodes[v.truthful_leaf]
@@ -168,6 +174,10 @@ def test_restrict_environment_validates_input(taa3_tree):
         restrict_environment(taa3_tree, ((), (0,), (0,)))
     with pytest.raises(ValueError):
         restrict_environment(taa3_tree, ((999,), (0,), (0,)))
+    with pytest.raises(ValueError):
+        restrict_environment(taa3_tree, ((0,),))
+    with pytest.raises(ValueError):
+        restrict_environment(taa3_tree, ((0,), (0,), (0,), (0,)))
 
 
 def test_exactly_one_leaf_per_profile(taa3_tree):
@@ -184,10 +194,13 @@ def test_structural_measures_on_star(star6_tree):
 
 def _brute_osp_violations(tree):
     """Direct per-definition check: enumerate leaves under each child and
-    compare worst truthful against best deviating, type by type."""
+    compare worst truthful against best deviating, type by type.  Maps each
+    (node, player, type) violation to the ids of the truthful leaves that
+    attain the worst case and of the sibling leaves that attain the best
+    deviation."""
     rankings = all_rankings(tree.n)
-    violations = set()
-    node_ids = {id(node): i for i, node in tree.nodes()}
+    violations = {}
+    node_ids = {id(node): i for i, node in enumerate(tree.preorder.nodes)}
 
     def leaves_below(node):
         if not isinstance(node, Internal):
@@ -223,18 +236,37 @@ def _brute_osp_violations(tree):
                 continue
             for t in types:
                 spot = {pos: i for i, pos in enumerate(rankings[t])}
-                worst = max(
-                    spot[leaf.matching[player]]
-                    for leaf in truthful_leaves(child, player, t)
-                )
+                truthful = truthful_leaves(child, player, t)
+                worst = max(spot[leaf.matching[player]] for leaf in truthful)
                 best = min(spot[leaf.matching[player]] for leaf in dev)
                 if worst > best:
-                    violations.add((node_ids[id(node)], player, t))
+                    violations[node_ids[id(node)], player, t] = (
+                        {node_ids[id(leaf)] for leaf in truthful
+                         if spot[leaf.matching[player]] == worst},
+                        {node_ids[id(leaf)] for leaf in dev
+                         if spot[leaf.matching[player]] == best},
+                    )
         for _, child in node.children:
             walk(child)
 
     walk(tree.root)
     return violations
+
+
+def _reveal_top_first(q):
+    """The reveal tree with applicant 0's report split in two moves: first
+    their top position, then their full order.  Truthful play at the first
+    move still branches on applicant 0's own later move."""
+    tree = reveal_tree(q)
+    rankings = all_rankings(q.n)
+    groups = {}
+    for (t,), child in tree.root.children:
+        groups.setdefault(rankings[t][0], []).append(((t,), child))
+    root = Internal(0, tuple(
+        (tuple(t for (t,), _ in kids), Internal(0, tuple(kids)))
+        for _, kids in sorted(groups.items())
+    ))
+    return MechanismTree(tree.n, tree.universes, root)
 
 
 def test_check_osp_matches_brute_force_everywhere():
@@ -250,6 +282,8 @@ def test_check_osp_matches_brute_force_everywhere():
     trees.append(reveal_tree(FIG_A))
     trees.append(reveal_tree(TAA3))
     trees.append(reveal_tree(q_of("abc", "acb", "cba")))
+    trees.append(_reveal_top_first(FIG_A))
+    trees.append(_reveal_top_first(q_of("abc", "acb", "cba")))
     base = synthesize(TAA3)
     uni = full_universe(3)
     for _ in range(10):
@@ -264,8 +298,14 @@ def test_check_osp_matches_brute_force_everywhere():
         report = check_osp(tree)
         fast = {(v.node, v.player, v.type_id) for v in report.violations}
         slow = _brute_osp_violations(tree)
-        assert fast == slow
+        assert fast == set(slow)
         assert report.ok == (not slow)
+        nodes = [v.node for v in report.violations]
+        assert nodes == sorted(nodes)
+        for v in report.violations:
+            truthful, deviating = slow[v.node, v.player, v.type_id]
+            assert v.truthful_leaf in truthful
+            assert v.deviating_leaf in deviating
 
 
 def test_restricted_tree_still_implements_da():
