@@ -219,6 +219,8 @@ def _describe_violations(tree: MechanismTree, names: Names, report) -> list[str]
 
 
 def _cmd_verify_tree(args: argparse.Namespace) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise FormatError(f"--samples must be at least 1, got {args.samples}")
     tree, names = jsonio.parse_tree(_load(args.tree))
     q, _ = jsonio.parse_priorities(_load(args.priorities))
     if q.n != tree.n:

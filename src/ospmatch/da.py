@@ -1,10 +1,24 @@
-"""Applicant-proposing deferred acceptance and its correctness oracles."""
+"""Applicant-proposing deferred acceptance and its correctness oracles.
+
+Two kernels compute the same applicant-optimal stable matching.
+:func:`da_match` runs one profile in plain Python; it is the oracle, and
+the callers that need one profile at a time (``run_da``, the witness
+search, the leaves of ``reveal_tree``) use it.  :func:`da_match_batch`
+runs a whole (M, n) array of type ids in numpy, one proposal per profile
+per step, for the exhaustive and sampled checks of a mechanism tree.
+Both follow McVitie and Wilson ("The stable marriage problem", CACM
+1971): a rejected applicant proposes again at once, and since DA's
+outcome does not depend on the order of proposals, the batch can advance
+every profile in lockstep.
+"""
 from __future__ import annotations
 
 from itertools import permutations
 from typing import Sequence
 
-from .core import Matching, PreferenceProfile, PrioritySet, Ranking
+import numpy as np
+
+from .core import Matching, PreferenceProfile, PrioritySet, Ranking, spot_tables
 
 # Round-by-round proposal cells: cells[position][round] is the ascending
 # list of applicants proposing to that position in that round.
@@ -42,6 +56,47 @@ def da_match(rank_by_pos: Sequence[Sequence[int]], prefs: Sequence[Ranking]) -> 
     for x, a in enumerate(held):
         matching[a] = x
     return tuple(matching)
+
+
+def da_match_batch(rank_by_pos: Sequence[Sequence[int]], type_ids) -> np.ndarray:
+    """:func:`da_match` on every row of an (M, n) array of type ids (row m
+    holds the profile ``all_rankings(n)[type_ids[m, a]]`` for each
+    applicant a); returns the (M, n) array of matched positions.
+
+    Each step makes one proposal in every unfinished profile: the
+    proposer takes its next choice, and a rejected or displaced applicant
+    becomes the proposer of the next step.  When a proposal lands on a
+    free position the next applicant in index order enters, and the
+    profile is done once every applicant has entered.  A profile makes at
+    most n² proposals.
+    """
+    type_ids = np.asarray(type_ids, dtype=np.intp)
+    m, n = type_ids.shape
+    # flat views: prefs[(row*n + a)*n + choice], ranks[x*n + a],
+    # held[row*n + x] (applicant or -1), next_choice[row*n + a]
+    prefs = spot_tables(n).positions[type_ids].reshape(-1)
+    ranks = np.asarray(rank_by_pos, dtype=np.intp).reshape(-1)
+    held = np.full(m * n, -1, dtype=np.intp)
+    next_choice = np.zeros(m * n, dtype=np.intp)
+    rows = np.arange(m, dtype=np.intp)  # unfinished profiles
+    proposer = np.zeros(m, dtype=np.intp)
+    newcomer = np.ones(m, dtype=np.intp)
+    while rows.size:
+        slot = rows * n + proposer
+        choice = next_choice[slot]
+        next_choice[slot] = choice + 1
+        x = prefs[slot * n + choice].astype(np.intp)
+        cell = rows * n + x
+        incumbent = held[cell]
+        free = incumbent < 0
+        # a free position's rank lookup reads a stray cell; ``free`` wins
+        wins = free | (ranks[x * n + proposer] < ranks[x * n + incumbent])
+        held[cell[wins]] = proposer[wins]
+        proposer = np.where(wins, np.where(free, newcomer, incumbent), proposer)
+        newcomer += free
+        going = proposer < n
+        rows, proposer, newcomer = rows[going], proposer[going], newcomer[going]
+    return np.argsort(held.reshape(m, n), axis=1)
 
 
 def run_da(q: PrioritySet, p: PreferenceProfile) -> Matching:

@@ -293,8 +293,9 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         raise FormatError("tree: 'nodes' must be a nonempty list")
     app_index = names.applicant_index()
     valid = [frozenset(range(len(ids))) for ids in given]
-    visited: set[int] = set()
-    # records are checked in preorder; nodes are built children-first
+    # records must come in preorder, so record i is node i in every
+    # report; they are checked in that order and built children-first
+    visited = 0
     built: dict[int, Node] = {}
     internals: list[tuple[int, int, list[tuple[tuple[int, ...], Any]]]] = []
     stack: list[Any] = [0]
@@ -302,9 +303,14 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         idx = stack.pop()
         if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(records):
             raise FormatError(f"tree: node reference {idx!r} out of range")
-        if idx in visited:
+        if idx < visited:
             raise FormatError(f"tree: node {idx} referenced twice")
-        visited.add(idx)
+        if idx != visited:
+            raise FormatError(
+                f"tree: nodes[{idx}] is out of preorder (preorder reaches it as node "
+                f"{visited}); records must be listed in preorder"
+            )
+        visited += 1
         record = _expect_mapping(records[idx], f"nodes[{idx}]")
         if "matching" in record:
             mapping = record["matching"]
@@ -348,7 +354,7 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             children.append((types, child.get("node")))
         internals.append((idx, player, children))
         stack.extend(ref for _, ref in reversed(children))
-    if len(visited) != len(records):
+    if visited != len(records):
         raise FormatError("tree: some nodes are unreachable from the root")
     for idx, player, children in reversed(internals):
         built[idx] = Internal(player, tuple((t, built.pop(ref)) for t, ref in children))

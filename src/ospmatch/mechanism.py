@@ -13,22 +13,46 @@ limit.  A node's id is its place in preorder (the record order
 :func:`ospmatch.jsonio.tree_to_doc` writes) and its subtree follows it:
 top-down walks run forward with per-node state keyed by id, bottom-up
 walks run backward and pop each child's result when the parent merges it.
+
+The checkers work on tables and batches rather than per node or per
+profile.  :func:`check_osp` carries, per node and applicant, the bitmask
+of positions still reachable (Li's condition, "Obviously Strategy-Proof
+Mechanisms", AER 2017, compares only the worst truthful and the best
+deviating position), and reads the best and worst spot of each type from
+:func:`ospmatch.core.spot_tables`.  :func:`check_implements` runs the
+batched DA kernel :func:`ospmatch.da.da_match_batch`; exhaustively it
+checks each leaf's box (the product of the type sets on its path) without
+walking any profile, and on samples it walks each sample to its leaf
+through a compact per-node dispatch array.  The scalar
+:func:`ospmatch.da.da_match` stays the oracle the tests hold both to.
 """
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, islice, product
 from typing import Sequence
 
 import numpy as np
 
-from .core import Matching, PreferenceProfile, PrioritySet, Ranking, all_rankings, ranking_id
-from .da import da_match
+from .core import (
+    Matching,
+    PreferenceProfile,
+    PrioritySet,
+    Ranking,
+    all_rankings,
+    ranking_id,
+    spot_tables,
+)
+from .da import da_match, da_match_batch
 
 IdSet = tuple[int, ...]  # sorted type ids
+
+# Most profiles handed to one batched DA call by check_implements.
+SLICE = 65_536
 
 
 @dataclass(eq=False)
@@ -40,16 +64,24 @@ class Leaf:
 class Internal:
     player: int
     children: tuple[tuple[IdSet, "Node"], ...]
-    _dispatch: dict[int, "Node"] | None = field(default=None, repr=False)
+    _dispatch: array | None = field(default=None, repr=False)
 
     def dispatch(self, type_id: int) -> "Node":
-        if self._dispatch is None:
-            table: dict[int, Node] = {}
-            for types, child in self.children:
+        """The child whose type set holds ``type_id``; ``LookupError`` if
+        none does (only on a tree that fails :func:`validate`)."""
+        table = self._dispatch
+        if table is None:
+            # child index + 1 per type id, 0 where no child holds the type
+            size = 1 + max((max(types, default=-1) for types, _ in self.children), default=-1)
+            table = array("H" if len(self.children) < 1 << 16 else "L", [0]) * size
+            for k, (types, _) in enumerate(self.children, 1):
                 for t in types:
-                    table[t] = child
+                    table[t] = k
             self._dispatch = table
-        return self._dispatch[type_id]
+        k = table[type_id]
+        if not k:
+            raise KeyError(type_id)
+        return self.children[k - 1][1]
 
 
 Node = Leaf | Internal
@@ -175,7 +207,7 @@ def execute(tree: MechanismTree, p: PreferenceProfile) -> Matching:
             raise ValueError(f"applicant {i} holds a type outside the environment")
     try:
         return Matching(execute_ids(tree, type_ids))
-    except KeyError as exc:  # only reachable on an invalid tree
+    except LookupError as exc:  # only reachable on an invalid tree
         raise ValueError("no child covers the profile; tree fails validation") from exc
 
 
@@ -196,32 +228,108 @@ def check_implements(
     seed: int = 0,
 ) -> ImplementsReport:
     """Compare the tree against deferred acceptance on every profile of the
-    environment (exhaustive, the default) or on seeded random samples."""
+    environment (exhaustive, the default) or on seeded random samples.
+
+    A failed report counts the profiles up to and including the first
+    mismatch, in ``itertools.product(*tree.universes)`` order or in
+    sample order, and carries that profile.  Both modes run DA with
+    :func:`ospmatch.da.da_match_batch` on slices of at most ``SLICE``
+    profiles.  The exhaustive mode walks no profile: the profiles that
+    reach a leaf are the product of the type sets on its path (its box),
+    so each box is compared with its leaf's matching as a whole.  It
+    raises ``ValueError`` when the boxes do not add up to the
+    environment, which only happens on a tree that fails
+    :func:`validate`.
+    """
     if q.n != tree.n:
         raise ValueError("priorities do not match the tree size")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rankings = all_rankings(tree.n)
     ranks = q.rank_table()
-
-    def agrees(type_ids: tuple[int, ...]) -> bool:
-        prefs = tuple(rankings[t] for t in type_ids)
-        return execute_ids(tree, type_ids) == da_match(ranks, prefs)
-
-    checked = 0
     if samples is None:
-        for type_ids in product(*tree.universes):
-            checked += 1
-            if not agrees(type_ids):
-                return ImplementsReport(False, checked, type_ids)
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            type_ids = tuple(rng.choice(u) for u in tree.universes)
-            checked += 1
-            if not agrees(type_ids):
-                return ImplementsReport(False, checked, type_ids)
+        return _check_boxes(tree, ranks)
+    choice = random.Random(seed).choice
+    checked = 0
+    while checked < samples:
+        batch = [tuple(map(choice, tree.universes)) for _ in range(min(SLICE, samples - checked))]
+        outcomes = da_match_batch(ranks, batch).tolist()
+        for k, (type_ids, outcome) in enumerate(zip(batch, outcomes)):
+            if list(execute_ids(tree, type_ids)) != outcome:
+                return ImplementsReport(False, checked + k + 1, type_ids)
+        checked += len(batch)
     return ImplementsReport(True, checked)
+
+
+def _check_boxes(tree: MechanismTree, ranks) -> ImplementsReport:
+    """The exhaustive mode of :func:`check_implements`."""
+    universes = tree.universes
+    total = math.prod(map(len, universes))
+    # each universe's place in product order, by type id (-1: not in it)
+    place = []
+    for u in universes:
+        lookup = np.full(math.factorial(tree.n), -1, dtype=np.intp)
+        lookup[list(u)] = np.arange(len(u))
+        place.append(lookup)
+    covered = 0
+    first: tuple[int, ...] | None = None  # places of the first mismatch
+    for flat, matchings, sizes in _slices(_leaf_boxes(tree)):
+        profiles = np.array(flat, dtype=np.intp).reshape(-1, tree.n)
+        expected = np.repeat(np.array(matchings, dtype=np.intp), sizes, axis=0)
+        covered += len(profiles)
+        bad = profiles[(da_match_batch(ranks, profiles) != expected).any(axis=1)]
+        if len(bad):
+            places = np.stack([lookup[col] for lookup, col in zip(place, bad.T)], axis=1)
+            least = tuple(places[np.lexsort(places.T[::-1])[0]].tolist())
+            first = least if first is None else min(first, least)
+    if covered != total:
+        raise ValueError("leaf boxes do not cover the profiles once; the tree fails validation")
+    if first is None:
+        return ImplementsReport(True, total)
+    checked = 0
+    for u, spot in zip(universes, first):
+        checked = checked * len(u) + spot
+    return ImplementsReport(False, checked + 1, tuple(u[spot] for u, spot in zip(universes, first)))
+
+
+def _leaf_boxes(tree: MechanismTree):
+    """Each leaf's box in preorder: (the type sets on its path, the size of
+    their product, the leaf's matching)."""
+    index = tree.preorder
+    states = {0: tree.universes}
+    for nid, node in enumerate(index.nodes):
+        sets = states.pop(nid)
+        if isinstance(node, Leaf):
+            yield sets, math.prod(map(len, sets)), node.matching
+            continue
+        pl = node.player
+        for (types, _), child in zip(node.children, index.children[nid]):
+            states[child] = sets[:pl] + (types,) + sets[pl + 1 :]
+
+
+def _slices(boxes):
+    """Expand the leaf boxes, in order and each in product order, into
+    slices of at most ``SLICE`` profiles.  A slice is the flat list of its
+    profiles' type ids, plus the matchings of the leaves it covers and how
+    many of its profiles each covers; a box larger than the room left in
+    a slice continues in the next one."""
+    flat: list[int] = []
+    matchings: list[Ranking] = []
+    sizes: list[int] = []
+    room = SLICE
+    for sets, size, matching in boxes:
+        box = product(*sets)
+        while size:
+            take = min(size, room)
+            flat.extend(chain.from_iterable(islice(box, take)))
+            matchings.append(matching)
+            sizes.append(take)
+            size -= take
+            room -= take
+            if not room:
+                yield flat, matchings, sizes
+                flat, matchings, sizes, room = [], [], [], SLICE
+    if sizes:
+        yield flat, matchings, sizes
 
 
 @dataclass(frozen=True)
@@ -251,78 +359,73 @@ def check_osp(tree: MechanismTree) -> OspReport:
     the sibling children (no type restriction on the deviating side).
     Violations come by node id, then type id, each with the first leaf in
     preorder that attains the truthful worst case and the best deviation.
+
+    Both sides depend only on which positions can still be reached, so the
+    walk carries position bitmasks and reads the two spots from
+    :func:`ospmatch.core.spot_tables`.  Per node and applicant it keeps
+    the positions reachable under truthful play: one int while the
+    applicant has not acted below the node (then every type reaches every
+    leaf below), else an array of masks indexed by type id (0 for types
+    that cannot reach the node).  Alongside, one int per applicant holds
+    the positions of all leaves below, the deviating side's reach.
     """
     n = tree.n
-    rankings = all_rankings(n)
-    local = [{t: j for j, t in enumerate(u)} for u in tree.universes]
-    rank = []
-    for u in tree.universes:
-        table = np.empty((len(u), n), dtype=np.int8)
-        for j, t in enumerate(u):
-            for spot, pos in enumerate(rankings[t]):
-                table[j, pos] = spot
-        rank.append(table)
+    tables = spot_tables(n)
+    mask_type = np.min_scalar_type((1 << n) - 1)
     index = tree.preorder
     raw_violations: list[tuple[int, int, int, int, int, int]] = []
-    # per-node (worst truthful position per type, reachable position masks),
-    # held until the parent merges them
-    results: dict[int, tuple[list[np.ndarray], list[int]]] = {}
+    # per node (truthful reach, reach of all leaves), held until the
+    # parent merges them
+    results: dict[int, tuple[list, list[int]]] = {}
     for nid in range(len(index.nodes) - 1, -1, -1):
         node = index.nodes[nid]
         if isinstance(node, Leaf):
-            worst = [
-                np.full(len(u), pos, dtype=np.int8)
-                for u, pos in zip(tree.universes, node.matching)
-            ]
-            results[nid] = (worst, [1 << pos for pos in node.matching])
+            masks = [1 << pos for pos in node.matching]
+            results[nid] = (masks, masks)
             continue
         pl = node.player
         child_results = [results.pop(child) for child in index.children[nid]]
-        child_idx = [
-            np.fromiter((local[pl][t] for t in types), dtype=np.intp, count=len(types))
-            for types, _ in node.children
-        ]
-        # OSP condition at this node, one child (truthful branch) at a time
-        for k, (types, _) in enumerate(node.children):
-            dev_mask = 0
-            for j in range(len(node.children)):
-                if j != k:
-                    dev_mask |= child_results[j][1][pl]
+        child_types = [np.array(types, dtype=np.intp) for types, _ in node.children]
+        # OSP condition at this node, one child (truthful branch) at a time;
+        # the deviation reaches everything under the other children
+        after = [0]
+        for _, masks in reversed(child_results):
+            after.append(after[-1] | masks[pl])
+        after.reverse()
+        before = 0
+        for k, (types, (reach, masks)) in enumerate(zip(child_types, child_results)):
+            dev_mask = before | after[k + 1]
+            before |= masks[pl]
             if not dev_mask:
                 continue
-            dev_positions = [x for x in range(n) if dev_mask >> x & 1]
-            idx = child_idx[k]
-            truth_worst = child_results[k][0][pl][idx]
-            truth_rank = rank[pl][idx, truth_worst]
-            dev_rank = rank[pl][np.ix_(idx, dev_positions)].min(axis=1)
-            bad = np.nonzero(truth_rank > dev_rank)[0]
-            for b in bad:
-                j = int(idx[b])
-                t = tree.universes[pl][j]
+            truth = reach[pl]
+            worst = tables.worst[types, truth if isinstance(truth, int) else truth[types]]
+            best = tables.best[types, dev_mask]
+            for b in np.nonzero(worst > best)[0].tolist():
+                t = int(types[b])
                 raw_violations.append((nid, pl, t, index.children[nid][k],
-                                       int(truth_worst[b]), rankings[t][dev_rank[b]]))
+                                       int(tables.positions[t, worst[b]]),
+                                       int(tables.positions[t, best[b]])))
         # merge children upward
-        worst: list[np.ndarray] = []
-        masks: list[int] = []
+        merged: list = []
         for i in range(n):
-            mask = 0
-            for _, m in child_results:
-                mask |= m[i]
-            masks.append(mask)
             if i == pl:
-                merged = np.full(len(tree.universes[i]), -1, dtype=np.int8)
-                for k in range(len(node.children)):
-                    idx = child_idx[k]
-                    merged[idx] = child_results[k][0][i][idx]
-            else:
-                merged = child_results[0][0][i]
-                ar = np.arange(len(tree.universes[i]))
-                for wk, _ in child_results[1:]:
-                    other = wk[i]
-                    keep = rank[i][ar, merged] >= rank[i][ar, other]
-                    merged = np.where(keep, merged, other)
-            worst.append(merged)
-        results[nid] = (worst, masks)
+                arr = np.zeros(len(tables.positions), dtype=mask_type)
+                for types, (reach, _) in zip(child_types, child_results):
+                    arr[types] = reach[i] if isinstance(reach[i], int) else reach[i][types]
+                merged.append(arr)
+                continue
+            ints, arr = 0, None
+            for reach, _ in child_results:
+                if isinstance(reach[i], int):
+                    ints |= reach[i]
+                else:
+                    arr = reach[i] if arr is None else arr | reach[i]
+            merged.append(ints if arr is None else arr | ints)
+        all_masks = [0] * n
+        for _, masks in child_results:
+            all_masks = [a | m for a, m in zip(all_masks, masks)]
+        results[nid] = (merged, all_masks)
 
     end = index.end
     violations = tuple(

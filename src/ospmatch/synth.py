@@ -11,7 +11,7 @@ v-list and vice versa) and the fall-through to smaller gadgets.
 from __future__ import annotations
 
 from .classify import Classification, classify, dominance_blocks, taa_labeling_table
-from .core import PrioritySet, all_rankings, restrict_table
+from .core import PrioritySet, favorites, restrict_table
 from .mechanism import Internal, Leaf, MechanismTree, Node, full_universe
 
 TypeSet = frozenset[int]
@@ -41,25 +41,14 @@ def synthesize(q: PrioritySet) -> MechanismTree:
 
     n = q.n
     lists = q.rankings
-    rankings = all_rankings(n)
     everyone: TypeSet = frozenset(full_universe(n))
-    favorite_cache: dict[tuple[int, frozenset[int]], int] = {}
-
-    def favorite(type_id: int, among: frozenset[int]) -> int:
-        key = (type_id, among)
-        got = favorite_cache.get(key)
-        if got is None:
-            for pos in rankings[type_id]:
-                if pos in among:
-                    got = pos
-                    break
-            favorite_cache[key] = got
-        return got
 
     def split(types: TypeSet, among: frozenset[int]) -> dict[int, TypeSet]:
+        """Group types by their favorite position among ``among``."""
+        favorite = favorites(n, sum(1 << pos for pos in among))
         groups: dict[int, set[int]] = {}
         for t in types:
-            groups.setdefault(favorite(t, among), set()).add(t)
+            groups.setdefault(favorite[t], set()).add(t)
         return {pos: frozenset(ts) for pos, ts in groups.items()}
 
     def branch(types: TypeSet, node: Node) -> tuple[tuple[int, ...], Node]:

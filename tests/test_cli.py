@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from conftest import FIG_A
 from ospmatch.cli import main
+from ospmatch.jsonio import tree_to_doc
+from ospmatch.mechanism import Internal, Leaf, MechanismTree, full_universe, reveal_tree, validate
 
 
 def write(path, doc):
@@ -275,6 +278,44 @@ def test_verify_tree_rejects_nonpositive_samples(files, capsys, samples):
     capsys.readouterr()
     assert main(["verify-tree", tree_path, files["taa3"], "--samples", samples]) == 2
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_tree_checks_samples_before_validating(files, capsys, samples):
+    # a one-child root that does not cover its player's universe
+    tree = MechanismTree(3, (full_universe(3),) * 3, Internal(0, (((0,), Leaf((0, 1, 2))),)))
+    assert not validate(tree).ok
+    tree_path = write(files["tmp"] / "invalid.json", tree_to_doc(tree))
+    assert main(["verify-tree", tree_path, files["taa3"]]) == 1
+    capsys.readouterr()
+    assert main(["verify-tree", tree_path, files["taa3"], "--samples", samples]) == 2
+    _one_error_line(capsys)
+
+
+def test_tree_records_out_of_preorder_are_refused(files, capsys):
+    # the FIG_A reveal tree with records 1..258 renumbered to 258..1
+    doc = tree_to_doc(reveal_tree(FIG_A))
+    last = len(doc["nodes"]) - 1
+    assert last == 258
+    renumber = [0] + list(range(last, 0, -1))
+    records = [None] * len(doc["nodes"])
+    for old, record in enumerate(doc["nodes"]):
+        if "children" in record:
+            record = {**record, "children": [
+                {**child, "node": renumber[child["node"]]} for child in record["children"]
+            ]}
+        records[renumber[old]] = record
+    shuffled = write(files["tmp"] / "shuffled.json", {**doc, "nodes": records})
+    fig1a = files["fig1a"]
+    capsys.readouterr()
+    assert main(["check-osp", shuffled]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nodes[258] is out of preorder" in err
+    assert main(["verify-tree", shuffled, fig1a]) == 2
+    _one_error_line(capsys)
+    # the same records in preorder are accepted
+    in_order = write(files["tmp"] / "in_order.json", doc)
+    assert main(["check-osp", in_order]) == 1
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

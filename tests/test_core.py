@@ -17,11 +17,13 @@ from ospmatch.core import (
     canonical_form,
     canonical_table,
     enumerate_priority_sets,
+    favorites,
     priority_set_count,
     priority_set_ids,
     relabel,
     restrict,
     restrictions,
+    spot_tables,
 )
 
 
@@ -152,3 +154,19 @@ def test_restriction_stream_deterministic():
         ((0, 1), (0, 2)),
         ((0, 1), (0, 3)),
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_spot_tables_match_their_definition(n):
+    tables = spot_tables(n)
+    rankings = all_rankings(n)
+    assert tables.positions.tolist() == [list(r) for r in rankings]
+    assert tables.best[:, 0].tolist() == [n] * len(rankings)
+    assert tables.worst[:, 0].tolist() == [-1] * len(rankings)
+    for mask in range(1, 1 << n):
+        members = [pos for pos in range(n) if mask >> pos & 1]
+        best = [min(r.index(pos) for pos in members) for r in rankings]
+        worst = [max(r.index(pos) for pos in members) for r in rankings]
+        assert tables.best[:, mask].tolist() == best
+        assert tables.worst[:, mask].tolist() == worst
+        assert favorites(n, mask) == tuple(r[spot] for r, spot in zip(rankings, best))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from conftest import FIG_E, q_of, p_of
@@ -12,6 +13,7 @@ from ospmatch.da import (
     all_stable_matchings,
     applicant_optimal,
     da_match,
+    da_match_batch,
     is_stable,
     proposal_rounds,
     render_transcript,
@@ -204,3 +206,32 @@ def test_misreports_never_strictly_help_sampled():
                     continue
                 other = da_match(ranksq, prefs[:i] + (lie,) + prefs[i + 1 :])
                 assert spot[other[i]] >= spot[honest[i]]
+
+
+def test_batched_da_matches_scalar_exhaustively_at_three():
+    rankings = all_rankings(3)
+    profiles = list(product(range(6), repeat=3))
+    for table in product(rankings, repeat=3):
+        ranks = PrioritySet.from_rankings(table).rank_table()
+        got = da_match_batch(ranks, profiles)
+        assert got.shape == (len(profiles), 3)
+        expected = [da_match(ranks, [rankings[t] for t in ids]) for ids in profiles]
+        assert got.tolist() == [list(m) for m in expected]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_batched_da_matches_scalar_on_seeded_batches(n):
+    rng = random.Random(100 + n)
+    rankings = all_rankings(n)
+    for trial in range(4):
+        table = [rng.choice(rankings) for _ in range(n)]
+        ranks = PrioritySet.from_rankings(table).rank_table()
+        if trial % 2:  # restricted universes: a few types per applicant
+            universes = [rng.sample(range(len(rankings)), rng.randrange(1, 6))
+                         for _ in range(n)]
+        else:
+            universes = [range(len(rankings))] * n
+        profiles = np.array([[rng.choice(u) for u in universes] for _ in range(1500)])
+        got = da_match_batch(ranks, profiles)
+        for ids, row in zip(profiles.tolist(), got.tolist()):
+            assert tuple(row) == da_match(ranks, [rankings[t] for t in ids])

@@ -7,8 +7,10 @@ from itertools import product
 import pytest
 
 from conftest import FIG_A, STAR6, TAA3, p_of, q_of
+from ospmatch import mechanism
 from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
 from ospmatch.da import da_match
+from ospmatch.jsonio import parse_tree, tree_to_doc
 from ospmatch.mechanism import (
     Internal,
     Leaf,
@@ -87,6 +89,104 @@ def test_check_implements_catches_constant_tree():
 def test_check_implements_sampled(star6_tree):
     report = check_implements(star6_tree, STAR6, samples=2000, seed=5)
     assert report.ok and report.checked == 2000
+
+
+def _scalar_check_implements(tree, q, samples=None, seed=0):
+    """Reference for check_implements: walk each profile, in product order
+    or in the seeded sample stream, to its leaf and compare with the
+    scalar da_match; stop at the first mismatch."""
+    rankings = all_rankings(tree.n)
+    ranks = q.rank_table()
+    if samples is None:
+        profiles = product(*tree.universes)
+    else:
+        rng = random.Random(seed)
+        profiles = (tuple(rng.choice(u) for u in tree.universes) for _ in range(samples))
+    checked = 0
+    for type_ids in profiles:
+        checked += 1
+        if execute_ids(tree, type_ids) != da_match(ranks, tuple(rankings[t] for t in type_ids)):
+            return False, checked, type_ids
+    return True, checked, None
+
+
+def _swapped_leaf(tree, k):
+    """A copy of the tree whose k-th leaf (in preorder) has the positions
+    of its first two applicants exchanged."""
+    copy, _ = parse_tree(tree_to_doc(tree))
+    leaf = [node for node in copy.preorder.nodes if isinstance(node, Leaf)][k]
+    m = leaf.matching
+    leaf.matching = (m[1], m[0]) + m[2:]
+    return copy
+
+
+def _implements_cases():
+    four_q = q_of("dabc", "dabc", "dacb", "dbac")
+    four = synthesize(four_q)
+    taa3 = synthesize(TAA3)
+    constant = MechanismTree(3, (full_universe(3),) * 3, Leaf((0, 1, 2)))
+    cases = [(taa3, TAA3), (constant, TAA3), (constant, FIG_A), (constant, q_of("abc", "abc", "abc")),
+             (reveal_tree(FIG_A), FIG_A), (reveal_tree(FIG_A), TAA3)]
+    leaves = taa3.leaf_count()
+    cases += [(_swapped_leaf(taa3, k), TAA3) for k in range(0, leaves, 2)]
+    cases += [(_swapped_leaf(four, k), four_q) for k in (0, 17, four.leaf_count() - 1)]
+    rng = random.Random(3)
+    for k in range(4):
+        subs = [sorted(rng.sample(range(6), rng.randrange(1, 7))) for _ in range(3)]
+        cases.append((restrict_environment(_swapped_leaf(taa3, 3 * k), subs), TAA3))
+    cases += [(_random_tree(rng, 5), FIG_A) for _ in range(10)]
+    return cases
+
+
+def test_check_implements_matches_scalar_oracle():
+    failures = 0
+    for tree, q in _implements_cases():
+        for samples, seed in ((None, 0), (400, 7)):
+            report = check_implements(tree, q, samples=samples, seed=seed)
+            expected = _scalar_check_implements(tree, q, samples, seed)
+            assert (report.ok, report.checked, report.counterexample) == expected
+            failures += not report.ok
+    assert failures > 20  # the mutants are caught, in both modes
+
+
+def test_check_implements_sampled_star_matches_scalar_oracle(star6_tree):
+    for tree in (star6_tree, _swapped_leaf(star6_tree, 700)):
+        report = check_implements(tree, STAR6, samples=3000, seed=5)
+        expected = _scalar_check_implements(tree, STAR6, 3000, 5)
+        assert (report.ok, report.checked, report.counterexample) == expected
+
+
+def test_check_implements_slices_split_boxes(monkeypatch):
+    # boxes cut across many tiny slices keep product order and the first
+    # mismatch, and samples keep their stream order
+    monkeypatch.setattr(mechanism, "SLICE", 7)
+    taa3 = synthesize(TAA3)
+    for k in (1, 4, 9):
+        tree = _swapped_leaf(taa3, k)
+        for samples in (None, 300):
+            report = check_implements(tree, TAA3, samples=samples, seed=k)
+            expected = _scalar_check_implements(tree, TAA3, samples, k)
+            assert (report.ok, report.checked, report.counterexample) == expected
+    assert check_implements(taa3, TAA3).checked == 216
+
+
+def test_check_implements_refuses_trees_whose_boxes_miss_profiles():
+    uni = full_universe(3)
+    root = Internal(0, (((0, 1), Leaf((0, 1, 2))), ((1, 2), Leaf((0, 1, 2)))))
+    overlapping = MechanismTree(3, (uni,) * 3, root)
+    uncovered = MechanismTree(3, (uni,) * 3, Internal(0, (((0,), Leaf((0, 1, 2))),)))
+    for tree in (overlapping, uncovered):
+        assert not validate(tree).ok
+        with pytest.raises(ValueError):
+            check_implements(tree, TAA3)
+
+
+def test_execute_on_uncovered_type_raises_value_error():
+    uni = full_universe(2)
+    for covered, asked in (((0,), (1, 0)), ((1,), (0, 1))):
+        tree = MechanismTree(2, (uni, uni), Internal(0, ((covered, Leaf((0, 1))),)))
+        with pytest.raises(ValueError):
+            execute(tree, PreferenceProfile.from_rankings((asked, (0, 1))))
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -302,6 +402,71 @@ def test_check_osp_matches_brute_force_everywhere():
         assert report.ok == (not slow)
         nodes = [v.node for v in report.violations]
         assert nodes == sorted(nodes)
+        for v in report.violations:
+            truthful, deviating = slow[v.node, v.player, v.type_id]
+            assert v.truthful_leaf in truthful
+            assert v.deviating_leaf in deviating
+
+
+def _reveal_in_stages(q, universes):
+    """The reveal tree with applicant 0's order revealed one position per
+    move: first their top position, then the second, and so on, so
+    applicant 0 acts n - 1 times on every path."""
+    tree = reveal_tree(q, universes)
+    rankings = all_rankings(q.n)
+
+    def stage(kids, depth):
+        if depth == q.n - 2:
+            return Internal(0, tuple(kids))
+        groups = {}
+        for (t,), child in kids:
+            groups.setdefault(rankings[t][: depth + 1], []).append(((t,), child))
+        return Internal(0, tuple(
+            (tuple(t for (t,), _ in group), stage(group, depth + 1))
+            for _, group in sorted(groups.items())
+        ))
+
+    return MechanismTree(tree.n, tree.universes, stage(tree.root.children, 0))
+
+
+def _random_tree(rng, depth):
+    """A seeded random valid three-applicant tree on small universes: each
+    node gives the move to a random applicant, who may have moved before,
+    and splits their current type set at random; leaves get random
+    matchings, so most trees violate OSP somewhere."""
+    universes = tuple(tuple(sorted(rng.sample(range(6), rng.randrange(2, 4)))) for _ in range(3))
+
+    def build(sets, depth):
+        if depth == 0 or rng.random() < 0.15:
+            return Leaf(tuple(rng.sample(range(3), 3)))
+        pl = rng.randrange(3)
+        types = list(sets[pl])
+        rng.shuffle(types)
+        cuts = sorted(rng.sample(range(1, len(types)), rng.randrange(len(types))))
+        parts = [tuple(sorted(types[a:b])) for a, b in zip([0] + cuts, cuts + [len(types)])]
+        return Internal(pl, tuple(
+            (part, build(sets[:pl] + (part,) + sets[pl + 1 :], depth - 1)) for part in parts
+        ))
+
+    return MechanismTree(3, universes, build(universes, depth))
+
+
+def test_check_osp_matches_brute_force_when_players_act_again():
+    # a player's truthful reach is merged over their own later moves
+    # (three moves on a path) and over other players' moves in between
+    small = ((0, 7), (3, 17), (11,))
+    trees = [
+        _reveal_in_stages(q, (full_universe(4),) + small)
+        for q in (q_of("abcd", "abdc", "acbd", "bacd"), q_of("dabc", "dabc", "dacb", "dbac"),
+                  q_of("abcd", "bcda", "cdab", "dabc"))
+    ]
+    rng = random.Random(41)
+    trees += [_random_tree(rng, 6) for _ in range(60)]
+    for tree in trees:
+        assert validate(tree).ok
+        report = check_osp(tree)
+        slow = _brute_osp_violations(tree)
+        assert {(v.node, v.player, v.type_id) for v in report.violations} == set(slow)
         for v in report.violations:
             truthful, deviating = slow[v.node, v.player, v.type_id]
             assert v.truthful_leaf in truthful
