@@ -25,6 +25,9 @@ from .mechanism import Internal, Leaf, MechanismTree, Node
 from .witness import Improvement, Subdomain, WitnessReport
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
+# the largest tree a file may hold: the exact checkers' lookup tables take
+# 2·n!·2^n bytes (core.spot_tables), 20 MB at n = 8 and 372 MB at n = 9
+MAX_TREE_N = 8
 
 
 class FormatError(ValueError):
@@ -258,6 +261,8 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
 def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     doc = _expect_mapping(doc, "tree")
     n = _expect_n(doc, "tree")
+    if n > MAX_TREE_N:
+        raise FormatError(f"tree: n = {n} is above the supported {MAX_TREE_N}")
     applicants = doc.get("applicants")
     positions = doc.get("positions")
     if (

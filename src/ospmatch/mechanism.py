@@ -236,10 +236,10 @@ def check_implements(
     :func:`ospmatch.da.da_match_batch` on slices of at most ``SLICE``
     profiles.  The exhaustive mode walks no profile: the profiles that
     reach a leaf are the product of the type sets on its path (its box),
-    so each box is compared with its leaf's matching as a whole.  It
-    raises ``ValueError`` when the boxes do not add up to the
-    environment, which only happens on a tree that fails
-    :func:`validate`.
+    so each box is compared with its leaf's matching as a whole, and a
+    tree that fails :func:`validate` is refused first with ``ValueError``.
+    The sampled mode does not validate; it raises ``ValueError`` when a
+    sample reaches a node where no child holds its type.
     """
     if q.n != tree.n:
         raise ValueError("priorities do not match the tree size")
@@ -254,7 +254,11 @@ def check_implements(
         batch = [tuple(map(choice, tree.universes)) for _ in range(min(SLICE, samples - checked))]
         outcomes = da_match_batch(ranks, batch).tolist()
         for k, (type_ids, outcome) in enumerate(zip(batch, outcomes)):
-            if list(execute_ids(tree, type_ids)) != outcome:
+            try:
+                got = execute_ids(tree, type_ids)
+            except LookupError as exc:  # only reachable on an invalid tree
+                raise ValueError("no child covers a sampled profile; tree fails validation") from exc
+            if list(got) != outcome:
                 return ImplementsReport(False, checked + k + 1, type_ids)
         checked += len(batch)
     return ImplementsReport(True, checked)
@@ -262,29 +266,27 @@ def check_implements(
 
 def _check_boxes(tree: MechanismTree, ranks) -> ImplementsReport:
     """The exhaustive mode of :func:`check_implements`."""
+    valid = validate(tree)
+    if not valid.ok:
+        raise ValueError("tree fails validation: " + valid.problems[0])
     universes = tree.universes
-    total = math.prod(map(len, universes))
     # each universe's place in product order, by type id (-1: not in it)
     place = []
     for u in universes:
         lookup = np.full(math.factorial(tree.n), -1, dtype=np.intp)
         lookup[list(u)] = np.arange(len(u))
         place.append(lookup)
-    covered = 0
     first: tuple[int, ...] | None = None  # places of the first mismatch
     for flat, matchings, sizes in _slices(_leaf_boxes(tree)):
         profiles = np.array(flat, dtype=np.intp).reshape(-1, tree.n)
         expected = np.repeat(np.array(matchings, dtype=np.intp), sizes, axis=0)
-        covered += len(profiles)
         bad = profiles[(da_match_batch(ranks, profiles) != expected).any(axis=1)]
         if len(bad):
             places = np.stack([lookup[col] for lookup, col in zip(place, bad.T)], axis=1)
             least = tuple(places[np.lexsort(places.T[::-1])[0]].tolist())
             first = least if first is None else min(first, least)
-    if covered != total:
-        raise ValueError("leaf boxes do not cover the profiles once; the tree fails validation")
     if first is None:
-        return ImplementsReport(True, total)
+        return ImplementsReport(True, math.prod(map(len, universes)))
     checked = 0
     for u, spot in zip(universes, first):
         checked = checked * len(u) + spot

@@ -7,14 +7,33 @@ applicants and positions.  Residual block structure is recomputed at each
 step, which automatically realizes the role swap of the lurker gadget's
 all-x branch (removing the lead applicant turns the u-list into the new
 v-list and vice versa) and the fall-through to smaller gadgets.
+
+Every internal node is one question, made by ``ask(player, types,
+offered, then)``: the player's types are grouped by their favorite w
+among ``offered``, one edge per group in ascending order of w (``last``
+goes at the end), each with the subtree ``then(w, group)``.  ``fix``
+pins (applicant, position) pairs and recurses on the rest.  The trade
+asks its lead applicant once over the types that clinch in its half U
+and adds the pass edge (favorite outside U) last.  The lurker gadget on
+applicants a1, a2, a3 and positions u, v is one ask per step:
+
+  root       a1, all positions, v last: keeps any favorite but v
+  a2_node    a2, all positions, u last: a favorite outside {u, v} sends a1 to v
+  node_i     a1, all but v (a2 took v)
+  a3_node    a3, all but v, u last: a favorite but u sends a1 to v, a2 to u
+  a2_second  a2, all but u: a favorite but v sends a1 to v, a3 to u
+  node_ii    a1, all but v (a2 took v): a favorite but u leaves u to a3
+  node_iii   a3, all but u and v (a1 took u back)
 """
 from __future__ import annotations
+
+from collections.abc import Callable, Sequence
 
 from .classify import Classification, classify, dominance_blocks, taa_labeling_table
 from .core import PrioritySet, favorites, restrict_table
 from .mechanism import Internal, Leaf, MechanismTree, Node, full_universe
 
-TypeSet = frozenset[int]
+Types = Sequence[int]  # type ids in ascending order
 
 
 class NotLimitedCyclicError(ValueError):
@@ -41,173 +60,87 @@ def synthesize(q: PrioritySet) -> MechanismTree:
 
     n = q.n
     lists = q.rankings
-    everyone: TypeSet = frozenset(full_universe(n))
+    everyone = full_universe(n)
 
-    def split(types: TypeSet, among: frozenset[int]) -> dict[int, TypeSet]:
-        """Group types by their favorite position among ``among``."""
-        favorite = favorites(n, sum(1 << pos for pos in among))
-        groups: dict[int, set[int]] = {}
+    def ask(player: int, types: Types, offered: frozenset[int],
+            then: Callable[[int, Types], Node], last: int | None = None) -> Internal:
+        """The question node: ``player`` names its favorite among ``offered``."""
+        favorite = favorites(n, sum(1 << pos for pos in offered))
+        groups: dict[int, list[int]] = {}
         for t in types:
-            groups.setdefault(favorite[t], set()).add(t)
-        return {pos: frozenset(ts) for pos, ts in groups.items()}
+            groups.setdefault(favorite[t], []).append(t)
+        children = []
+        for w in sorted(groups, key=lambda w: (w == last, w)):
+            group = tuple(groups[w])
+            children.append((group, then(w, group)))
+        return Internal(player, tuple(children))
 
-    def branch(types: TypeSet, node: Node) -> tuple[tuple[int, ...], Node]:
-        return tuple(sorted(types)), node
-
-    def build(rem_apps: frozenset[int], rem_pos: frozenset[int],
-              types: dict[int, TypeSet], assigned: dict[int, int]) -> Node:
+    def build(rem_apps: frozenset[int], rem_pos: frozenset[int], assigned: dict[int, int]) -> Node:
         if not rem_apps:
             return Leaf(tuple(assigned[i] for i in range(n)))
+
+        def fix(*moves: tuple[int, int]) -> Node:
+            """Pin each (applicant, position) and recurse on the rest."""
+            pinned = dict(moves)
+            return build(rem_apps.difference(pinned), rem_pos.difference(pinned.values()),
+                         {**assigned, **pinned})
+
         apps = tuple(sorted(rem_apps))
-        poss = tuple(sorted(rem_pos))
-        table = restrict_table(lists, apps, poss)
-        first = dominance_blocks(table)[0]
-        block = tuple(apps[i] for i in first)
+        block = tuple(apps[i] for i in dominance_blocks(restrict_table(lists, apps, rem_pos))[0])
         if len(block) == 1:
-            return build_serial(block[0], rem_apps, rem_pos, types, assigned)
+            s, = block
+            return ask(s, everyone, rem_pos, lambda w, _: fix((s, w)))
         if len(block) == 2:
-            return build_trade(block, rem_apps, rem_pos, types, assigned)
+            # a has top priority on U, b on V; both nonempty in a finest block
+            a, b = sorted(block, key=lists[min(rem_pos)].index)
+            u_set = {p for p in rem_pos if lists[p].index(a) < lists[p].index(b)}
+            assert u_set and u_set != rem_pos, "size-2 block without a disagreement"
+            favorite = favorites(n, sum(1 << pos for pos in rem_pos))
+            passers = tuple(t for t in everyone if favorite[t] not in u_set)
+
+            def b_next(u: int, _) -> Node:  # a clinched u
+                return ask(b, everyone, rem_pos - {u}, lambda w, _: fix((a, u), (b, w)))
+
+            def a_again(w: int, _) -> Node:  # a passed, b took w
+                return ask(a, passers, rem_pos - {w}, lambda w2, _: fix((b, w), (a, w2)))
+
+            clinchers = [t for t in everyone if favorite[t] in u_set]
+            clinch = ask(a, clinchers, rem_pos, b_next)
+            return Internal(a, (*clinch.children, (passers, ask(b, everyone, rem_pos, a_again))))
+
+        poss = sorted(rem_pos)
         labeling = taa_labeling_table(restrict_table(lists, block, poss))
         assert labeling is not None, "limited-cyclic input lost TAA structure"
-        order = tuple(block[i] for i in labeling.applicant_order)
-        x_set = frozenset(poss[i] for i in labeling.x_positions)
-        return build_lurker(order, x_set, poss[labeling.u_position],
-                            poss[labeling.v_position],
-                            rem_apps, rem_pos, types, assigned)
+        a1, a2, a3 = (block[i] for i in labeling.applicant_order[:3])
+        u, v = poss[labeling.u_position], poss[labeling.v_position]
+        no_u, no_v = rem_pos - {u}, rem_pos - {v}
 
-    def settle(rem_apps, rem_pos, types, assigned, *moves: tuple[int, int, TypeSet]):
-        """Pin each (applicant, position, remaining types) and recurse."""
-        for applicant, position, tset in moves:
-            rem_apps = rem_apps - {applicant}
-            rem_pos = rem_pos - {position}
-            types = {**types, applicant: tset}
-            assigned = {**assigned, applicant: position}
-        return build(rem_apps, rem_pos, types, assigned)
+        def a2_node(a1_types: Types) -> Node:
+            return ask(a2, everyone, rem_pos, lambda w, a2_types: (
+                a3_node(a1_types, a2_types) if w == u else node_i(a1_types) if w == v
+                else fix((a1, v), (a2, w))), last=u)
 
-    def build_serial(s, rem_apps, rem_pos, types, assigned) -> Node:
-        groups = split(types[s], rem_pos)
-        return Internal(s, tuple(
-            branch(g, settle(rem_apps, rem_pos, types, assigned, (s, w, g)))
-            for w, g in sorted(groups.items())
-        ))
+        def node_i(a1_types: Types) -> Node:
+            return ask(a1, a1_types, no_v, lambda w, _: fix((a2, v), (a1, w)))
 
-    def build_trade(block, rem_apps, rem_pos, types, assigned) -> Node:
-        # a has top priority on U, b on V; both nonempty in a finest block
-        lead = min(rem_pos)
-        x, y = block
-        a, b = (x, y) if lists[lead].index(x) < lists[lead].index(y) else (y, x)
-        u_set = frozenset(p for p in rem_pos if lists[p].index(a) < lists[p].index(b))
-        v_set = rem_pos - u_set
-        assert u_set and v_set, "size-2 block without a disagreement"
-        groups = split(types[a], rem_pos)
+        def a3_node(a1_types: Types, a2_types: Types) -> Node:
+            return ask(a3, everyone, no_v, lambda w, a3_types: (
+                a2_second(a1_types, a2_types, a3_types) if w == u
+                else fix((a1, v), (a2, u), (a3, w))), last=u)
 
-        def after_clinch(u: int, a_types: TypeSet) -> Node:
-            b_groups = split(types[b], rem_pos - {u})
-            return Internal(b, tuple(
-                branch(g, settle(rem_apps, rem_pos, types, assigned,
-                                 (a, u, a_types), (b, w, g)))
-                for w, g in sorted(b_groups.items())
-            ))
+        def a2_second(a1_types: Types, a2_types: Types, a3_types: Types) -> Node:
+            return ask(a2, a2_types, no_u, lambda w, _: (
+                node_ii(a1_types, a3_types) if w == v else fix((a1, v), (a3, u), (a2, w))))
 
-        def after_pass(a_types: TypeSet) -> Node:
-            def a_again(w: int, b_types: TypeSet) -> Node:
-                a_groups = split(a_types, rem_pos - {w})
-                return Internal(a, tuple(
-                    branch(g, settle(rem_apps, rem_pos, types, assigned,
-                                     (b, w, b_types), (a, w2, g)))
-                    for w2, g in sorted(a_groups.items())
-                ))
+        def node_ii(a1_types: Types, a3_types: Types) -> Node:
+            return ask(a1, a1_types, no_v, lambda w, _: (
+                node_iii(a3_types) if w == u else fix((a2, v), (a1, w), (a3, u))))
 
-            b_groups = split(types[b], rem_pos)
-            return Internal(b, tuple(
-                branch(g, a_again(w, g)) for w, g in sorted(b_groups.items())
-            ))
+        def node_iii(a3_types: Types) -> Node:
+            return ask(a3, a3_types, no_v - {u}, lambda w, _: fix((a2, v), (a1, u), (a3, w)))
 
-        passers = frozenset().union(*(groups[w] for w in v_set if w in groups))
-        children = [
-            branch(groups[w], after_clinch(w, groups[w]))
-            for w in sorted(u_set) if w in groups
-        ]
-        children.append(branch(passers, after_pass(passers)))
-        return Internal(a, tuple(children))
+        return ask(a1, everyone, rem_pos, lambda w, a1_types: (
+            a2_node(a1_types) if w == v else fix((a1, w))), last=v)
 
-    def build_lurker(order, x_set, u, v, rem_apps, rem_pos, types, assigned) -> Node:
-        a1, a2, a3 = order[:3]
-        a1_groups = split(types[a1], rem_pos)
-
-        def fix(*moves):
-            return settle(rem_apps, rem_pos, types, assigned, *moves)
-
-        def node_i(a1_types: TypeSet, a2_types: TypeSet) -> Node:
-            # a2 clinched v; a1 may take anything else it was offered
-            a1_again = split(a1_types, rem_pos - {v})
-            return Internal(a1, tuple(
-                branch(g, fix((a2, v, a2_types), (a1, w2, g)))
-                for w2, g in sorted(a1_again.items())
-            ))
-
-        def node_iii(a1_types, a2_types, a3_types) -> Node:
-            # a1 reclaimed u, so a3 falls back to the shared-list positions
-            a3_again = split(a3_types, rem_pos - {v, u})
-            return Internal(a3, tuple(
-                branch(g, fix((a2, v, a2_types), (a1, u, a1_types), (a3, w3, g)))
-                for w3, g in sorted(a3_again.items())
-            ))
-
-        def node_ii(a1_types, a2_types, a3_types) -> Node:
-            a1_again = split(a1_types, rem_pos - {v})
-            children = []
-            for w2, g in sorted(a1_again.items()):
-                if w2 == u:
-                    children.append(branch(g, node_iii(g, a2_types, a3_types)))
-                else:
-                    children.append(branch(g, fix(
-                        (a2, v, a2_types), (a1, w2, g), (a3, u, a3_types))))
-            return Internal(a1, tuple(children))
-
-        def a2_second(a1_types, a2_types, a3_types) -> Node:
-            a2_again = split(a2_types, rem_pos - {u})
-            children = []
-            for w, g in sorted(a2_again.items()):
-                if w == v:
-                    children.append(branch(g, node_ii(a1_types, g, a3_types)))
-                else:
-                    children.append(branch(g, fix(
-                        (a1, v, a1_types), (a3, u, a3_types), (a2, w, g))))
-            return Internal(a2, tuple(children))
-
-        def a3_node(a1_types, a2_types) -> Node:
-            # v is already out of reach for a3 here
-            a3_groups = split(types[a3], rem_pos - {v})
-            children = [
-                branch(g, fix((a1, v, a1_types), (a2, u, a2_types), (a3, w, g)))
-                for w, g in sorted(a3_groups.items()) if w != u
-            ]
-            children.append(branch(
-                a3_groups[u], a2_second(a1_types, a2_types, a3_groups[u])))
-            return Internal(a3, tuple(children))
-
-        def a2_node(a1_types: TypeSet) -> Node:
-            a2_groups = split(types[a2], rem_pos)
-            children = []
-            for w, g in sorted(a2_groups.items()):
-                if w == u:
-                    continue
-                if w == v:
-                    children.append(branch(g, node_i(a1_types, g)))
-                else:
-                    children.append(branch(g, fix((a1, v, a1_types), (a2, w, g))))
-            children.append(branch(a2_groups[u], a3_node(a1_types, a2_groups[u])))
-            return Internal(a2, tuple(children))
-
-        children = []
-        for w, g in sorted(a1_groups.items()):
-            if w == v:
-                continue
-            children.append(branch(g, fix((a1, w, g))))
-        children.append(branch(a1_groups[v], a2_node(a1_groups[v])))
-        return Internal(a1, tuple(children))
-
-    types0 = {i: everyone for i in range(n)}
-    root = build(frozenset(range(n)), frozenset(range(n)), types0, {})
-    return MechanismTree(n, tuple(full_universe(n) for _ in range(n)), root)
+    root = build(frozenset(range(n)), frozenset(range(n)), {})
+    return MechanismTree(n, (everyone,) * n, root)

@@ -322,3 +322,24 @@ def test_tree_records_out_of_preorder_are_refused(files, capsys):
 def test_witness_rejects_nonpositive_budget(files, capsys, budget):
     assert main(["witness", files["fig1a"], "--budget", budget]) == 2
     _one_error_line(capsys)
+
+
+def test_tree_files_above_eight_applicants_are_refused(files, capsys):
+    # a single-leaf n = 9 tree: tiny on disk, but the exact checkers'
+    # tables would take hundreds of MB
+    names = list("abcdefghi")
+    positions = [str(i + 1) for i in range(9)]
+    doc = {
+        "n": 9,
+        "applicants": names,
+        "positions": positions,
+        "universes": [[positions] for _ in names],
+        "nodes": [{"matching": dict(zip(names, positions))}],
+    }
+    tree = write(files["tmp"] / "n9.json", doc)
+    prio = write(files["tmp"] / "n9_prio.json", {"n": 9, "priorities": [names] * 9})
+    capsys.readouterr()
+    for argv in (["check-osp", tree], ["verify-tree", tree, prio]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tree: n = 9 is above the supported 8" in err

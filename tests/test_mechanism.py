@@ -175,10 +175,17 @@ def test_check_implements_refuses_trees_whose_boxes_miss_profiles():
     root = Internal(0, (((0, 1), Leaf((0, 1, 2))), ((1, 2), Leaf((0, 1, 2)))))
     overlapping = MechanismTree(3, (uni,) * 3, root)
     uncovered = MechanismTree(3, (uni,) * 3, Internal(0, (((0,), Leaf((0, 1, 2))),)))
-    for tree in (overlapping, uncovered):
+    # two children hold only type 0: the box sizes still add up to 2 x 2
+    uni2 = full_universe(2)
+    doubled = MechanismTree(2, (uni2,) * 2, Internal(0, (((0,), Leaf((0, 1))),) * 2))
+    q2 = PrioritySet.from_rankings(((0, 1), (0, 1)))
+    for tree, q in ((overlapping, TAA3), (uncovered, TAA3), (doubled, q2)):
         assert not validate(tree).ok
         with pytest.raises(ValueError):
-            check_implements(tree, TAA3)
+            check_implements(tree, q)
+    # sampled: the doubled tree agrees with DA wherever a sample finds a child
+    with pytest.raises(ValueError):
+        check_implements(doubled, q2, samples=100, seed=3)
 
 
 def test_execute_on_uncovered_type_raises_value_error():

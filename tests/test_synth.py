@@ -1,13 +1,16 @@
 """The gadget composition: shapes, correctness, structural bounds."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import product
 
 import pytest
 
-from conftest import FIG_A, STAR6, q_of
+from conftest import FIG_A, STAR6, TAA3, q_of
 from ospmatch.core import PrioritySet, all_rankings
+from ospmatch.jsonio import tree_to_doc
 from ospmatch.mechanism import (
     Internal,
     check_implements,
@@ -224,3 +227,43 @@ def test_sampled_limited_cyclic_four_members():
         tree = synthesize(q)
         assert check_implements(tree, q, samples=50_000, seed=checked).ok
         assert check_osp(tree).ok
+
+
+def _tree_digest(tree) -> str:
+    doc = json.dumps(tree_to_doc(tree), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+# SHA-256 of the sorted-key tree JSON; the n = 4 classes are keyed by
+# their canonical table, one position's list per group of digits
+GOLDEN_FOUR = {
+    "0123 0123 0123 0123": "3c237378579c652cbacc34be0c88ebbfdbe85ed1ba310d11682fa2c484007196",
+    "0123 0123 0123 0132": "bce2323ef1fa0ae85a4f699fe97abf896763a09d07375ef36ddf8a2ce911ddcd",
+    "0123 0123 0123 0213": "55ba548426817bd4b97a9a15443d5ff3f91890cf1b3a5d00ddd5e14603dfadb7",
+    "0123 0123 0123 1023": "fdcea218e8949ab640498dd1d42c35412e29b89671229dff5761342052ba6a11",
+    "0123 0123 0123 1032": "c133060b7bc6782c60bb7f13ff501506954606a027bd9697c6fe913c5feb8627",
+    "0123 0123 0132 0132": "5259f02e04850f656d1037dee88c9f6ccb000a6698dddd03f2dfeb7d9f18d133",
+    "0123 0123 0132 0213": "a442d6f36e99b1c932be313ef0d02c8acafed1b8e9d4b44f3da3efd193a243c9",
+    "0123 0123 0132 1023": "982a223b58c01ebf43a03865ece91723e4ea7267ba6d8fa96e0693af36234a1d",
+    "0123 0123 0132 1032": "7b3c9936448e37abaebc1025dec965ded8b8624c47e1d28bccf0f548cea5cb0e",
+    "0123 0123 0213 0213": "105d29baf0a21b06f0b8cefbde1dee3fd6c479b5ed895d9ca56b7bdf9540c166",
+    "0123 0123 0213 1023": "b7a414805616743bdab561865017ef5f8840f8655bf28f74193b94d9c5b3d0b5",
+    "0123 0123 0213 1032": "ed746afc5c266455941e63c26abf5cc744e697c59676793645c5c00c4dfbd351",
+    "0123 0123 1023 1023": "7b356027738e658fcb70d02475fde6febe443c64d39520a2531c563267afc304",
+    "0123 0123 1023 1032": "b1743252931b924bc31ff3ac10dd63655299fcce5ba80c31fa0d7401d4c77b3a",
+    "0123 0123 1032 1032": "47ff2af33bfb755819b7d91559154f7ff5c456b0b9e98809ea432c921c3fb21c",
+    "0123 0132 1023 1032": "711345c4ba912f2a3aafe8e66615fd7d361598834b1e343e3be037889bdac7ac",
+}
+
+
+def test_synthesized_trees_are_byte_stable(taa3_tree, star6_tree):
+    assert _tree_digest(taa3_tree) == (
+        "bb1eab37ae947586e87a27cf783fd89fa9a2fb220969dded13748e7947e5434c")
+    assert _tree_digest(star6_tree) == (
+        "db6b4f4ce70825bd5a06b4500088712a7fd6a7892721701ae5f92db685f158e7")
+    got = {
+        " ".join("".join(map(str, lst)) for lst in row.canonical):
+            _tree_digest(synthesize(PrioritySet.from_rankings(row.canonical)))
+        for row in class_census(4) if row.limited_cyclic
+    }
+    assert got == GOLDEN_FOUR
