@@ -3,7 +3,8 @@
 Exit codes: 0 = success / property verified; 1 = negative verdict (not
 limited cyclic, OSP violation, implementation mismatch, witness search
 exhausted); 2 = usage or input format error; 3 = witness requested for a
-limited-cyclic input (no witness can exist).
+limited-cyclic input (no witness can exist); 4 = internal error (a bug,
+reported on one stderr line, never a verdict).
 """
 from __future__ import annotations
 
@@ -13,19 +14,20 @@ import sys
 from typing import Any, Sequence
 
 from . import jsonio
-from .classify import classify as classify_priorities
-from .core import PrioritySet, all_rankings
+from .classify import Classification, classify as classify_priorities
+from .core import all_rankings
 from .da import proposal_rounds, render_transcript, run_da
 from .jsonio import FormatError, Names
 from .mechanism import MechanismTree, check_implements, check_osp, validate
 from .sweep import class_census
 from .synth import NotLimitedCyclicError, synthesize
-from .witness import check_witness, find_witness, fixture_for
+from .witness import check_witness, find_witness, lift_witness
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NO_WITNESS_EXISTS = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str) -> Any:
@@ -39,6 +41,17 @@ def _dump_json(doc: Any) -> None:
 
 def _names_set(names: Sequence[str], items: Sequence[int]) -> str:
     return "{" + ",".join(names[i] for i in items) + "}"
+
+
+def _not_limited_line(result: Classification, names: Names) -> str:
+    if result.witness is None:
+        return "not limited cyclic"
+    restriction, letter = result.witness
+    return "not limited cyclic; forbidden pattern ({}) on applicants {} positions {}".format(
+        letter,
+        _names_set(names.applicants, restriction.applicants),
+        _names_set(names.positions, restriction.positions),
+    )
 
 
 def _cmd_da(args: argparse.Namespace) -> int:
@@ -61,8 +74,7 @@ def _cmd_da(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _classification_doc(q: PrioritySet, names: Names) -> tuple[dict[str, Any], bool]:
-    result = classify_priorities(q)
+def _classification_doc(result: Classification, names: Names) -> dict[str, Any]:
     doc: dict[str, Any] = {"verdict": result.verdict}
     if result.limited_cyclic:
         doc["blocks"] = [[names.applicants[a] for a in block] for block in result.blocks]
@@ -83,16 +95,17 @@ def _classification_doc(q: PrioritySet, names: Names) -> tuple[dict[str, Any], b
             "applicants": [names.applicants[a] for a in restriction.applicants],
             "positions": [names.positions[x] for x in restriction.positions],
         }
-    return doc, result.limited_cyclic
+    return doc
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     q, names = jsonio.parse_priorities(_load(args.priorities))
-    doc, limited = _classification_doc(q, names)
+    result = classify_priorities(q)
+    doc = _classification_doc(result, names)
     if args.json:
         _dump_json(doc)
-        return EXIT_OK if limited else EXIT_NEGATIVE
-    if limited:
+        return EXIT_OK if result.limited_cyclic else EXIT_NEGATIVE
+    if result.limited_cyclic:
         print("limited cyclic")
         print("blocks: " + " > ".join("{" + ",".join(b) + "}" for b in doc["blocks"]))
         for lab in doc["labelings"]:
@@ -106,17 +119,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 )
             )
         return EXIT_OK
-    witness = doc.get("witness")
-    if witness is None:
-        print("not limited cyclic")
-    else:
-        print(
-            "not limited cyclic; forbidden pattern ({}) on applicants {{{}}} positions {{{}}}".format(
-                witness["pattern"],
-                ",".join(witness["applicants"]),
-                ",".join(witness["positions"]),
-            )
-        )
+    print(_not_limited_line(result, names))
     return EXIT_NEGATIVE
 
 
@@ -159,25 +162,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     q, names = jsonio.parse_priorities(_load(args.priorities))
+    if q.n > jsonio.MAX_TREE_N:
+        raise FormatError(
+            f"synthesize: n = {q.n} is above the supported {jsonio.MAX_TREE_N}"
+        )
     try:
         tree = synthesize(q)
     except NotLimitedCyclicError as exc:
-        witness = exc.classification.witness
         if args.json:
-            doc, _ = _classification_doc(q, names)
-            _dump_json(doc)
-        elif witness is not None:
-            restriction, letter = witness
-            print(
-                "not limited cyclic; forbidden pattern ({}) on applicants {} positions {}".format(
-                    letter,
-                    _names_set(names.applicants, restriction.applicants),
-                    _names_set(names.positions, restriction.positions),
-                ),
-                file=sys.stderr,
-            )
+            _dump_json(_classification_doc(exc.classification, names))
         else:
-            print("not limited cyclic", file=sys.stderr)
+            print(_not_limited_line(exc.classification, names), file=sys.stderr)
         return EXIT_NEGATIVE
     doc = jsonio.tree_to_doc(tree, names)
     with open(args.output, "w", encoding="utf-8") as out:
@@ -307,16 +302,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         else:
             print("limited cyclic: no witness subdomain exists")
         return EXIT_NO_WITNESS_EXISTS
-    if args.fixtures:
-        fixture = fixture_for(q)
-        if fixture is None:
-            if args.json:
-                _dump_json({"found": False, "reason": "no bundled fixture"})
-            else:
-                print("no bundled fixture matches these priorities")
-            return EXIT_NEGATIVE
-        subdomain = fixture.subdomain
-    else:
+    if args.search:
         subdomain = find_witness(q, budget=args.budget, seed=args.seed)
         if subdomain is None:
             if args.json:
@@ -324,8 +310,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             else:
                 print(f"no witness found within {args.budget} samples")
             return EXIT_NEGATIVE
+    else:
+        subdomain = lift_witness(q, classification.witness[0])
     report = check_witness(q, subdomain)
-    assert report.ok
+    if not report.ok:
+        raise RuntimeError("the witness subdomain fails check_witness")
     doc = jsonio.subdomain_to_doc(subdomain, names)
     doc["evidence"] = jsonio.witness_report_to_doc(report, names)["improvements"]
     if args.json:
@@ -383,13 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="produce a non-OSP witness subdomain")
     p.add_argument("priorities")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fixtures", action="store_true",
-                      help="use the bundled case-analysis witnesses")
-    mode.add_argument("--search", action="store_true",
-                      help="randomized search (default)")
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--search", action="store_true", help="random search instead of the lift")
+    p.add_argument("--budget", type=int, default=100_000, help="samples for --search")
+    p.add_argument("--seed", type=int, default=0, help="seed for --search")
     p.set_defaults(func=_cmd_witness)
 
     return parser
@@ -403,12 +388,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

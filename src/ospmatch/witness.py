@@ -6,7 +6,8 @@ orders.  It certifies non-implementability when, for every applicant with
 two types, some lie beats some truth (against possibly different
 opponents), and for every applicant with three types, every truth is
 beaten by some lie.  The bundled fixtures are the worked case analyses
-for each forbidden pattern.
+for each forbidden pattern; ``lift_witness`` embeds one in any market that
+is not limited cyclic, and ``find_witness`` searches for fresh witnesses.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Sequence
 
-from .core import PrioritySet, Ranking, relabel_table
+from .core import PrioritySet, Ranking, Restriction, canonical_form, relabel_table, restrict
 from .da import da_match
 
 
@@ -210,28 +211,26 @@ def _pref(*positions_1based: int) -> Ranking:
     return tuple(p - 1 for p in positions_1based)
 
 
-def relabel_subdomain(
-    subdomain: Subdomain,
-    applicant_map: Sequence[int],
-    position_map: Sequence[int],
-) -> Subdomain:
-    out: list[tuple[Ranking, ...]] = [()] * subdomain.n
-    for i, ts in enumerate(subdomain.type_lists):
-        out[applicant_map[i]] = tuple(tuple(position_map[p] for p in r) for r in ts)
-    return Subdomain(tuple(out))
-
-
 def _transport(
     fixture_q: PrioritySet, subdomain: Subdomain, target: PrioritySet
 ) -> Subdomain:
-    """Carry a witness along some relabeling onto an equivalent table."""
-    n = fixture_q.n
-    source = fixture_q.rankings
+    """Carry a witness onto an equivalent table: take the first applicant
+    relabeling sigma (in ``permutations`` order) that makes the fixture's
+    lists equal the target's as a multiset, and send each list to the least
+    unused target slot that holds it."""
     wanted = target.rankings
-    for sigma in permutations(range(n)):
-        for pi in permutations(range(n)):
-            if relabel_table(source, sigma, pi) == wanted:
-                return relabel_subdomain(subdomain, sigma, pi)
+    for sigma in permutations(range(fixture_q.n)):
+        relabeled = relabel_table(fixture_q.rankings, sigma)
+        if sorted(relabeled) != sorted(wanted):
+            continue
+        slots: dict[Ranking, list[int]] = {}
+        for j, lst in enumerate(wanted):
+            slots.setdefault(lst, []).append(j)
+        pi = [slots[lst].pop(0) for lst in relabeled]
+        out: list[tuple[Ranking, ...]] = [()] * subdomain.n
+        for i, ts in enumerate(subdomain.type_lists):
+            out[sigma[i]] = tuple(tuple(pi[p] for p in order) for order in ts)
+        return Subdomain(tuple(out))
     raise ValueError("tables are not relabelings of one another")
 
 
@@ -305,17 +304,29 @@ def fixtures() -> tuple[WitnessFixture, ...]:
     return tuple(out)
 
 
-def fixture_for(q: PrioritySet) -> WitnessFixture | None:
-    """Bundled fixture transported onto q, when q is a relabeling of one."""
-    from .core import canonical_form
+def lift_witness(q: PrioritySet, r: Restriction) -> Subdomain:
+    """Witness for q from a forbidden restriction r = A x P (as found by
+    ``scan_forbidden``): the first fixture whose table is a relabeling of
+    ``restrict(q, r)``, carried onto it and lifted.  Each applicant in A keeps
+    its fixture orders over P, then the positions outside P ascending; each
+    applicant outside A gets one type, the positions outside P, then P.
 
-    target_canonical = canonical_form(q).rankings
-    for fixture in fixtures():
-        if canonical_form(fixture.priorities).rankings == target_canonical:
-            return WitnessFixture(
-                fixture.label,
-                fixture.pattern_letter,
-                q,
-                _transport(fixture.priorities, fixture.subdomain, q),
-            )
-    return None
+    Deferred acceptance then splits into two markets that never meet.  A and
+    P have the same size and A ranks P first, so A fills P and no applicant of
+    A proposes outside P.  The applicants outside A are as many as the
+    positions outside P, which they rank first, so none of them proposes into
+    P.  Every truth and every lie thus gives A the positions it gets on the
+    restriction, and the fixture's improvements carry over.
+    """
+    small = restrict(q, r)
+    canonical = canonical_form(small).rankings
+    fixture = next(f for f in fixtures() if canonical_form(f.priorities).rankings == canonical)
+    local = _transport(fixture.priorities, fixture.subdomain, small)
+    inside = r.positions
+    outside = tuple(x for x in range(q.n) if x not in inside)
+    type_lists = [(outside + inside,)] * q.n
+    for k, applicant in enumerate(r.applicants):
+        type_lists[applicant] = tuple(
+            tuple(inside[p] for p in order) + outside for order in local.type_lists[k]
+        )
+    return Subdomain(tuple(type_lists))

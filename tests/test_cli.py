@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from conftest import FIG_A
+import ospmatch.cli
 from ospmatch.cli import main
-from ospmatch.jsonio import tree_to_doc
+from ospmatch.jsonio import parse_subdomain, subdomain_to_doc, tree_to_doc
 from ospmatch.mechanism import Internal, Leaf, MechanismTree, full_universe, reveal_tree, validate
+from ospmatch.witness import Subdomain
 
 
 def write(path, doc):
@@ -82,7 +85,10 @@ def test_synthesize_refuses_non_implementable(files, capsys):
     tree_path = str(files["tmp"] / "tree.json")
     assert main(["synthesize", files["fig1a"], "-o", tree_path]) == 1
     err = capsys.readouterr().err
-    assert "forbidden pattern (a)" in err
+    assert err == (
+        "not limited cyclic; forbidden pattern (a) on applicants {a,b,c} "
+        "positions {1,2,3}\n"
+    )
 
 
 def test_verify_tree_flags_wrong_priorities(files, capsys):
@@ -110,23 +116,73 @@ def test_witness_search_and_fixtures(files, capsys):
     assert main(["witness", files["fig1a"], "--search", "--budget", "5000"]) == 0
     searched = json.loads(capsys.readouterr().out)
     assert searched["types"]
-    assert main(["witness", files["fig1b"], "--fixtures"]) == 0
+    # the default path lifts the bundled fixture of the forbidden restriction
+    assert main(["witness", files["fig1b"]]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["types"]) == {"a", "b", "c"}
     assert doc["evidence"]
     # emitted subdomains round-trip through the module serializers
-    from ospmatch.jsonio import parse_subdomain, subdomain_to_doc
-
     parsed, names = parse_subdomain(doc)
     round_tripped = subdomain_to_doc(parsed, names)
     assert round_tripped["types"] == doc["types"]
 
 
 def test_witness_search_deterministic(files, capsys):
-    main(["witness", files["fig1a"], "--budget", "5000", "--seed", "9"])
+    main(["witness", files["fig1a"], "--search", "--budget", "5000", "--seed", "9"])
     first = capsys.readouterr().out
-    main(["witness", files["fig1a"], "--budget", "5000", "--seed", "9"])
+    main(["witness", files["fig1a"], "--search", "--budget", "5000", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+def _market(tmp_path, n, seed):
+    names = [chr(ord("a") + i) for i in range(n)]
+    rng = random.Random(seed)
+    rows = [rng.sample(names, n) for _ in range(n)]
+    return write(tmp_path / f"market{n}.json", {"n": n, "priorities": rows})
+
+
+def test_witness_lifts_on_a_large_market(files, capsys):
+    market = _market(files["tmp"], 8, "cli/8")
+    assert main(["classify", market]) == 1
+    capsys.readouterr()
+    assert main(["witness", market]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    parsed, _ = parse_subdomain(doc)
+    assert parsed.n == 8 and doc["evidence"]
+    # applicants outside the forbidden restriction hold a single type
+    assert sum(len(ts) == 1 for ts in parsed.type_lists) >= 4
+    assert main(["witness", files["taa3"]]) == 3
+
+
+def test_internal_errors_exit_four(files, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ospmatch.cli, "_cmd_classify", broken)
+    assert main(["classify", files["fig1a"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError('boom')\n"
+
+
+def test_witness_that_fails_its_referee_is_an_internal_error(files, capsys, monkeypatch):
+    # check_witness referees every emitted witness, also under python -O
+    monkeypatch.setattr(ospmatch.cli, "lift_witness", lambda q, r: Subdomain((
+        ((0, 1, 2), (1, 0, 2)), ((0, 1, 2),), ((0, 1, 2),),
+    )))
+    assert main(["witness", files["fig1a"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_synthesize_refuses_more_than_eight_applicants(files, capsys):
+    market = _market(files["tmp"], 9, "cli/9")
+    tree_path = files["tmp"] / "t9.json"
+    assert main(["synthesize", market, "-o", str(tree_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: synthesize: n = 9 is above the supported 8\n"
+    assert not tree_path.exists()
 
 
 def test_enumerate_report(files, capsys):

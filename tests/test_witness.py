@@ -1,4 +1,4 @@
-"""Witness subdomains: the checker, the bundled fixtures, the search."""
+"""Witness subdomains: the checker, the bundled fixtures, the lift, the search."""
 from __future__ import annotations
 
 import random
@@ -6,15 +6,17 @@ import random
 import pytest
 
 from conftest import FIG_A, STAR6, TAA3, q_of
-from ospmatch.classify import scan_forbidden
+from ospmatch.classify import classify, scan_forbidden
+from ospmatch.core import PrioritySet, Restriction
 from ospmatch.da import da_match
+from ospmatch.sweep import class_census
 from ospmatch.witness import (
     Subdomain,
     _sample_subdomain,
     check_witness,
     find_witness,
-    fixture_for,
     fixtures,
+    lift_witness,
 )
 
 
@@ -92,6 +94,40 @@ def test_fixture_tables_match_the_case_analyses():
     assert four.subdomain.type_lists[3] == (_pref(1, 2, 3, 4), _pref(2, 1, 3, 4))
 
 
+# Every bundled fixture, field for field: label, letter, table (one row per
+# position) and types (per applicant, 1-based positions).  The two
+# transported distinct-tops entries are built by ``_transport``.
+PINNED_FIXTURES = (
+    ("fully-cyclic", "a", "abc|bca|cab", "231,213,321 / 321,123,132 / 132,213"),
+    ("two-same/cab", "b", "abc|abc|cab", "312,321 / 123,213 / 123,132,231"),
+    ("two-same/cba", "b", "abc|abc|cba", "312,321 / 123,213 / 123,132,231"),
+    ("two-same/bca", "b", "abc|abc|bca", "312,321 / 123,213 / 123,132,231"),
+    ("shared-top", "c", "abc|acb|cba", "312,321 / 123,213,231 / 123,132,231"),
+    ("distinct-tops/cab", "d", "abc|bac|cab", "213,312,321 / 321,132 / 231,123,132"),
+    ("distinct-tops/cba", "d", "abc|bac|cba", "312,231 / 123,321,312 / 132,213,231"),
+    ("distinct-tops/bca", "d", "abc|cba|bca", "213,321,312 / 231,132,123 / 123,312"),
+    ("four-applicants", "e", "abcd|abdc|acbd|bacd",
+     "4213,4312 / 3124,3412 / 2314,3124 / 1234,2134"),
+)
+
+
+def _types(text: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    return tuple(
+        tuple(_pref(*map(int, order)) for order in ts.split(","))
+        for ts in text.split(" / ")
+    )
+
+
+def test_fixtures_are_pinned():
+    bundle = fixtures()
+    assert len(bundle) == len(PINNED_FIXTURES)
+    for fixture, (label, letter, table, types) in zip(bundle, PINNED_FIXTURES):
+        assert fixture.label == label
+        assert fixture.pattern_letter == letter
+        assert fixture.priorities.rankings == q_of(*table.split("|")).rankings, label
+        assert fixture.subdomain.type_lists == _types(types), label
+
+
 def test_every_fixture_verifies():
     for fixture in fixtures():
         assert check_witness(fixture.priorities, fixture.subdomain).ok, fixture.label
@@ -116,16 +152,70 @@ def test_evidence_replays_through_da():
             assert spot[imp.lie_position] < spot[imp.truth_position]
 
 
-def test_fixture_transport_onto_relabeled_table():
-    # any relabeling of a bundled table gets a transported witness
-    target = q_of("bca", "bca", "acb")  # relabeling of the two-same family
-    fixture = fixture_for(target)
-    assert fixture is not None
-    assert check_witness(target, fixture.subdomain).ok
+# Relabelings of the bundled tables, each with the witness the search over
+# every (sigma, pi) relabeling pair transported onto it.
+RELABELED_FIXTURES = (
+    ("bca|bca|acb", "123,132,231 / 312,321 / 123,213"),
+    ("abc|cab|bca", "321,312,231 / 231,132,123 / 123,312"),
+    ("abc|bca|bca", "231,213,312 / 123,132 / 231,321"),
+    ("acb|bca|bca", "231,213,312 / 123,132 / 231,321"),
+    ("cab|bca|bca", "231,213,312 / 123,132 / 231,321"),
+    ("acb|bac|bca", "321,312,213 / 132,123 / 321,231,213"),
+    ("abc|cba|bca", "213,321,312 / 231,132,123 / 123,312"),
+    ("acb|cba|bca", "312,231,213 / 132,213 / 321,123,132"),
+    ("cab|acb|bca", "321,132 / 231,123,132 / 213,312,321"),
+    ("cbad|bacd|bcda|bcad", "3241,2431 / 1342,1243 / 2431,2143 / 4321,3421"),
+)
 
 
-def test_fixture_for_unknown_table():
-    assert fixture_for(STAR6) is None
+def test_lift_onto_relabeled_fixture_table():
+    # a relabeling of a bundled table is its own forbidden restriction, and
+    # the lift carries the first matching fixture onto it
+    for table, types in RELABELED_FIXTURES:
+        target = q_of(*table.split("|"))
+        restriction, _ = scan_forbidden(target)
+        assert restriction == Restriction(tuple(range(target.n)), tuple(range(target.n)))
+        lifted = lift_witness(target, restriction)
+        assert lifted.type_lists == _types(types), table
+        assert check_witness(target, lifted).ok
+
+
+def test_star_has_no_scan_hit():
+    # STAR6 is limited cyclic, so there is nothing to lift
+    assert scan_forbidden(STAR6) is None
+    assert classify(STAR6).limited_cyclic
+
+
+def _assert_lift_certifies(q: PrioritySet) -> None:
+    result = classify(q)
+    assert not result.limited_cyclic
+    restriction, _ = result.witness
+    lifted = lift_witness(q, restriction)
+    assert check_witness(q, lifted).ok
+    for i, ts in enumerate(lifted.type_lists):
+        if i not in restriction.applicants:
+            assert len(ts) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lift_certifies_every_class(n):
+    rows = [row for row in class_census(n) if not row.limited_cyclic]
+    assert len(rows) == {3: 6, 4: 746}[n]
+    for row in rows:
+        _assert_lift_certifies(PrioritySet.from_rankings(row.canonical))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_lift_certifies_seeded_markets(n):
+    rng = random.Random(f"lift/{n}")
+    certified = 0
+    while certified < 10:
+        rows = [tuple(rng.sample(range(n), n)) for _ in range(n)]
+        q = PrioritySet.from_rankings(rows)
+        if classify(q).limited_cyclic:
+            continue
+        _assert_lift_certifies(q)
+        certified += 1
 
 
 def test_find_witness_succeeds_on_fully_cyclic():
