@@ -292,8 +292,11 @@ def _cmd_check_osp(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise FormatError(f"--budget must be at least 1, got {args.budget}")
+    if not args.search and (args.budget is not None or args.seed is not None):
+        raise FormatError("--budget and --seed apply only to --search")
+    budget = 100_000 if args.budget is None else args.budget
+    if budget < 1:
+        raise FormatError(f"--budget must be at least 1, got {budget}")
     q, names = jsonio.parse_priorities(_load(args.priorities))
     classification = classify_priorities(q)
     if classification.limited_cyclic:
@@ -303,12 +306,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             print("limited cyclic: no witness subdomain exists")
         return EXIT_NO_WITNESS_EXISTS
     if args.search:
-        subdomain = find_witness(q, budget=args.budget, seed=args.seed)
+        subdomain = find_witness(q, budget=budget, seed=args.seed or 0)
         if subdomain is None:
             if args.json:
                 _dump_json({"found": False, "reason": "budget exhausted"})
             else:
-                print(f"no witness found within {args.budget} samples")
+                print(f"no witness found within {budget} samples")
             return EXIT_NEGATIVE
     else:
         subdomain = lift_witness(q, classification.witness[0])
@@ -373,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="produce a non-OSP witness subdomain")
     p.add_argument("priorities")
     p.add_argument("--search", action="store_true", help="random search instead of the lift")
-    p.add_argument("--budget", type=int, default=100_000, help="samples for --search")
-    p.add_argument("--seed", type=int, default=0, help="seed for --search")
+    p.add_argument("--budget", type=int, help="samples for --search (default 100,000)")
+    p.add_argument("--seed", type=int, help="seed for --search (default 0)")
     p.set_defaults(func=_cmd_witness)
 
     return parser

@@ -19,21 +19,20 @@ profile.  :func:`check_osp` carries, per node and applicant, the bitmask
 of positions still reachable (Li's condition, "Obviously Strategy-Proof
 Mechanisms", AER 2017, compares only the worst truthful and the best
 deviating position), and reads the best and worst spot of each type from
-:func:`ospmatch.core.spot_tables`.  :func:`check_implements` runs the
-batched DA kernel :func:`ospmatch.da.da_match_batch`; exhaustively it
-checks each leaf's box (the product of the type sets on its path) without
-walking any profile, and on samples it walks each sample to its leaf
-through a compact per-node dispatch array.  The scalar
-:func:`ospmatch.da.da_match` stays the oracle the tests hold both to.
+:func:`ospmatch.core.spot_tables`.  :func:`check_implements` reads one
+stream of profiles, all of them in product order or seeded samples, in
+slices: each slice is routed down the preorder as a whole, the rows that
+reach a node split by their type there, and is compared with the batched
+DA kernel :func:`ospmatch.da.da_match_batch`.  The scalar walk
+:func:`execute_ids` and the scalar :func:`ospmatch.da.da_match` stay the
+oracles the tests hold it to.
 """
 from __future__ import annotations
 
 import math
 import random
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, product
 from typing import Sequence
 
 import numpy as np
@@ -64,24 +63,6 @@ class Leaf:
 class Internal:
     player: int
     children: tuple[tuple[IdSet, "Node"], ...]
-    _dispatch: array | None = field(default=None, repr=False)
-
-    def dispatch(self, type_id: int) -> "Node":
-        """The child whose type set holds ``type_id``; ``LookupError`` if
-        none does (only on a tree that fails :func:`validate`)."""
-        table = self._dispatch
-        if table is None:
-            # child index + 1 per type id, 0 where no child holds the type
-            size = 1 + max((max(types, default=-1) for types, _ in self.children), default=-1)
-            table = array("H" if len(self.children) < 1 << 16 else "L", [0]) * size
-            for k, (types, _) in enumerate(self.children, 1):
-                for t in types:
-                    table[t] = k
-            self._dispatch = table
-        k = table[type_id]
-        if not k:
-            raise KeyError(type_id)
-        return self.children[k - 1][1]
 
 
 Node = Leaf | Internal
@@ -191,9 +172,18 @@ def validate(tree: MechanismTree) -> ValidationReport:
 
 
 def execute_ids(tree: MechanismTree, type_ids: Sequence[int]) -> Ranking:
+    """The leaf matching the profile reaches, taking at each node the first
+    child whose type set holds the acting applicant's type; ``LookupError``
+    if none does (only on a tree that fails :func:`validate`)."""
     node = tree.root
     while isinstance(node, Internal):
-        node = node.dispatch(type_ids[node.player])
+        t = type_ids[node.player]
+        for types, child in node.children:
+            if t in types:
+                node = child
+                break
+        else:
+            raise LookupError(t)
     return node.matching
 
 
@@ -230,108 +220,98 @@ def check_implements(
     """Compare the tree against deferred acceptance on every profile of the
     environment (exhaustive, the default) or on seeded random samples.
 
+    Both modes read one stream of profiles in slices of at most ``SLICE``
+    rows, route each slice down the tree with :func:`_route` and compare
+    its leaves' matchings with :func:`ospmatch.da.da_match_batch`.  The
+    exhaustive stream is ``itertools.product(*tree.universes)``; the
+    sampled stream is :func:`_sample_places` over ``random.Random(seed)``.
     A failed report counts the profiles up to and including the first
-    mismatch, in ``itertools.product(*tree.universes)`` order or in
-    sample order, and carries that profile.  Both modes run DA with
-    :func:`ospmatch.da.da_match_batch` on slices of at most ``SLICE``
-    profiles.  The exhaustive mode walks no profile: the profiles that
-    reach a leaf are the product of the type sets on its path (its box),
-    so each box is compared with its leaf's matching as a whole, and a
-    tree that fails :func:`validate` is refused first with ``ValueError``.
-    The sampled mode does not validate; it raises ``ValueError`` when a
-    sample reaches a node where no child holds its type.
+    mismatch in stream order and carries that profile.  The exhaustive
+    mode refuses a tree that fails :func:`validate` with ``ValueError``;
+    the sampled mode does not validate, but raises ``ValueError`` before
+    comparing a slice in which some profile reaches a node where no child
+    holds its type.
     """
     if q.n != tree.n:
         raise ValueError("priorities do not match the tree size")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    ranks = q.rank_table()
     if samples is None:
-        return _check_boxes(tree, ranks)
-    choice = random.Random(seed).choice
-    checked = 0
-    while checked < samples:
-        batch = [tuple(map(choice, tree.universes)) for _ in range(min(SLICE, samples - checked))]
-        outcomes = da_match_batch(ranks, batch).tolist()
-        for k, (type_ids, outcome) in enumerate(zip(batch, outcomes)):
-            try:
-                got = execute_ids(tree, type_ids)
-            except LookupError as exc:  # only reachable on an invalid tree
-                raise ValueError("no child covers a sampled profile; tree fails validation") from exc
-            if list(got) != outcome:
-                return ImplementsReport(False, checked + k + 1, type_ids)
-        checked += len(batch)
-    return ImplementsReport(True, checked)
+        valid = validate(tree)
+        if not valid.ok:
+            raise ValueError("tree fails validation: " + valid.problems[0])
+    ranks = q.rank_table()
+    sizes = tuple(map(len, tree.universes))
+    universes = [np.array(u, dtype=np.intp) for u in tree.universes]
+    total = math.prod(sizes) if samples is None else samples
+    rng = random.Random(seed)
+    matchings = np.array(
+        [node.matching if isinstance(node, Leaf) else (-1,) * tree.n for node in tree.preorder.nodes],
+        dtype=np.intp,
+    )
+    for start in range(0, total, SLICE):
+        stop = min(start + SLICE, total)
+        if samples is None:
+            places = np.unravel_index(np.arange(start, stop), sizes)
+        else:
+            places = _sample_places(rng, stop - start, sizes).T
+        profiles = np.stack([u[col] for u, col in zip(universes, places)], axis=1)
+        leaves = _route(tree, profiles)
+        if (leaves < 0).any():  # only reachable on an invalid tree
+            raise ValueError("no child covers a profile; tree fails validation")
+        bad = np.flatnonzero((da_match_batch(ranks, profiles) != matchings[leaves]).any(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            return ImplementsReport(False, start + k + 1, tuple(profiles[k].tolist()))
+    return ImplementsReport(True, total)
 
 
-def _check_boxes(tree: MechanismTree, ranks) -> ImplementsReport:
-    """The exhaustive mode of :func:`check_implements`."""
-    valid = validate(tree)
-    if not valid.ok:
-        raise ValueError("tree fails validation: " + valid.problems[0])
-    universes = tree.universes
-    # each universe's place in product order, by type id (-1: not in it)
-    place = []
-    for u in universes:
-        lookup = np.full(math.factorial(tree.n), -1, dtype=np.intp)
-        lookup[list(u)] = np.arange(len(u))
-        place.append(lookup)
-    first: tuple[int, ...] | None = None  # places of the first mismatch
-    for flat, matchings, sizes in _slices(_leaf_boxes(tree)):
-        profiles = np.array(flat, dtype=np.intp).reshape(-1, tree.n)
-        expected = np.repeat(np.array(matchings, dtype=np.intp), sizes, axis=0)
-        bad = profiles[(da_match_batch(ranks, profiles) != expected).any(axis=1)]
-        if len(bad):
-            places = np.stack([lookup[col] for lookup, col in zip(place, bad.T)], axis=1)
-            least = tuple(places[np.lexsort(places.T[::-1])[0]].tolist())
-            first = least if first is None else min(first, least)
-    if first is None:
-        return ImplementsReport(True, math.prod(map(len, universes)))
-    checked = 0
-    for u, spot in zip(universes, first):
-        checked = checked * len(u) + spot
-    return ImplementsReport(False, checked + 1, tuple(u[spot] for u, spot in zip(universes, first)))
+def _sample_places(rng: random.Random, m: int, sizes: Sequence[int]) -> np.ndarray:
+    """The next ``m`` sampled profiles of the stream, as an (m, n) array of
+    places in the universes.  Each profile takes 8·n bytes of
+    ``rng.randbytes``, one little-endian 64-bit word per applicant in
+    index order, and applicant i's place is its word modulo ``sizes[i]``.
+    ``randbytes`` draws whole 32-bit words, so the stream does not depend
+    on how it is cut into slices, and it does not depend on numpy.  The
+    modulo favours small places by less than ``sizes[i] / 2**64`` (under
+    3e-15 at n = 8)."""
+    words = np.frombuffer(rng.randbytes(8 * m * len(sizes)), dtype="<u8").reshape(m, len(sizes))
+    return (words % np.array(sizes, dtype=np.uint64)).astype(np.intp)
 
 
-def _leaf_boxes(tree: MechanismTree):
-    """Each leaf's box in preorder: (the type sets on its path, the size of
-    their product, the leaf's matching)."""
+def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
+    """The leaf id each row of an (M, n) array of type ids reaches, or -1
+    where the row meets a node at which no child holds its type (only on
+    a tree that fails :func:`validate`).  The walk runs forward over the
+    preorder carrying the rows that reach each node, splits them at each
+    internal node by a type -> child slot array (the first child holding
+    a type takes it, as in :func:`execute_ids`), and jumps over subtrees
+    that no row reaches."""
     index = tree.preorder
-    states = {0: tree.universes}
-    for nid, node in enumerate(index.nodes):
-        sets = states.pop(nid)
-        if isinstance(node, Leaf):
-            yield sets, math.prod(map(len, sets)), node.matching
+    nodes, children, end = index.nodes, index.children, index.end
+    leaves = np.full(len(profiles), -1, dtype=np.intp)
+    pending = {0: np.arange(len(profiles))}
+    unheld = np.full(math.factorial(tree.n), -1, dtype=np.intp)
+    nid = 0
+    while nid < len(nodes):
+        rows = pending.pop(nid, None)
+        if rows is None:
+            nid = end[nid]
             continue
-        pl = node.player
-        for (types, _), child in zip(node.children, index.children[nid]):
-            states[child] = sets[:pl] + (types,) + sets[pl + 1 :]
-
-
-def _slices(boxes):
-    """Expand the leaf boxes, in order and each in product order, into
-    slices of at most ``SLICE`` profiles.  A slice is the flat list of its
-    profiles' type ids, plus the matchings of the leaves it covers and how
-    many of its profiles each covers; a box larger than the room left in
-    a slice continues in the next one."""
-    flat: list[int] = []
-    matchings: list[Ranking] = []
-    sizes: list[int] = []
-    room = SLICE
-    for sets, size, matching in boxes:
-        box = product(*sets)
-        while size:
-            take = min(size, room)
-            flat.extend(chain.from_iterable(islice(box, take)))
-            matchings.append(matching)
-            sizes.append(take)
-            size -= take
-            room -= take
-            if not room:
-                yield flat, matchings, sizes
-                flat, matchings, sizes, room = [], [], [], SLICE
-    if sizes:
-        yield flat, matchings, sizes
+        node = nodes[nid]
+        if isinstance(node, Leaf):
+            leaves[rows] = nid
+        else:
+            slot = unheld.copy()
+            for k in range(len(node.children) - 1, -1, -1):
+                slot[list(node.children[k][0])] = k
+            picked = slot[profiles[rows, node.player]]
+            for k, child in enumerate(children[nid]):
+                taken = rows[picked == k]
+                if taken.size:
+                    pending[child] = taken
+        nid += 1
+    return leaves
 
 
 @dataclass(frozen=True)

@@ -376,8 +376,23 @@ def test_tree_records_out_of_preorder_are_refused(files, capsys):
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_witness_rejects_nonpositive_budget(files, capsys, budget):
-    assert main(["witness", files["fig1a"], "--budget", budget]) == 2
+    assert main(["witness", files["fig1a"], "--search", "--budget", budget]) == 2
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flags, with_search", [
+    (["--budget", "5000"], 0),
+    (["--seed", "9"], 0),
+    (["--seed", "0", "--budget", "3000"], 0),
+    (["--budget", "0"], 2),
+])
+def test_witness_refuses_search_flags_without_search(files, capsys, flags, with_search):
+    # refused before the priorities are read, so a missing file is not reached
+    for path in (files["fig1a"], str(files["tmp"] / "missing.json")):
+        assert main(["witness", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --budget and --seed apply only to --search\n"
+    assert main(["witness", files["fig1a"], "--search", *flags]) == with_search
 
 
 def test_tree_files_above_eight_applicants_are_refused(files, capsys):

@@ -12,6 +12,7 @@ from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
 from ospmatch.da import da_match
 from ospmatch.jsonio import parse_tree, tree_to_doc
 from ospmatch.mechanism import (
+    ImplementsReport,
     Internal,
     Leaf,
     MechanismTree,
@@ -91,6 +92,15 @@ def test_check_implements_sampled(star6_tree):
     assert report.ok and report.checked == 2000
 
 
+def _sampled_profiles(universes, samples, seed):
+    """The documented sample stream, drawn one word at a time: each type is
+    the next 8 bytes of ``random.Random(seed).randbytes``, read as a
+    little-endian integer, modulo the universe size."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield tuple(u[int.from_bytes(rng.randbytes(8), "little") % len(u)] for u in universes)
+
+
 def _scalar_check_implements(tree, q, samples=None, seed=0):
     """Reference for check_implements: walk each profile, in product order
     or in the seeded sample stream, to its leaf and compare with the
@@ -100,8 +110,7 @@ def _scalar_check_implements(tree, q, samples=None, seed=0):
     if samples is None:
         profiles = product(*tree.universes)
     else:
-        rng = random.Random(seed)
-        profiles = (tuple(rng.choice(u) for u in tree.universes) for _ in range(samples))
+        profiles = _sampled_profiles(tree.universes, samples, seed)
     checked = 0
     for type_ids in profiles:
         checked += 1
@@ -156,9 +165,9 @@ def test_check_implements_sampled_star_matches_scalar_oracle(star6_tree):
         assert (report.ok, report.checked, report.counterexample) == expected
 
 
-def test_check_implements_slices_split_boxes(monkeypatch):
-    # boxes cut across many tiny slices keep product order and the first
-    # mismatch, and samples keep their stream order
+def test_check_implements_stream_slices_keep_order(monkeypatch):
+    # a stream cut into many tiny slices keeps product order, the sample
+    # stream and the first mismatch
     monkeypatch.setattr(mechanism, "SLICE", 7)
     taa3 = synthesize(TAA3)
     for k in (1, 4, 9):
@@ -183,9 +192,23 @@ def test_check_implements_refuses_trees_whose_boxes_miss_profiles():
         assert not validate(tree).ok
         with pytest.raises(ValueError):
             check_implements(tree, q)
-    # sampled: the doubled tree agrees with DA wherever a sample finds a child
-    with pytest.raises(ValueError):
-        check_implements(doubled, q2, samples=100, seed=3)
+        # sampled: a profile that finds no child refuses the slice before
+        # any DA comparison, so a hole never yields a verdict
+        with pytest.raises(ValueError):
+            check_implements(tree, q, samples=100, seed=3)
+    # overlapping children without a hole: the sampled mode gives a verdict,
+    # and the first child holding a type takes it, as in execute_ids
+    shadowed = MechanismTree(3, (uni,) * 3, Internal(0, ((uni, synthesize(TAA3).root), ((0, 1), Leaf((1, 0, 2))))))
+    assert not validate(shadowed).ok
+    assert check_implements(shadowed, TAA3, samples=100, seed=3) == ImplementsReport(True, 100)
+
+
+@pytest.mark.parametrize("seed", [-3, 2**70])
+def test_check_implements_accepts_any_int_seed(seed):
+    tree = _swapped_leaf(synthesize(TAA3), 4)
+    report = check_implements(tree, TAA3, samples=500, seed=seed)
+    assert report == check_implements(tree, TAA3, samples=500, seed=seed)
+    assert (report.ok, report.checked, report.counterexample) == _scalar_check_implements(tree, TAA3, 500, seed)
 
 
 def test_execute_on_uncovered_type_raises_value_error():
