@@ -4,12 +4,15 @@ Exit codes: 0 = success / property verified; 1 = negative verdict (not
 limited cyclic, OSP violation, implementation mismatch, witness search
 exhausted); 2 = usage or input format error; 3 = witness requested for a
 limited-cyclic input (no witness can exist); 4 = internal error (a bug,
-reported on one stderr line, never a verdict).
+reported on one stderr line, never a verdict); 141 = stdout closed by its
+reader (128 + SIGPIPE, as a shell reports a process killed by the signal;
+nothing is printed).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Sequence
 
@@ -28,6 +31,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NO_WITNESS_EXISTS = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(path: str) -> Any:
@@ -298,6 +302,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if budget < 1:
         raise FormatError(f"--budget must be at least 1, got {budget}")
     q, names = jsonio.parse_priorities(_load(args.priorities))
+    if args.search and q.n > jsonio.MAX_TREE_N:
+        # each sample checks up to 3^n profiles
+        raise FormatError(
+            f"witness --search: n = {q.n} is above the supported {jsonio.MAX_TREE_N}"
+        )
     classification = classify_priorities(q)
     if classification.limited_cyclic:
         if args.json:
@@ -391,6 +400,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader went away, which is no input fault; keep the flush
+        # at interpreter exit from hitting the closed pipe again
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return EXIT_BROKEN_PIPE
     except (OSError, json.JSONDecodeError, ValueError) as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,15 +1,19 @@
 """Applicant-proposing deferred acceptance and its correctness oracles.
 
-Two kernels compute the same applicant-optimal stable matching.
+Three kernels compute the same applicant-optimal stable matching.
 :func:`da_match` runs one profile in plain Python; it is the oracle, and
-the callers that need one profile at a time (``run_da``, the witness
-search, the leaves of ``reveal_tree``) use it.  :func:`da_match_batch`
-runs a whole (M, n) array of type ids in numpy, one proposal per profile
-per step, for the exhaustive and sampled checks of a mechanism tree.
-Both follow McVitie and Wilson ("The stable marriage problem", CACM
-1971): a rejected applicant proposes again at once, and since DA's
-outcome does not depend on the order of proposals, the batch can advance
-every profile in lockstep.
+the callers that need one profile at a time (``run_da``, the leaves of
+``reveal_tree``) use it.  :func:`da_match_product` runs every profile of
+a product of per-applicant type lists in one depth-first pass, so
+profiles that share their first k types share those k applicants' DA
+work; ``check_witness`` reads a subdomain's outcomes from it.
+:func:`da_match_batch` runs a whole (M, n) array of type ids in numpy,
+one proposal per profile per step, for the exhaustive and sampled checks
+of a mechanism tree.  All follow McVitie and Wilson ("The stable
+marriage problem", CACM 1971): applicants enter one at a time and a
+rejected applicant proposes again at once.  The first two admit
+applicants in index order; since DA's outcome does not depend on the
+order of proposals, the batch can advance every profile in lockstep.
 """
 from __future__ import annotations
 
@@ -56,6 +60,57 @@ def da_match(rank_by_pos: Sequence[Sequence[int]], prefs: Sequence[Ranking]) -> 
     for x, a in enumerate(held):
         matching[a] = x
     return tuple(matching)
+
+
+def da_match_product(rank_by_pos: Sequence[Sequence[int]],
+                     type_lists: Sequence[Sequence[Ranking]]) -> list[Ranking]:
+    """:func:`da_match` on every profile of ``itertools.product(*type_lists)``,
+    in that order.
+
+    Applicant k enters at depth k of a depth-first walk: each of its types
+    starts from a copy of the state its parent left and runs
+    :func:`da_match`'s rejection chain.  Since :func:`da_match` admits
+    applicants 0..n-1 in this order with the same chain, each leaf holds
+    :func:`da_match`'s final state for its profile.  Profiles that share
+    their first k types share those k entries: the walk makes
+    ``sum_k prod_{j<=k} |T_j|`` entries instead of ``n * prod_j |T_j|``.
+    """
+    n = len(type_lists)
+    prefs: list[Ranking] = [()] * n
+    out: list[Ranking] = []
+
+    def enter(k: int, held: list[int], next_choice: list[int]) -> None:
+        types = type_lists[k]
+        last = len(types) - 1
+        for index, pref in enumerate(types):
+            # the last type may take over the parent's state, which is spent
+            h, nc = (held, next_choice) if index == last else (held[:], next_choice[:])
+            prefs[k] = pref
+            a = k
+            while True:
+                x = pref[nc[a]]
+                nc[a] += 1
+                incumbent = h[x]
+                if incumbent < 0:
+                    h[x] = a
+                    break
+                ranks = rank_by_pos[x]
+                if ranks[a] < ranks[incumbent]:
+                    h[x] = a
+                    a = incumbent
+                    pref = prefs[a]
+            if k + 1 < n:
+                enter(k + 1, h, nc)
+            else:
+                matching = [0] * n
+                for x, a in enumerate(h):
+                    matching[a] = x
+                out.append(tuple(matching))
+
+    if not n:
+        return [()]
+    enter(0, [-1] * n, [0] * n)
+    return out
 
 
 def da_match_batch(rank_by_pos: Sequence[Sequence[int]], type_ids) -> np.ndarray:

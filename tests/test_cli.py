@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -183,6 +185,34 @@ def test_synthesize_refuses_more_than_eight_applicants(files, capsys):
     err = capsys.readouterr().err
     assert err == "error: synthesize: n = 9 is above the supported 8\n"
     assert not tree_path.exists()
+
+
+def test_witness_search_refuses_more_than_eight_applicants(files, capsys):
+    # each sample checks up to 3^n profiles; the lift checks one witness
+    market = _market(files["tmp"], 9, "cli/9")
+    assert main(["witness", market, "--search", "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witness --search: n = 9 is above the supported 8\n"
+    assert main(["witness", market]) == 0
+    assert parse_subdomain(json.loads(capsys.readouterr().out))[0].n == 9
+    assert main(["witness", _market(files["tmp"], 8, "cli/8"), "--search", "--budget", "1"]) in (0, 1)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_stdout_pipe_exits_141_quietly(files, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["witness", files["fig1a"]]) == 141
+    assert capsys.readouterr().err == ""
+    # stdout now points at the null device, so the flush at exit is quiet
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
 
 
 def test_enumerate_report(files, capsys):

@@ -14,6 +14,7 @@ from ospmatch.da import (
     applicant_optimal,
     da_match,
     da_match_batch,
+    da_match_product,
     is_stable,
     proposal_rounds,
     render_transcript,
@@ -235,3 +236,42 @@ def test_batched_da_matches_scalar_on_seeded_batches(n):
         got = da_match_batch(ranks, profiles)
         for ids, row in zip(profiles.tolist(), got.tolist()):
             assert tuple(row) == da_match(ranks, [rankings[t] for t in ids])
+
+
+def _type_lists(rng, n, sizes):
+    return [tuple(tuple(rng.sample(range(n), n)) for _ in range(k)) for k in sizes]
+
+
+def _product_oracle(ranks, lists):
+    return [da_match(ranks, p) for p in product(*lists)]
+
+
+def test_product_da_matches_scalar_on_every_table_at_three():
+    rankings = all_rankings(3)
+    rng = random.Random("product/3")
+    for table in product(rankings, repeat=3):
+        ranks = PrioritySet.from_rankings(table).rank_table()
+        for _ in range(3):
+            # distinct orders per applicant, as in a witness subdomain
+            lists = [tuple(rng.sample(rankings, rng.randint(1, 3))) for _ in range(3)]
+            assert da_match_product(ranks, lists) == _product_oracle(ranks, lists)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_product_da_matches_scalar_on_seeded_tables(n):
+    rng = random.Random(f"product/{n}")
+    for trial in range(12):
+        ranks = PrioritySet.from_rankings(
+            [tuple(rng.sample(range(n), n)) for _ in range(n)]).rank_table()
+        sizes = [1] * n if trial == 0 else [rng.randint(1, 3) for _ in range(n)]
+        lists = _type_lists(rng, n, sizes)
+        got = da_match_product(ranks, lists)
+        assert len(got) == np.prod(sizes)
+        assert got == _product_oracle(ranks, lists)
+
+
+def test_product_da_edge_cases():
+    ranks = q_of("abc", "bca", "cab").rank_table()
+    lists = [((0, 1, 2),), ((1, 2, 0), (0, 1, 2)), ()]
+    assert da_match_product(ranks, lists) == []  # an empty list, no profile
+    assert da_match_product([], []) == [()] == _product_oracle([], [])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,9 @@ from ospmatch.core import PrioritySet, Restriction
 from ospmatch.da import da_match
 from ospmatch.sweep import class_census
 from ospmatch.witness import (
+    Improvement,
     Subdomain,
+    WitnessReport,
     _sample_subdomain,
     check_witness,
     find_witness,
@@ -268,3 +271,123 @@ def test_witness_implies_scanner_flag():
         assert scan_forbidden(fixture.priorities) is not None
     found = find_witness(FIG_A, budget=5000, seed=4)
     assert found is not None and scan_forbidden(FIG_A) is not None
+
+
+# ---------------------------------------------------------------------------
+# check_witness against an independent oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_da(ranks, prefs):
+    """Applicant-proposing DA, free applicants queued in index order."""
+    n = len(prefs)
+    nxt, held, free = [0] * n, [-1] * n, list(range(n))
+    while free:
+        a = free.pop(0)
+        x = prefs[a][nxt[a]]
+        nxt[a] += 1
+        if held[x] < 0:
+            held[x] = a
+        elif ranks[x][a] < ranks[x][held[x]]:
+            free.append(held[x])
+            held[x] = a
+        else:
+            free.append(a)
+    return tuple(held.index(a) for a in range(n))
+
+
+def _oracle_check_witness(q, subdomain):
+    """check_witness as one dict-cached DA call per profile: for each truth,
+    the worst outcome over opponents in product order, then the first lie
+    and opponents that beat it."""
+    ranks = q.rank_table()
+    lists = subdomain.type_lists
+    cache = {}
+
+    def outcome(profile):
+        if profile not in cache:
+            cache[profile] = _oracle_da(ranks, profile)
+        return cache[profile]
+
+    def beat(i, truth):
+        others = list(product(*(ts for j, ts in enumerate(lists) if j != i)))
+        spot = {pos: k for k, pos in enumerate(truth)}
+        worst_rank, worst = -1, None
+        for rest in others:
+            profile = rest[:i] + (truth,) + rest[i:]
+            if spot[outcome(profile)[i]] > worst_rank:
+                worst_rank, worst = spot[outcome(profile)[i]], profile
+        for lie in lists[i]:
+            if lie == truth:
+                continue
+            for rest in others:
+                profile = rest[:i] + (lie,) + rest[i:]
+                got = outcome(profile)[i]
+                if spot[got] < worst_rank:
+                    return Improvement(i, truth, lie, worst, profile, truth[worst_rank], got)
+        return None
+
+    found = []
+    for i, ts in enumerate(lists):
+        if len(ts) == 2:
+            imp = beat(i, ts[0]) or beat(i, ts[1])
+            if imp is None:
+                return WitnessReport(False, tuple(found), i)
+            found.append(imp)
+        elif len(ts) == 3:
+            for truth in ts:
+                imp = beat(i, truth)
+                if imp is None:
+                    return WitnessReport(False, tuple(found), i, truth)
+                found.append(imp)
+    return WitnessReport(True, tuple(found))
+
+
+def _planted(rng, n):
+    """A random n-table with a bundled fixture's table planted on random
+    applicants and positions."""
+    small = rng.choice([f.priorities for f in fixtures() if f.priorities.n <= n])
+    applicants = rng.sample(range(n), small.n)
+    positions = rng.sample(range(n), small.n)
+    rows = [rng.sample(range(n), n) for _ in range(n)]
+    for r, pos in enumerate(positions):
+        order = iter(applicants[a] for a in small.rankings[r])
+        rows[pos] = [next(order) if a in applicants else a for a in rows[pos]]
+    return PrioritySet.from_rankings(rows)
+
+
+def test_check_witness_matches_oracle_on_fixtures_and_lifts():
+    for fixture in fixtures():
+        report = check_witness(fixture.priorities, fixture.subdomain)
+        assert report == _oracle_check_witness(fixture.priorities, fixture.subdomain)
+    rng = random.Random("oracle/lift")
+    for n in range(3, 9):
+        for _ in range(4):
+            q = _planted(rng, n)
+            lifted = lift_witness(q, classify(q).witness[0])
+            report = check_witness(q, lifted)
+            assert report.ok and report == _oracle_check_witness(q, lifted)
+
+
+def test_check_witness_matches_oracle_on_sampled_subdomains():
+    for n in range(3, 8):
+        rng = random.Random(f"oracle/sample/{n}")
+        for k in range(120):
+            if k % 2:
+                q = PrioritySet.from_rankings([rng.sample(range(n), n) for _ in range(n)])
+            else:
+                q = _planted(rng, n)
+            candidate = _sample_subdomain(random.Random(f"oracle/{n}/{k}"), n)
+            assert check_witness(q, candidate) == _oracle_check_witness(q, candidate)
+    # passing reports, one improvement per required truth
+    for seed in range(8):
+        found = find_witness(FIG_A, budget=5000, seed=seed)
+        report = check_witness(FIG_A, found)
+        assert report.ok and report == _oracle_check_witness(FIG_A, found)
+
+
+@pytest.mark.parametrize("rows", [((0,),), ((0, 1), (1, 0)), ((0, 1), (0, 1))])
+def test_find_witness_returns_none_below_three_applicants(rows):
+    # every market with one or two applicants is limited cyclic
+    q = PrioritySet.from_rankings(rows)
+    assert classify(q).limited_cyclic
+    assert find_witness(q, budget=50, seed=0) is None
