@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from . import jsonio
 from .classify import Classification, classify as classify_priorities
-from .core import all_rankings
+from .core import PrioritySet, all_rankings
 from .da import proposal_rounds, render_transcript, run_da
 from .jsonio import FormatError, Names
 from .mechanism import MechanismTree, check_implements, check_osp, validate
@@ -33,10 +33,23 @@ EXIT_NO_WITNESS_EXISTS = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 
+# the largest market classify and witness take: on a market that is not
+# limited cyclic the scan tries up to C(n,3)^2 + C(n,4)^2 restrictions,
+# about 4 s at n = 16 and 11 s at n = 18 with pattern (e) planted on the
+# last four applicants and positions (2-vCPU host)
+MAX_CLASSIFY_N = 16
+
 
 def _load(path: str) -> Any:
+    """The JSON document in ``path``; a file that is not UTF-8 JSON, or that
+    nests deeper than the decoder's recursion limit, is a ``FormatError``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(str(exc)) from exc
+        except RecursionError as exc:
+            raise FormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def _dump_json(doc: Any) -> None:
@@ -102,9 +115,15 @@ def _classification_doc(result: Classification, names: Names) -> dict[str, Any]:
     return doc
 
 
+def _classify(q: PrioritySet, command: str) -> Classification:
+    if q.n > MAX_CLASSIFY_N:
+        raise FormatError(f"{command}: n = {q.n} is above the supported {MAX_CLASSIFY_N}")
+    return classify_priorities(q)
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     q, names = jsonio.parse_priorities(_load(args.priorities))
-    result = classify_priorities(q)
+    result = _classify(q, "classify")
     doc = _classification_doc(result, names)
     if args.json:
         _dump_json(doc)
@@ -196,7 +215,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 def _describe_violations(tree: MechanismTree, names: Names, report) -> list[str]:
     rankings = all_rankings(tree.n)
-    nodes = tree.preorder.nodes
+    nodes = tree.nodes
     lines = []
     for v in report.violations:
         truth_leaf = nodes[v.truthful_leaf]
@@ -307,7 +326,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise FormatError(
             f"witness --search: n = {q.n} is above the supported {jsonio.MAX_TREE_N}"
         )
-    classification = classify_priorities(q)
+    classification = _classify(q, "witness")
     if classification.limited_cyclic:
         if args.json:
             _dump_json({"verdict": "limited-cyclic", "witness": None})
@@ -405,7 +424,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # at interpreter exit from hitting the closed pipe again
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
         return EXIT_BROKEN_PIPE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:  # FormatError included
+    except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -228,9 +228,8 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
     local = [
         {t: j for j, t in enumerate(universe)} for universe in tree.universes
     ]
-    index = tree.preorder
     nodes: list[dict[str, Any]] = []
-    for node, child_ids in zip(index.nodes, index.children):
+    for node in tree.nodes:
         if isinstance(node, Leaf):
             nodes.append({
                 "matching": {
@@ -246,7 +245,7 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
                         "types": [local[node.player][t] for t in types],
                         "node": child,
                     }
-                    for (types, _), child in zip(node.children, child_ids)
+                    for types, child in node.children
                 ],
             })
     return {
@@ -298,25 +297,11 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         raise FormatError("tree: 'nodes' must be a nonempty list")
     app_index = names.applicant_index()
     valid = [frozenset(range(len(ids))) for ids in given]
-    # records must come in preorder, so record i is node i in every
-    # report; they are checked in that order and built children-first
-    visited = 0
-    built: dict[int, Node] = {}
-    internals: list[tuple[int, int, list[tuple[tuple[int, ...], Any]]]] = []
-    stack: list[Any] = [0]
-    while stack:
-        idx = stack.pop()
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(records):
-            raise FormatError(f"tree: node reference {idx!r} out of range")
-        if idx < visited:
-            raise FormatError(f"tree: node {idx} referenced twice")
-        if idx != visited:
-            raise FormatError(
-                f"tree: nodes[{idx}] is out of preorder (preorder reaches it as node "
-                f"{visited}); records must be listed in preorder"
-            )
-        visited += 1
-        record = _expect_mapping(records[idx], f"nodes[{idx}]")
+    # each record is checked in list order; the tree's constructor checks
+    # that the records come in preorder, so record i is node i in every report
+    nodes: list[Node] = []
+    for idx, record in enumerate(records):
+        record = _expect_mapping(record, f"nodes[{idx}]")
         if "matching" in record:
             mapping = record["matching"]
             if not isinstance(mapping, Mapping) or set(mapping) != set(names.applicants):
@@ -329,7 +314,7 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
                 raise FormatError(f"nodes[{idx}]: unknown position {exc}") from exc
             if sorted(matching) != list(range(n)):
                 raise FormatError(f"nodes[{idx}]: matching is not a bijection")
-            built[idx] = Leaf(matching)
+            nodes.append(Leaf(matching))
             continue
         player_name = record.get("player")
         if not isinstance(player_name, str) or player_name not in app_index:
@@ -356,11 +341,11 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             if len(distinct) != len(local_ids):
                 raise FormatError(f"nodes[{idx}]: child repeats a type index")
             types = tuple(sorted([given[player][j] for j in local_ids]))
-            children.append((types, child.get("node")))
-        internals.append((idx, player, children))
-        stack.extend(ref for _, ref in reversed(children))
-    if visited != len(records):
-        raise FormatError("tree: some nodes are unreachable from the root")
-    for idx, player, children in reversed(internals):
-        built[idx] = Internal(player, tuple((t, built.pop(ref)) for t, ref in children))
-    return MechanismTree(n, tuple(universes), built[0]), names
+            # a new int object, so the tree keeps no part of the document alive
+            ref = child.get("node")
+            children.append((types, ref + 0 if type(ref) is int else ref))
+        nodes.append(Internal(player, tuple(children)))
+    try:
+        return MechanismTree(n, tuple(universes), nodes), names
+    except ValueError as exc:
+        raise FormatError(f"tree: {exc}") from exc

@@ -7,12 +7,13 @@ along a path only refines at nodes where that applicant acts, so the
 partition axioms hold by construction for synthesized trees and are
 re-checked from scratch by :func:`validate` for arbitrary ones.
 
-Tree walks are loops over the cached :class:`Preorder` index, built with
-an explicit stack, so trees of any depth run under the default recursion
-limit.  A node's id is its place in preorder (the record order
-:func:`ospmatch.jsonio.tree_to_doc` writes) and its subtree follows it:
-top-down walks run forward with per-node state keyed by id, bottom-up
-walks run backward and pop each child's result when the parent merges it.
+A tree stores its nodes in preorder, and an internal node names its
+children by id, so a node's id is its place in preorder (the record order
+:func:`ospmatch.jsonio.tree_to_doc` writes) and its subtree follows it.
+Tree walks are loops, so trees of any depth run under the default
+recursion limit: top-down walks run forward with per-node state keyed by
+id, bottom-up walks run backward and pop each child's result when the
+parent merges it.
 
 The checkers work on tables and batches rather than per node or per
 profile.  :func:`check_osp` carries, per node and applicant, the bitmask
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -54,63 +54,64 @@ IdSet = tuple[int, ...]  # sorted type ids
 SLICE = 65_536
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     matching: Ranking  # applicant index -> position index
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True)
 class Internal:
     player: int
-    children: tuple[tuple[IdSet, "Node"], ...]
+    children: tuple[tuple[IdSet, int], ...]  # (types, child id)
 
 
 Node = Leaf | Internal
 
 
-@dataclass(frozen=True)
-class Preorder:
-    """Nodes in preorder (a node's id is its index), each node's child ids
-    in child order, and subtree ends: node i's subtree is ids i..end[i]-1."""
-
-    nodes: list[Node]
-    children: list[list[int]]
-    end: list[int]
-
-
 @dataclass(eq=False)
 class MechanismTree:
-    """Rooted tree plus the per-applicant type universes it is played over."""
+    """Rooted tree plus the per-applicant type universes it is played over.
+
+    ``nodes`` lists the nodes in preorder, so node 0 is the root and a
+    node's id is its index; node i's subtree is ids ``i..end[i]-1``.  The
+    constructor refuses, with ``ValueError``, child ids that are out of
+    range, referenced twice or out of preorder, and unreachable nodes."""
 
     n: int
     universes: tuple[IdSet, ...]
-    root: Node
+    nodes: tuple[Node, ...]
+    end: list[int] = field(init=False, repr=False)
 
-    @cached_property
-    def preorder(self) -> Preorder:
-        nodes: list[Node] = []
-        children: list[list[int]] = []
-        stack: list[tuple[Node, int]] = [(self.root, -1)]
+    def __post_init__(self) -> None:
+        nodes = self.nodes = tuple(self.nodes)
+        visited = 0
+        stack: list = [0]
         while stack:
-            node, parent = stack.pop()
-            if parent >= 0:
-                children[parent].append(len(nodes))
-            nodes.append(node)
-            children.append([])
-            if isinstance(node, Internal):
-                nid = len(nodes) - 1
-                stack.extend((child, nid) for _, child in reversed(node.children))
-        end = list(range(1, len(nodes) + 1))
+            idx = stack.pop()
+            if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(nodes):
+                raise ValueError(f"node reference {idx!r} out of range")
+            if idx < visited:
+                raise ValueError(f"node {idx} referenced twice")
+            if idx != visited:
+                raise ValueError(
+                    f"nodes[{idx}] is out of preorder (preorder reaches it as node "
+                    f"{visited}); records must be listed in preorder"
+                )
+            visited += 1
+            if isinstance(nodes[idx], Internal):
+                stack.extend(child for _, child in reversed(nodes[idx].children))
+        if visited != len(nodes):
+            raise ValueError("some nodes are unreachable from the root")
+        end = self.end = list(range(1, len(nodes) + 1))
         for i in range(len(nodes) - 1, -1, -1):
-            if children[i]:
-                end[i] = end[children[i][-1]]
-        return Preorder(nodes, children, end)
+            if isinstance(nodes[i], Internal) and nodes[i].children:
+                end[i] = end[nodes[i].children[-1][1]]
 
     def node_count(self) -> int:
-        return len(self.preorder.nodes)
+        return len(self.nodes)
 
     def leaf_count(self) -> int:
-        return sum(isinstance(node, Leaf) for node in self.preorder.nodes)
+        return sum(isinstance(node, Leaf) for node in self.nodes)
 
 
 def full_universe(n: int) -> IdSet:
@@ -137,10 +138,9 @@ def validate(tree: MechanismTree) -> ValidationReport:
     for i, u in enumerate(tree.universes):
         if not u or list(u) != sorted(set(u)):
             problems.append(f"universe of applicant {i} is empty or unsorted")
-    index = tree.preorder
     # type sets inherited from the path, for nodes whose parent was entered
     states = {0: tuple(frozenset(u) for u in tree.universes)}
-    for nid, node in enumerate(index.nodes):
+    for nid, node in enumerate(tree.nodes):
         current = states.pop(nid, None)
         if current is None:
             continue
@@ -166,7 +166,7 @@ def validate(tree: MechanismTree) -> ValidationReport:
             problems.append(f"node {nid}: child sets do not cover the parent set")
         if problems:
             continue
-        for (types, _), child in zip(node.children, index.children[nid]):
+        for types, child in node.children:
             states[child] = current[: node.player] + (frozenset(types),) + current[node.player + 1 :]
     return ValidationReport(not problems, tuple(problems))
 
@@ -175,12 +175,12 @@ def execute_ids(tree: MechanismTree, type_ids: Sequence[int]) -> Ranking:
     """The leaf matching the profile reaches, taking at each node the first
     child whose type set holds the acting applicant's type; ``LookupError``
     if none does (only on a tree that fails :func:`validate`)."""
-    node = tree.root
+    node = tree.nodes[0]
     while isinstance(node, Internal):
         t = type_ids[node.player]
         for types, child in node.children:
             if t in types:
-                node = child
+                node = tree.nodes[child]
                 break
         else:
             raise LookupError(t)
@@ -246,7 +246,7 @@ def check_implements(
     total = math.prod(sizes) if samples is None else samples
     rng = random.Random(seed)
     matchings = np.array(
-        [node.matching if isinstance(node, Leaf) else (-1,) * tree.n for node in tree.preorder.nodes],
+        [node.matching if isinstance(node, Leaf) else (-1,) * tree.n for node in tree.nodes],
         dtype=np.intp,
     )
     for start in range(0, total, SLICE):
@@ -287,8 +287,7 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
     internal node by a type -> child slot array (the first child holding
     a type takes it, as in :func:`execute_ids`), and jumps over subtrees
     that no row reaches."""
-    index = tree.preorder
-    nodes, children, end = index.nodes, index.children, index.end
+    nodes, end = tree.nodes, tree.end
     leaves = np.full(len(profiles), -1, dtype=np.intp)
     pending = {0: np.arange(len(profiles))}
     unheld = np.full(math.factorial(tree.n), -1, dtype=np.intp)
@@ -306,7 +305,7 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
             for k in range(len(node.children) - 1, -1, -1):
                 slot[list(node.children[k][0])] = k
             picked = slot[profiles[rows, node.player]]
-            for k, child in enumerate(children[nid]):
+            for k, (_, child) in enumerate(node.children):
                 taken = rows[picked == k]
                 if taken.size:
                     pending[child] = taken
@@ -354,19 +353,19 @@ def check_osp(tree: MechanismTree) -> OspReport:
     n = tree.n
     tables = spot_tables(n)
     mask_type = np.min_scalar_type((1 << n) - 1)
-    index = tree.preorder
+    nodes, end = tree.nodes, tree.end
     raw_violations: list[tuple[int, int, int, int, int, int]] = []
     # per node (truthful reach, reach of all leaves), held until the
     # parent merges them
     results: dict[int, tuple[list, list[int]]] = {}
-    for nid in range(len(index.nodes) - 1, -1, -1):
-        node = index.nodes[nid]
+    for nid in range(len(nodes) - 1, -1, -1):
+        node = nodes[nid]
         if isinstance(node, Leaf):
             masks = [1 << pos for pos in node.matching]
             results[nid] = (masks, masks)
             continue
         pl = node.player
-        child_results = [results.pop(child) for child in index.children[nid]]
+        child_results = [results.pop(child) for _, child in node.children]
         child_types = [np.array(types, dtype=np.intp) for types, _ in node.children]
         # OSP condition at this node, one child (truthful branch) at a time;
         # the deviation reaches everything under the other children
@@ -385,7 +384,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
             best = tables.best[types, dev_mask]
             for b in np.nonzero(worst > best)[0].tolist():
                 t = int(types[b])
-                raw_violations.append((nid, pl, t, index.children[nid][k],
+                raw_violations.append((nid, pl, t, node.children[k][1],
                                        int(tables.positions[t, worst[b]]),
                                        int(tables.positions[t, best[b]])))
         # merge children upward
@@ -409,25 +408,24 @@ def check_osp(tree: MechanismTree) -> OspReport:
             all_masks = [a | m for a, m in zip(all_masks, masks)]
         results[nid] = (merged, all_masks)
 
-    end = index.end
     violations = tuple(
         Violation(
             nid, pl, t,
-            _first_leaf(index, [(truthful, end[truthful])], pl, truth_pos, t),
-            _first_leaf(index, [(nid + 1, truthful), (end[truthful], end[nid])], pl, dev_pos),
+            _first_leaf(tree, [(truthful, end[truthful])], pl, truth_pos, t),
+            _first_leaf(tree, [(nid + 1, truthful), (end[truthful], end[nid])], pl, dev_pos),
         )
         for nid, pl, t, truthful, truth_pos, dev_pos in sorted(raw_violations)
     )
     return OspReport(not violations, violations)
 
 
-def _first_leaf(index: Preorder, spans: list[tuple[int, int]], player: int,
+def _first_leaf(tree: MechanismTree, spans: list[tuple[int, int]], player: int,
                 position: int, type_id: int | None = None) -> int:
     """The first leaf in preorder, within the given id spans, that matches
     ``player`` to ``position``.  With a ``type_id``, only the child holding
     that type is entered below ``player``'s own nodes (the leaves
     consistent with ``player`` reporting truthfully)."""
-    nodes, children, end = index.nodes, index.children, index.end
+    nodes, end = tree.nodes, tree.end
     spans = spans[::-1]
     while spans:
         nid, stop = spans.pop()
@@ -439,9 +437,7 @@ def _first_leaf(index: Preorder, spans: list[tuple[int, int]], player: int,
             elif type_id is not None and node.player == player:
                 spans.append((end[nid], stop))
                 nid, stop = next(
-                    (child, end[child])
-                    for (types, _), child in zip(node.children, children[nid])
-                    if type_id in types
+                    (child, end[child]) for types, child in node.children if type_id in types
                 )
                 continue
             nid += 1
@@ -452,7 +448,8 @@ def restrict_environment(
     tree: MechanismTree, sub_universes: Sequence[Sequence[int]]
 ) -> MechanismTree:
     """Prune the tree to a subdomain: intersect every type set with the
-    sub-universe and drop children that become empty."""
+    sub-universe and drop children that become empty.  The nodes kept
+    stay in preorder and are numbered afresh."""
     subs = tuple(tuple(sorted(set(u))) for u in sub_universes)
     if len(subs) != tree.n:
         raise ValueError(f"expected {tree.n} sub-universes, got {len(subs)}")
@@ -461,29 +458,29 @@ def restrict_environment(
             raise ValueError(f"empty sub-universe for applicant {i}")
         if not set(sub) <= set(full):
             raise ValueError(f"sub-universe of applicant {i} escapes the environment")
-    index = tree.preorder
     states = {0: tuple(frozenset(u) for u in subs)}
-    built: dict[int, Node] = {}
-    # surviving internal nodes in preorder, with their kept (types, child id)
-    internals: list[tuple[int, list[tuple[IdSet, int]]]] = []
-    for nid, node in enumerate(index.nodes):
+    # the nodes reached, in preorder, with their kept children's old ids
+    reached: list[Node] = []
+    renumber: dict[int, int] = {}
+    for nid, node in enumerate(tree.nodes):
         current = states.pop(nid, None)
         if current is None:
             continue
-        if isinstance(node, Leaf):
-            built[nid] = Leaf(node.matching)
-            continue
-        kept = []
-        for (types, _), child in zip(node.children, index.children[nid]):
-            keep = frozenset(types) & current[node.player]
-            if keep:
-                states[child] = current[: node.player] + (keep,) + current[node.player + 1 :]
-                kept.append((tuple(sorted(keep)), child))
-        internals.append((nid, kept))
-    for nid, kept in reversed(internals):
-        children = tuple((types, built.pop(child)) for types, child in kept)
-        built[nid] = Internal(index.nodes[nid].player, children)
-    return MechanismTree(tree.n, subs, built[0])
+        renumber[nid] = len(reached)
+        if isinstance(node, Internal):
+            kept = []
+            for types, child in node.children:
+                keep = frozenset(types) & current[node.player]
+                if keep:
+                    states[child] = current[: node.player] + (keep,) + current[node.player + 1 :]
+                    kept.append((tuple(sorted(keep)), child))
+            node = Internal(node.player, tuple(kept))
+        reached.append(node)
+    return MechanismTree(tree.n, subs, tuple(
+        node if isinstance(node, Leaf)
+        else Internal(node.player, tuple((types, renumber[child]) for types, child in node.children))
+        for node in reached
+    ))
 
 
 def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None) -> MechanismTree:
@@ -502,32 +499,39 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
         else tuple(full_universe(n) for _ in range(n))
     )
 
-    def build(i: int, chosen: tuple[int, ...]) -> Node:
-        if i == n:
-            prefs = tuple(rankings[t] for t in chosen)
-            return Leaf(da_match(ranks, prefs))
-        if len(unis[i]) == 1:
-            return build(i + 1, chosen + (unis[i][0],))
-        children = tuple(
-            ((t,), build(i + 1, chosen + (t,))) for t in unis[i]
-        )
-        return Internal(i, children)
+    nodes: list = []
 
-    return MechanismTree(n, unis, build(0, ()))
+    def build(i: int, chosen: tuple[int, ...]) -> None:
+        if i == n:
+            nodes.append(Leaf(da_match(ranks, tuple(rankings[t] for t in chosen))))
+        elif len(unis[i]) == 1:
+            build(i + 1, chosen + (unis[i][0],))
+        else:
+            slot = len(nodes)
+            nodes.append(None)
+            children = []
+            for t in unis[i]:
+                children.append(((t,), len(nodes)))
+                build(i + 1, chosen + (t,))
+            nodes[slot] = Internal(i, tuple(children))
+
+    build(0, ())
+    tree = MechanismTree(n, unis, nodes)
+    nodes.clear()  # the recursive closure keeps the list alive until a gc pass
+    return tree
 
 
 def player_move_bound(tree: MechanismTree) -> int:
     """Largest number of times any applicant acts on one root-to-leaf path."""
-    index = tree.preorder
     best = 0
     counts = {0: (0,) * tree.n}
-    for nid, node in enumerate(index.nodes):
+    for nid, node in enumerate(tree.nodes):
         here = counts.pop(nid)
         if isinstance(node, Leaf):
             best = max(best, max(here, default=0))
             continue
         bumped = here[: node.player] + (here[node.player] + 1,) + here[node.player + 1 :]
-        for child in index.children[nid]:
+        for _, child in node.children:
             counts[child] = bumped
     return best
 
@@ -536,26 +540,26 @@ def max_active_applicants(tree: MechanismTree) -> int:
     """Most applicants simultaneously active at any node: those who already
     acted on the path but whose matched position still varies among the
     node's descendant leaves."""
-    index = tree.preorder
+    nodes = tree.nodes
     # per node, each applicant's reachable positions below it as a bitmask
-    position_sets: list[tuple[int, ...]] = [()] * len(index.nodes)
-    for nid in range(len(index.nodes) - 1, -1, -1):
-        node = index.nodes[nid]
+    position_sets: list[tuple[int, ...]] = [()] * len(nodes)
+    for nid in range(len(nodes) - 1, -1, -1):
+        node = nodes[nid]
         if isinstance(node, Leaf):
             position_sets[nid] = tuple(1 << pos for pos in node.matching)
             continue
         acc = [0] * tree.n
-        for child in index.children[nid]:
+        for _, child in node.children:
             for i, m in enumerate(position_sets[child]):
                 acc[i] |= m
         position_sets[nid] = tuple(acc)
     best = 0
     acted: dict[int, frozenset[int]] = {0: frozenset()}
-    for nid, node in enumerate(index.nodes):
+    for nid, node in enumerate(nodes):
         players = acted.pop(nid)
         here = position_sets[nid]
         best = max(best, sum(1 for i in players if here[i] & (here[i] - 1)))
         if isinstance(node, Internal):
-            for child in index.children[nid]:
+            for _, child in node.children:
                 acted[child] = players | {node.player}
     return best

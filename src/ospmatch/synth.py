@@ -10,12 +10,14 @@ v-list and vice versa) and the fall-through to smaller gadgets.
 
 Every internal node is one question, made by ``ask(player, types,
 offered, then)``: the player's types are grouped by their favorite w
-among ``offered``, one edge per group in ascending order of w (``last``
-goes at the end), each with the subtree ``then(w, group)``.  ``fix``
-pins (applicant, position) pairs and recurses on the rest.  The trade
-asks its lead applicant once over the types that clinch in its half U
-and adds the pass edge (favorite outside U) last.  The lurker gadget on
-applicants a1, a2, a3 and positions u, v is one ask per step:
+among ``offered``, one edge per group in ascending order of w, each with
+the subtree ``then(w, group)``; the favorites in ``last`` share one final
+edge, with ``then(None, group)``.  ``ask`` appends its node before the
+subtrees ``then`` appends, so the nodes come in preorder.  ``fix`` pins
+(applicant, position) pairs and recurses on the rest.  The trade asks its
+lead applicant once: one edge per favorite in its half U, where it
+clinches, and the pass edge (favorites outside U) last.  The lurker
+gadget on applicants a1, a2, a3 and positions u, v is one ask per step:
 
   root       a1, all positions, v last: keeps any favorite but v
   a2_node    a2, all positions, u last: a favorite outside {u, v} sends a1 to v
@@ -27,11 +29,11 @@ applicants a1, a2, a3 and positions u, v is one ask per step:
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Sequence, Set
 
 from .classify import Classification, classify, dominance_blocks, taa_labeling_table
 from .core import PrioritySet, favorites, restrict_table
-from .mechanism import Internal, Leaf, MechanismTree, Node, full_universe
+from .mechanism import Internal, Leaf, MechanismTree, full_universe
 
 Types = Sequence[int]  # type ids in ascending order
 
@@ -61,29 +63,35 @@ def synthesize(q: PrioritySet) -> MechanismTree:
     n = q.n
     lists = q.rankings
     everyone = full_universe(n)
+    nodes: list = []  # in preorder; each ask reserves its slot first
 
     def ask(player: int, types: Types, offered: frozenset[int],
-            then: Callable[[int, Types], Node], last: int | None = None) -> Internal:
+            then: Callable[[int | None, Types], None], last: Set[int] = frozenset()) -> None:
         """The question node: ``player`` names its favorite among ``offered``."""
         favorite = favorites(n, sum(1 << pos for pos in offered))
-        groups: dict[int, list[int]] = {}
+        groups: dict[int | None, list[int]] = {}
         for t in types:
-            groups.setdefault(favorite[t], []).append(t)
+            w = favorite[t]
+            groups.setdefault(None if w in last else w, []).append(t)
+        slot = len(nodes)
+        nodes.append(None)
         children = []
-        for w in sorted(groups, key=lambda w: (w == last, w)):
+        for w in sorted(groups, key=lambda w: (w is None, w)):
             group = tuple(groups[w])
-            children.append((group, then(w, group)))
-        return Internal(player, tuple(children))
+            children.append((group, len(nodes)))
+            then(w, group)
+        nodes[slot] = Internal(player, tuple(children))
 
-    def build(rem_apps: frozenset[int], rem_pos: frozenset[int], assigned: dict[int, int]) -> Node:
+    def build(rem_apps: frozenset[int], rem_pos: frozenset[int], assigned: dict[int, int]) -> None:
         if not rem_apps:
-            return Leaf(tuple(assigned[i] for i in range(n)))
+            nodes.append(Leaf(tuple(assigned[i] for i in range(n))))
+            return
 
-        def fix(*moves: tuple[int, int]) -> Node:
+        def fix(*moves: tuple[int, int]) -> None:
             """Pin each (applicant, position) and recurse on the rest."""
             pinned = dict(moves)
-            return build(rem_apps.difference(pinned), rem_pos.difference(pinned.values()),
-                         {**assigned, **pinned})
+            build(rem_apps.difference(pinned), rem_pos.difference(pinned.values()),
+                  {**assigned, **pinned})
 
         apps = tuple(sorted(rem_apps))
         block = tuple(apps[i] for i in dominance_blocks(restrict_table(lists, apps, rem_pos))[0])
@@ -95,18 +103,14 @@ def synthesize(q: PrioritySet) -> MechanismTree:
             a, b = sorted(block, key=lists[min(rem_pos)].index)
             u_set = {p for p in rem_pos if lists[p].index(a) < lists[p].index(b)}
             assert u_set and u_set != rem_pos, "size-2 block without a disagreement"
-            favorite = favorites(n, sum(1 << pos for pos in rem_pos))
-            passers = tuple(t for t in everyone if favorite[t] not in u_set)
 
-            def b_next(u: int, _) -> Node:  # a clinched u
-                return ask(b, everyone, rem_pos - {u}, lambda w, _: fix((a, u), (b, w)))
+            def a_first(u: int | None, passers: Types) -> None:
+                if u is not None:  # a clinched u
+                    return ask(b, everyone, rem_pos - {u}, lambda w, _: fix((a, u), (b, w)))
+                ask(b, everyone, rem_pos, lambda w, _: ask(  # a passed, b took w
+                    a, passers, rem_pos - {w}, lambda w2, _: fix((b, w), (a, w2))))
 
-            def a_again(w: int, _) -> Node:  # a passed, b took w
-                return ask(a, passers, rem_pos - {w}, lambda w2, _: fix((b, w), (a, w2)))
-
-            clinchers = [t for t in everyone if favorite[t] in u_set]
-            clinch = ask(a, clinchers, rem_pos, b_next)
-            return Internal(a, (*clinch.children, (passers, ask(b, everyone, rem_pos, a_again))))
+            return ask(a, everyone, rem_pos, a_first, last=rem_pos - u_set)
 
         poss = sorted(rem_pos)
         labeling = taa_labeling_table(restrict_table(lists, block, poss))
@@ -115,32 +119,34 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         u, v = poss[labeling.u_position], poss[labeling.v_position]
         no_u, no_v = rem_pos - {u}, rem_pos - {v}
 
-        def a2_node(a1_types: Types) -> Node:
-            return ask(a2, everyone, rem_pos, lambda w, a2_types: (
-                a3_node(a1_types, a2_types) if w == u else node_i(a1_types) if w == v
-                else fix((a1, v), (a2, w))), last=u)
+        def a2_node(a1_types: Types) -> None:
+            ask(a2, everyone, rem_pos, lambda w, a2_types: (
+                a3_node(a1_types, a2_types) if w is None else node_i(a1_types) if w == v
+                else fix((a1, v), (a2, w))), last={u})
 
-        def node_i(a1_types: Types) -> Node:
-            return ask(a1, a1_types, no_v, lambda w, _: fix((a2, v), (a1, w)))
+        def node_i(a1_types: Types) -> None:
+            ask(a1, a1_types, no_v, lambda w, _: fix((a2, v), (a1, w)))
 
-        def a3_node(a1_types: Types, a2_types: Types) -> Node:
-            return ask(a3, everyone, no_v, lambda w, a3_types: (
-                a2_second(a1_types, a2_types, a3_types) if w == u
-                else fix((a1, v), (a2, u), (a3, w))), last=u)
+        def a3_node(a1_types: Types, a2_types: Types) -> None:
+            ask(a3, everyone, no_v, lambda w, a3_types: (
+                a2_second(a1_types, a2_types, a3_types) if w is None
+                else fix((a1, v), (a2, u), (a3, w))), last={u})
 
-        def a2_second(a1_types: Types, a2_types: Types, a3_types: Types) -> Node:
-            return ask(a2, a2_types, no_u, lambda w, _: (
+        def a2_second(a1_types: Types, a2_types: Types, a3_types: Types) -> None:
+            ask(a2, a2_types, no_u, lambda w, _: (
                 node_ii(a1_types, a3_types) if w == v else fix((a1, v), (a3, u), (a2, w))))
 
-        def node_ii(a1_types: Types, a3_types: Types) -> Node:
-            return ask(a1, a1_types, no_v, lambda w, _: (
+        def node_ii(a1_types: Types, a3_types: Types) -> None:
+            ask(a1, a1_types, no_v, lambda w, _: (
                 node_iii(a3_types) if w == u else fix((a2, v), (a1, w), (a3, u))))
 
-        def node_iii(a3_types: Types) -> Node:
-            return ask(a3, a3_types, no_v - {u}, lambda w, _: fix((a2, v), (a1, u), (a3, w)))
+        def node_iii(a3_types: Types) -> None:
+            ask(a3, a3_types, no_v - {u}, lambda w, _: fix((a2, v), (a1, u), (a3, w)))
 
-        return ask(a1, everyone, rem_pos, lambda w, a1_types: (
-            a2_node(a1_types) if w == v else fix((a1, w))), last=v)
+        ask(a1, everyone, rem_pos, lambda w, a1_types: (
+            a2_node(a1_types) if w is None else fix((a1, w))), last={v})
 
-    root = build(frozenset(range(n)), frozenset(range(n)), {})
-    return MechanismTree(n, (everyone,) * n, root)
+    build(frozenset(range(n)), frozenset(range(n)), {})
+    tree = MechanismTree(n, (everyone,) * n, nodes)
+    nodes.clear()  # the recursive closures keep the list alive until a gc pass
+    return tree

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from ospmatch.core import PreferenceProfile, PrioritySet
+from ospmatch.mechanism import Internal, Leaf, MechanismTree
 
 
 def q_of(*rows: str) -> PrioritySet:
@@ -18,6 +19,33 @@ def p_of(*rows: tuple[int, ...]) -> PreferenceProfile:
     return PreferenceProfile.from_rankings(
         tuple(tuple(x - 1 for x in row) for row in rows)
     )
+
+
+def flat_tree(n: int, universes, spec) -> MechanismTree:
+    """The tree of a nested spec, its nodes listed in preorder.  A spec is a
+    ``Leaf`` or ``(player, ((types, spec), ...))``."""
+    nodes = []
+
+    def add(spec) -> int:
+        nid = len(nodes)
+        if isinstance(spec, Leaf):
+            nodes.append(spec)
+            return nid
+        player, children = spec
+        nodes.append(None)
+        nodes[nid] = Internal(player, tuple((types, add(child)) for types, child in children))
+        return nid
+
+    add(spec)
+    return MechanismTree(n, tuple(universes), nodes)
+
+
+def nested_spec(tree: MechanismTree, nid: int = 0):
+    """The nested spec of node ``nid``'s subtree (inverse of flat_tree)."""
+    node = tree.nodes[nid]
+    if isinstance(node, Leaf):
+        return node
+    return node.player, tuple((types, nested_spec(tree, child)) for types, child in node.children)
 
 
 # The irreducible non-implementable tables (letters by subfigure).

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from conftest import FIG_A
+from conftest import FIG_A, flat_tree
 import ospmatch.cli
 from ospmatch.cli import main
 from ospmatch.jsonio import parse_subdomain, subdomain_to_doc, tree_to_doc
-from ospmatch.mechanism import Internal, Leaf, MechanismTree, full_universe, reveal_tree, validate
+from ospmatch.mechanism import Leaf, full_universe, reveal_tree, validate
 from ospmatch.witness import Subdomain
 
 
@@ -165,6 +165,45 @@ def test_internal_errors_exit_four(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError('boom')\n"
+
+
+def test_value_errors_outside_input_parsing_exit_four(files, capsys, monkeypatch):
+    # only FormatError (and OSError) reads as bad input
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(ospmatch.cli, "_cmd_classify", broken)
+    assert main(["classify", files["taa3"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError('boom')\n"
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, "{\"n\": " * 200_000, b"\xff\xfe{"],
+                         ids=["nested_arrays", "nested_objects", "not_utf8"])
+def test_undecodable_json_is_an_input_error(files, capsys, text):
+    path = files["tmp"] / "bad.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    for argv in (["classify", str(path)], ["verify-tree", str(path), files["taa3"]],
+                 ["check-osp", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+def test_classify_and_witness_refuse_more_than_sixteen_applicants(files, capsys):
+    market = _market(files["tmp"], 17, "cli/17")
+    for command in ("classify", "witness"):
+        assert main([command, market]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {command}: n = 17 is above the supported 16\n"
+    assert main(["classify", _market(files["tmp"], 16, "cli/16")]) == 1
 
 
 def test_witness_that_fails_its_referee_is_an_internal_error(files, capsys, monkeypatch):
@@ -369,7 +408,7 @@ def test_verify_tree_rejects_nonpositive_samples(files, capsys, samples):
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_tree_checks_samples_before_validating(files, capsys, samples):
     # a one-child root that does not cover its player's universe
-    tree = MechanismTree(3, (full_universe(3),) * 3, Internal(0, (((0,), Leaf((0, 1, 2))),)))
+    tree = flat_tree(3, (full_universe(3),) * 3, (0, (((0,), Leaf((0, 1, 2))),)))
     assert not validate(tree).ok
     tree_path = write(files["tmp"] / "invalid.json", tree_to_doc(tree))
     assert main(["verify-tree", tree_path, files["taa3"]]) == 1

@@ -26,10 +26,9 @@ DEPTHS = [5_000, 100_000]
 
 def chain(depth: int) -> MechanismTree:
     uni = full_universe(3)
-    node = Leaf((0, 1, 2))
-    for _ in range(depth):
-        node = Internal(0, ((uni, node),))
-    return MechanismTree(3, (uni,) * 3, node)
+    nodes = [Internal(0, ((uni, nid + 1),)) for nid in range(depth)]
+    nodes.append(Leaf((0, 1, 2)))
+    return MechanismTree(3, (uni,) * 3, nodes)
 
 
 @pytest.mark.parametrize("depth", DEPTHS)

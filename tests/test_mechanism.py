@@ -2,15 +2,15 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 import pytest
 
-from conftest import FIG_A, STAR6, TAA3, p_of, q_of
+from conftest import FIG_A, STAR6, TAA3, flat_tree, nested_spec, p_of, q_of
 from ospmatch import mechanism
 from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
 from ospmatch.da import da_match
-from ospmatch.jsonio import parse_tree, tree_to_doc
 from ospmatch.mechanism import (
     ImplementsReport,
     Internal,
@@ -36,9 +36,7 @@ def test_validate_synthesized_tree(taa3_tree):
 
 def test_validate_flags_overlapping_children():
     uni = full_universe(2)
-    leaf = Leaf((0, 1))
-    root = Internal(0, (((0, 1), leaf), ((1,), Leaf((1, 0)))))
-    tree = MechanismTree(2, (uni, uni), root)
+    tree = flat_tree(2, (uni, uni), (0, (((0, 1), Leaf((0, 1))), ((1,), Leaf((1, 0))))))
     report = validate(tree)
     assert not report.ok
     assert any("overlapping" in p for p in report.problems)
@@ -46,14 +44,37 @@ def test_validate_flags_overlapping_children():
 
 def test_validate_flags_missing_cover():
     uni = full_universe(2)
-    root = Internal(0, (((0,), Leaf((0, 1))),))
-    report = validate(MechanismTree(2, (uni, uni), root))
+    report = validate(flat_tree(2, (uni, uni), (0, (((0,), Leaf((0, 1))),))))
     assert not report.ok
     assert any("cover" in p for p in report.problems)
 
 
+@pytest.mark.parametrize("nodes, message", [
+    # an out-of-range child id
+    ((Internal(0, (((0,), 1), ((1,), 2))), Leaf((0, 1))), "node reference 2 out of range"),
+    # a child referenced twice
+    ((Internal(0, (((0,), 1), ((1,), 1))), Leaf((0, 1))), "node 1 referenced twice"),
+    # the second child listed before the first child's subtree
+    ((Internal(0, (((0,), 2), ((1,), 1))), Leaf((0, 1)), Leaf((1, 0))),
+     "nodes[2] is out of preorder (preorder reaches it as node 1)"),
+    # a node no edge reaches
+    ((Internal(0, (((0, 1), 1),)), Leaf((0, 1)), Leaf((1, 0))), "unreachable"),
+], ids=["out_of_range", "referenced_twice", "out_of_preorder", "unreachable"])
+def test_tree_constructor_refuses_nodes_out_of_preorder(nodes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MechanismTree(2, (full_universe(2),) * 2, nodes)
+
+
+def test_tree_constructor_records_subtree_ends():
+    uni = full_universe(2)
+    tree = flat_tree(2, (uni, uni), (0, (((0,), (1, (((0, 1), Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
+    assert tree.nodes == (Internal(0, (((0,), 1), ((1,), 3))), Internal(1, (((0, 1), 2),)),
+                          Leaf((0, 1)), Leaf((1, 0)))
+    assert tree.end == [4, 3, 3, 4]
+
+
 def test_validate_single_leaf_market():
-    tree = MechanismTree(1, ((0,),), Leaf((0,)))
+    tree = MechanismTree(1, ((0,),), (Leaf((0,)),))
     assert validate(tree).ok
     assert execute_ids(tree, (0,)) == (0,)
 
@@ -79,7 +100,7 @@ def test_check_implements_exhaustive(taa3_tree):
 def test_check_implements_catches_constant_tree():
     q = q_of("abc", "abc", "abc")
     uni = full_universe(3)
-    tree = MechanismTree(3, (uni,) * 3, Leaf((0, 1, 2)))
+    tree = MechanismTree(3, (uni,) * 3, (Leaf((0, 1, 2)),))
     # a single leaf is a valid tree but cannot equal DA across profiles
     assert validate(tree).ok
     report = check_implements(tree, q)
@@ -122,18 +143,18 @@ def _scalar_check_implements(tree, q, samples=None, seed=0):
 def _swapped_leaf(tree, k):
     """A copy of the tree whose k-th leaf (in preorder) has the positions
     of its first two applicants exchanged."""
-    copy, _ = parse_tree(tree_to_doc(tree))
-    leaf = [node for node in copy.preorder.nodes if isinstance(node, Leaf)][k]
-    m = leaf.matching
-    leaf.matching = (m[1], m[0]) + m[2:]
-    return copy
+    nid = [i for i, node in enumerate(tree.nodes) if isinstance(node, Leaf)][k]
+    m = tree.nodes[nid].matching
+    nodes = list(tree.nodes)
+    nodes[nid] = Leaf((m[1], m[0]) + m[2:])
+    return MechanismTree(tree.n, tree.universes, nodes)
 
 
 def _implements_cases():
     four_q = q_of("dabc", "dabc", "dacb", "dbac")
     four = synthesize(four_q)
     taa3 = synthesize(TAA3)
-    constant = MechanismTree(3, (full_universe(3),) * 3, Leaf((0, 1, 2)))
+    constant = MechanismTree(3, (full_universe(3),) * 3, (Leaf((0, 1, 2)),))
     cases = [(taa3, TAA3), (constant, TAA3), (constant, FIG_A), (constant, q_of("abc", "abc", "abc")),
              (reveal_tree(FIG_A), FIG_A), (reveal_tree(FIG_A), TAA3)]
     leaves = taa3.leaf_count()
@@ -181,12 +202,11 @@ def test_check_implements_stream_slices_keep_order(monkeypatch):
 
 def test_check_implements_refuses_trees_whose_boxes_miss_profiles():
     uni = full_universe(3)
-    root = Internal(0, (((0, 1), Leaf((0, 1, 2))), ((1, 2), Leaf((0, 1, 2)))))
-    overlapping = MechanismTree(3, (uni,) * 3, root)
-    uncovered = MechanismTree(3, (uni,) * 3, Internal(0, (((0,), Leaf((0, 1, 2))),)))
+    overlapping = flat_tree(3, (uni,) * 3, (0, (((0, 1), Leaf((0, 1, 2))), ((1, 2), Leaf((0, 1, 2))))))
+    uncovered = flat_tree(3, (uni,) * 3, (0, (((0,), Leaf((0, 1, 2))),)))
     # two children hold only type 0: the box sizes still add up to 2 x 2
     uni2 = full_universe(2)
-    doubled = MechanismTree(2, (uni2,) * 2, Internal(0, (((0,), Leaf((0, 1))),) * 2))
+    doubled = flat_tree(2, (uni2,) * 2, (0, (((0,), Leaf((0, 1))),) * 2))
     q2 = PrioritySet.from_rankings(((0, 1), (0, 1)))
     for tree, q in ((overlapping, TAA3), (uncovered, TAA3), (doubled, q2)):
         assert not validate(tree).ok
@@ -198,7 +218,7 @@ def test_check_implements_refuses_trees_whose_boxes_miss_profiles():
             check_implements(tree, q, samples=100, seed=3)
     # overlapping children without a hole: the sampled mode gives a verdict,
     # and the first child holding a type takes it, as in execute_ids
-    shadowed = MechanismTree(3, (uni,) * 3, Internal(0, ((uni, synthesize(TAA3).root), ((0, 1), Leaf((1, 0, 2))))))
+    shadowed = flat_tree(3, (uni,) * 3, (0, ((uni, nested_spec(synthesize(TAA3))), ((0, 1), Leaf((1, 0, 2))))))
     assert not validate(shadowed).ok
     assert check_implements(shadowed, TAA3, samples=100, seed=3) == ImplementsReport(True, 100)
 
@@ -214,7 +234,7 @@ def test_check_implements_accepts_any_int_seed(seed):
 def test_execute_on_uncovered_type_raises_value_error():
     uni = full_universe(2)
     for covered, asked in (((0,), (1, 0)), ((1,), (0, 1))):
-        tree = MechanismTree(2, (uni, uni), Internal(0, ((covered, Leaf((0, 1))),)))
+        tree = flat_tree(2, (uni, uni), (0, ((covered, Leaf((0, 1))),)))
         with pytest.raises(ValueError):
             execute(tree, PreferenceProfile.from_rankings((asked, (0, 1))))
 
@@ -245,7 +265,7 @@ def test_reveal_tree_with_pinned_opponents_is_clean():
 
 
 def test_single_leaf_tree_is_trivially_osp():
-    tree = MechanismTree(1, ((0,),), Leaf((0,)))
+    tree = MechanismTree(1, ((0,),), (Leaf((0,)),))
     assert check_osp(tree).ok
 
 
@@ -261,7 +281,7 @@ def test_reveal_tree_violates_osp_under_cyclic_table():
 def test_osp_violations_replay():
     tree = reveal_tree(FIG_A)
     report = check_osp(tree)
-    nodes = tree.preorder.nodes
+    nodes = tree.nodes
     rankings = all_rankings(3)
     for v in report.violations[:8]:
         truthful = nodes[v.truthful_leaf]
@@ -329,20 +349,22 @@ def _brute_osp_violations(tree):
     attain the worst case and of the sibling leaves that attain the best
     deviation."""
     rankings = all_rankings(tree.n)
+    nodes = tree.nodes
     violations = {}
-    node_ids = {id(node): i for i, node in enumerate(tree.preorder.nodes)}
 
-    def leaves_below(node):
+    def leaves_below(nid):
+        node = nodes[nid]
         if not isinstance(node, Internal):
-            return [node]
+            return [nid]
         out = []
         for _, child in node.children:
             out.extend(leaves_below(child))
         return out
 
-    def truthful_leaves(node, player, type_id):
+    def truthful_leaves(nid, player, type_id):
+        node = nodes[nid]
         if not isinstance(node, Internal):
-            return [node]
+            return [nid]
         if node.player == player:
             for types, child in node.children:
                 if type_id in types:
@@ -353,7 +375,8 @@ def _brute_osp_violations(tree):
             out.extend(truthful_leaves(child, player, type_id))
         return out
 
-    def walk(node):
+    def walk(nid):
+        node = nodes[nid]
         if not isinstance(node, Internal):
             return
         player = node.player
@@ -367,19 +390,19 @@ def _brute_osp_violations(tree):
             for t in types:
                 spot = {pos: i for i, pos in enumerate(rankings[t])}
                 truthful = truthful_leaves(child, player, t)
-                worst = max(spot[leaf.matching[player]] for leaf in truthful)
-                best = min(spot[leaf.matching[player]] for leaf in dev)
+                worst = max(spot[nodes[leaf].matching[player]] for leaf in truthful)
+                best = min(spot[nodes[leaf].matching[player]] for leaf in dev)
                 if worst > best:
-                    violations[node_ids[id(node)], player, t] = (
-                        {node_ids[id(leaf)] for leaf in truthful
-                         if spot[leaf.matching[player]] == worst},
-                        {node_ids[id(leaf)] for leaf in dev
-                         if spot[leaf.matching[player]] == best},
+                    violations[nid, player, t] = (
+                        {leaf for leaf in truthful
+                         if spot[nodes[leaf].matching[player]] == worst},
+                        {leaf for leaf in dev
+                         if spot[nodes[leaf].matching[player]] == best},
                     )
         for _, child in node.children:
             walk(child)
 
-    walk(tree.root)
+    walk(0)
     return violations
 
 
@@ -390,13 +413,13 @@ def _reveal_top_first(q):
     tree = reveal_tree(q)
     rankings = all_rankings(q.n)
     groups = {}
-    for (t,), child in tree.root.children:
+    for (t,), child in nested_spec(tree)[1]:
         groups.setdefault(rankings[t][0], []).append(((t,), child))
-    root = Internal(0, tuple(
-        (tuple(t for (t,), _ in kids), Internal(0, tuple(kids)))
+    root = (0, tuple(
+        (tuple(t for (t,), _ in kids), (0, tuple(kids)))
         for _, kids in sorted(groups.items())
     ))
-    return MechanismTree(tree.n, tree.universes, root)
+    return flat_tree(tree.n, tree.universes, root)
 
 
 def test_check_osp_matches_brute_force_everywhere():
@@ -447,16 +470,16 @@ def _reveal_in_stages(q, universes):
 
     def stage(kids, depth):
         if depth == q.n - 2:
-            return Internal(0, tuple(kids))
+            return 0, tuple(kids)
         groups = {}
         for (t,), child in kids:
             groups.setdefault(rankings[t][: depth + 1], []).append(((t,), child))
-        return Internal(0, tuple(
+        return 0, tuple(
             (tuple(t for (t,), _ in group), stage(group, depth + 1))
             for _, group in sorted(groups.items())
-        ))
+        )
 
-    return MechanismTree(tree.n, tree.universes, stage(tree.root.children, 0))
+    return flat_tree(tree.n, tree.universes, stage(nested_spec(tree)[1], 0))
 
 
 def _random_tree(rng, depth):
@@ -474,11 +497,11 @@ def _random_tree(rng, depth):
         rng.shuffle(types)
         cuts = sorted(rng.sample(range(1, len(types)), rng.randrange(len(types))))
         parts = [tuple(sorted(types[a:b])) for a, b in zip([0] + cuts, cuts + [len(types)])]
-        return Internal(pl, tuple(
+        return pl, tuple(
             (part, build(sets[:pl] + (part,) + sets[pl + 1 :], depth - 1)) for part in parts
-        ))
+        )
 
-    return MechanismTree(3, universes, build(universes, depth))
+    return flat_tree(3, universes, build(universes, depth))
 
 
 def test_check_osp_matches_brute_force_when_players_act_again():

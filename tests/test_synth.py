@@ -26,7 +26,7 @@ from ospmatch.synth import NotLimitedCyclicError, synthesize
 
 
 def test_small_gadget_tree_shape(taa3_tree):
-    root = taa3_tree.root
+    root = taa3_tree.nodes[0]
     assert isinstance(root, Internal) and root.player == 0
     assert len(root.children) == 3
     rankings = all_rankings(3)
@@ -35,7 +35,7 @@ def test_small_gadget_tree_shape(taa3_tree):
         types, _ = branch
         assert all(rankings[t][0] == top for t in types)
     # the pass branch hands the move to the second block member
-    _, pass_child = root.children[-1]
+    pass_child = taa3_tree.nodes[root.children[-1][1]]
     assert isinstance(pass_child, Internal) and pass_child.player == 1
 
 
@@ -57,8 +57,8 @@ def test_single_applicant_market():
     q = PrioritySet.from_rankings(((0,),))
     tree = synthesize(q)
     assert validate(tree).ok
-    assert isinstance(tree.root, Internal)
-    assert len(tree.root.children) == 1
+    assert isinstance(tree.nodes[0], Internal)
+    assert len(tree.nodes[0].children) == 1
     assert check_implements(tree, q).ok
 
 
@@ -81,14 +81,14 @@ def test_star_tree_checks(star6_tree):
 def test_star_tree_recurses_through_lurker_levels(star6_tree):
     # following the all-x branch: the lead applicant of each level clinches
     # the smallest shared-list position and the next level starts
-    node = star6_tree.root
+    node = star6_tree.nodes[0]
     acting = []
     widths = []
     for _ in range(4):
         assert isinstance(node, Internal)
         acting.append(node.player)
         widths.append(len(node.children))
-        node = node.children[0][1]
+        node = star6_tree.nodes[node.children[0][1]]
     assert acting == [0, 1, 2, 3]
     assert widths == [6, 5, 4, 3]
 
@@ -99,7 +99,7 @@ def test_two_block_market_composes_gadgets():
     assert validate(tree).ok
     assert check_implements(tree, q).ok
     assert check_osp(tree).ok
-    root = tree.root
+    root = tree.nodes[0]
     assert isinstance(root, Internal) and root.player == 3
     assert len(root.children) == 4
 
