@@ -16,7 +16,6 @@ from .classify import (
 )
 from .core import (
     Matching,
-    Order,
     PreferenceProfile,
     PrioritySet,
     Restriction,
@@ -48,7 +47,6 @@ __all__ = [
     "Matching",
     "MechanismTree",
     "NotLimitedCyclicError",
-    "Order",
     "OspReport",
     "PreferenceProfile",
     "PrioritySet",

@@ -23,6 +23,7 @@ from .core import (
     Ranking,
     Restriction,
     canonical_table,
+    inverse,
     ranking_at,
     ranking_id,
     restrict_ranking,
@@ -130,19 +131,12 @@ class _Memo(dict):
         return value
 
 
-def _inverse(ranking: Sequence[int]) -> tuple[int, ...]:
-    ranks = [0] * len(ranking)
-    for spot, item in enumerate(ranking):
-        ranks[item] = spot
-    return tuple(ranks)
-
-
 @lru_cache(maxsize=None)
 def _orders(n: int) -> _Memo:
     """order id -> (ranking, rank of each item)."""
     def fill(i: int):
         ranking = ranking_at(n, i)
-        return ranking, _inverse(ranking)
+        return ranking, inverse(ranking)
     return _Memo(fill)
 
 
@@ -306,7 +300,7 @@ def is_two_adjacent_alternating(q: PrioritySet) -> TaaLabeling | None:
 def dominance_blocks(lists: Sequence[Ranking]) -> list[tuple[int, ...]]:
     """Finest ordered partition with unanimous dominance between blocks
     (see :func:`_blocks`)."""
-    return _blocks(tuple(lists[0]), [_inverse(lst) for lst in lists])
+    return _blocks(tuple(lists[0]), [inverse(lst) for lst in lists])
 
 
 def classify(q: PrioritySet) -> Classification:

@@ -42,12 +42,13 @@ MAX_CLASSIFY_N = 16
 
 def _load(path: str) -> Any:
     """The JSON document in ``path``; a file that is not UTF-8 JSON, or that
-    nests deeper than the decoder's recursion limit, is a ``FormatError``."""
+    nests deeper than the decoder's recursion limit, is a ``FormatError``
+    whose message starts with the path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(str(exc)) from exc
+            raise FormatError(f"{path}: {exc}") from exc
         except RecursionError as exc:
             raise FormatError(f"{path}: JSON nested too deeply") from exc
 

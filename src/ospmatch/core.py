@@ -4,6 +4,11 @@ Applicants and positions are 0-based indices internally.  Human-facing
 names (``a, b, c, ...`` for applicants, ``1, 2, 3, ...`` for positions)
 are applied only at the I/O boundary (see :mod:`ospmatch.jsonio`).
 
+A market is two tables of strict rankings: a :class:`PrioritySet` holds
+each position's ranking of the applicants and a :class:`PreferenceProfile`
+each applicant's ranking of the positions.  Both hold the ranking tuples
+themselves as ``rankings`` and build the inverse ``rank_table()`` once.
+
 All types here are immutable and hashable, and every operation is a pure
 function.
 """
@@ -13,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -97,109 +102,59 @@ def favorites(n: int, mask: int) -> tuple[int, ...]:
     return tuple(tables.positions[rows, tables.best[:, mask]].tolist())
 
 
+def inverse(ranking: Sequence[int]) -> Ranking:
+    """The spot of each item in a ranking of 0..n-1:
+    ``inverse(ranking)[ranking[spot]] == spot``."""
+    ranks = [0] * len(ranking)
+    for spot, item in enumerate(ranking):
+        ranks[item] = spot
+    return tuple(ranks)
+
+
+_T = TypeVar("_T", bound="_Table")
+
+
 @dataclass(frozen=True)
-class Order:
-    """A strict total order over 0..n-1, best first.
+class _Table:
+    """n strict rankings of 0..n-1, best first, one per row (n >= 1).
 
-    ``prefers(x, y)`` is True iff x appears strictly before y.
-    """
+    Tables compare and hash by their rankings, and a table equals only a
+    table of its own class."""
 
-    ranking: Ranking
+    rankings: tuple[Ranking, ...]
 
     def __post_init__(self) -> None:
-        ranking = tuple(self.ranking)
-        _check_permutation(ranking, len(ranking))
-        object.__setattr__(self, "ranking", ranking)
-        inverse = [0] * len(ranking)
-        for spot, item in enumerate(ranking):
-            inverse[item] = spot
-        object.__setattr__(self, "_rank", tuple(inverse))
+        rankings = tuple(tuple(r) for r in self.rankings)
+        n = len(rankings)
+        if n == 0:
+            raise ValueError(f"{type(self).__name__} needs at least one ranking")
+        for ranking in rankings:
+            _check_permutation(ranking, n)
+        object.__setattr__(self, "rankings", rankings)
+        object.__setattr__(self, "_rank_table", tuple(map(inverse, rankings)))
+
+    @classmethod
+    def from_rankings(cls: type[_T], rankings: Iterable[Sequence[int]]) -> _T:
+        return cls(tuple(rankings))
 
     @property
     def n(self) -> int:
-        return len(self.ranking)
+        return len(self.rankings)
 
-    def rank_of(self, item: int) -> int:
-        return self._rank[item]  # type: ignore[attr-defined]
-
-    def prefers(self, x: int, y: int) -> bool:
-        return self.rank_of(x) < self.rank_of(y)
-
-    def top(self) -> int:
-        return self.ranking[0]
-
-    def best_of(self, items) -> int:
-        """Favorite element among ``items`` (must be nonempty)."""
-        for item in self.ranking:
-            if item in items:
-                return item
-        raise ValueError("no item of the order lies in the given set")
+    def rank_table(self) -> tuple[Ranking, ...]:
+        """rank_table()[row][item] -> the spot of item in row's ranking
+        (0 = best), built once at construction."""
+        return self._rank_table  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
-class PrioritySet:
+class PrioritySet(_Table):
     """One strict ranking of the n applicants per position."""
 
-    lists: tuple[Order, ...]
-
-    def __post_init__(self) -> None:
-        lists = tuple(
-            o if isinstance(o, Order) else Order(tuple(o)) for o in self.lists
-        )
-        object.__setattr__(self, "lists", lists)
-        n = len(lists)
-        if n == 0:
-            raise ValueError("a market needs at least one position")
-        for order in lists:
-            if order.n != n:
-                raise ValueError("priority lists must rank all n applicants")
-
-    @classmethod
-    def from_rankings(cls, rankings: Sequence[Sequence[int]]) -> "PrioritySet":
-        return cls(tuple(Order(tuple(r)) for r in rankings))
-
-    @property
-    def n(self) -> int:
-        return len(self.lists)
-
-    @property
-    def rankings(self) -> tuple[Ranking, ...]:
-        return tuple(o.ranking for o in self.lists)
-
-    def rank_table(self) -> tuple[tuple[int, ...], ...]:
-        """rank_table()[position][applicant] -> priority index (0 = best)."""
-        return tuple(o._rank for o in self.lists)  # type: ignore[attr-defined]
-
 
 @dataclass(frozen=True)
-class PreferenceProfile:
+class PreferenceProfile(_Table):
     """One strict ranking of the n positions per applicant."""
-
-    prefs: tuple[Order, ...]
-
-    def __post_init__(self) -> None:
-        prefs = tuple(
-            o if isinstance(o, Order) else Order(tuple(o)) for o in self.prefs
-        )
-        object.__setattr__(self, "prefs", prefs)
-        n = len(prefs)
-        if n == 0:
-            raise ValueError("a market needs at least one applicant")
-        for order in prefs:
-            if order.n != n:
-                raise ValueError("preference lists must rank all n positions")
-
-    @classmethod
-    def from_rankings(cls, rankings: Sequence[Sequence[int]]) -> "PreferenceProfile":
-        return cls(tuple(Order(tuple(r)) for r in rankings))
-
-    @property
-    def n(self) -> int:
-        return len(self.prefs)
-
-    @property
-    def rankings(self) -> tuple[Ranking, ...]:
-        return tuple(o.ranking for o in self.prefs)
 
 
 @dataclass(frozen=True)
@@ -212,10 +167,7 @@ class Matching:
         a2p = tuple(self.applicant_to_position)
         _check_permutation(a2p, len(a2p))
         object.__setattr__(self, "applicant_to_position", a2p)
-        p2a = [0] * len(a2p)
-        for applicant, position in enumerate(a2p):
-            p2a[position] = applicant
-        object.__setattr__(self, "position_to_applicant", tuple(p2a))
+        object.__setattr__(self, "position_to_applicant", inverse(a2p))
 
     @property
     def n(self) -> int:

@@ -220,13 +220,11 @@ def is_stable(q: PrioritySet, p: PreferenceProfile, mu: Matching) -> bool:
     """True iff no applicant-position pair blocks mu."""
     if not (q.n == p.n == mu.n):
         raise ValueError("inconsistent market sizes")
+    ranks, prefs = q.rank_table(), p.rank_table()
     for a in range(q.n):
-        pref = p.prefs[a]
-        matched = mu.position_of(a)
+        liked = prefs[a][mu.position_of(a)]
         for x in range(q.n):
-            if x == matched:
-                continue
-            if pref.prefers(x, matched) and q.lists[x].prefers(a, mu.applicant_at(x)):
+            if prefs[a][x] < liked and ranks[x][a] < ranks[x][mu.applicant_at(x)]:
                 return False
     return True
 
@@ -245,9 +243,9 @@ def all_stable_matchings(q: PrioritySet, p: PreferenceProfile) -> list[Matching]
 
 def applicant_optimal(q: PrioritySet, p: PreferenceProfile, mu: Matching) -> bool:
     """True iff mu weakly beats every stable matching for every applicant."""
+    prefs = p.rank_table()
     for other in all_stable_matchings(q, p):
         for a in range(q.n):
-            ours, theirs = mu.position_of(a), other.position_of(a)
-            if ours != theirs and p.prefs[a].prefers(theirs, ours):
+            if prefs[a][other.position_of(a)] < prefs[a][mu.position_of(a)]:
                 return False
     return True

@@ -113,7 +113,7 @@ def priorities_to_doc(q: PrioritySet, names: Names | None = None) -> dict[str, A
     return {
         "n": q.n,
         "priorities": [
-            [names.applicants[a] for a in order.ranking] for order in q.lists
+            [names.applicants[a] for a in ranking] for ranking in q.rankings
         ],
     }
 
@@ -139,7 +139,7 @@ def profile_to_doc(p: PreferenceProfile, names: Names | None = None) -> dict[str
     return {
         "n": p.n,
         "preferences": [
-            [names.positions[x] for x in order.ranking] for order in p.prefs
+            [names.positions[x] for x in ranking] for ranking in p.rankings
         ],
     }
 

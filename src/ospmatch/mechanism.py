@@ -191,7 +191,7 @@ def execute(tree: MechanismTree, p: PreferenceProfile) -> Matching:
     """Follow the unique path consistent with the profile to its leaf."""
     if p.n != tree.n:
         raise ValueError("profile size does not match the tree")
-    type_ids = tuple(ranking_id(pref.ranking) for pref in p.prefs)
+    type_ids = tuple(map(ranking_id, p.rankings))
     for i, t in enumerate(type_ids):
         if t not in tree.universes[i]:
             raise ValueError(f"applicant {i} holds a type outside the environment")
@@ -224,7 +224,10 @@ def check_implements(
     rows, route each slice down the tree with :func:`_route` and compare
     its leaves' matchings with :func:`ospmatch.da.da_match_batch`.  The
     exhaustive stream is ``itertools.product(*tree.universes)``; the
-    sampled stream is :func:`_sample_places` over ``random.Random(seed)``.
+    sampled stream is :func:`_sample_places` over ``random.Random(seed)``
+    for a seed >= 0 and over ``random.Random(str(seed))`` for a negative
+    seed (``random.Random`` seeds from an int's absolute value, so -3 and
+    3 would otherwise draw the same stream).
     A failed report counts the profiles up to and including the first
     mismatch in stream order and carries that profile.  The exhaustive
     mode refuses a tree that fails :func:`validate` with ``ValueError``;
@@ -244,7 +247,7 @@ def check_implements(
     sizes = tuple(map(len, tree.universes))
     universes = [np.array(u, dtype=np.intp) for u in tree.universes]
     total = math.prod(sizes) if samples is None else samples
-    rng = random.Random(seed)
+    rng = random.Random(seed if seed >= 0 else str(seed))
     matchings = np.array(
         [node.matching if isinstance(node, Leaf) else (-1,) * tree.n for node in tree.nodes],
         dtype=np.intp,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .core import PrioritySet, Ranking, Restriction, canonical_form, relabel_table, restrict
+from .core import PrioritySet, Ranking, Restriction, canonical_form, inverse, relabel_table, restrict
 from .da import da_match_product
 
 
@@ -101,9 +101,7 @@ def check_witness(q: PrioritySet, subdomain: Subdomain) -> WitnessReport:
         # a lie beats the truth iff the best lie outcome improves on the
         # worst truthful outcome, each over all opponent combinations
         truth = lists[i][t]
-        rank_of = [0] * n
-        for spot, pos in enumerate(truth):
-            rank_of[pos] = spot
+        rank_of = inverse(truth)
         stride = strides[i]
         base = t * stride
         worst_rank, worst = -1, base

@@ -196,6 +196,17 @@ def test_undecodable_json_is_an_input_error(files, capsys, text):
         assert "Traceback" not in captured.err
 
 
+def test_json_syntax_errors_name_their_file(files, capsys):
+    tree = str(files["tmp"] / "t.json")
+    assert main(["synthesize", files["taa3"], "-o", tree]) == 0
+    empty = files["tmp"] / "empty.json"
+    empty.write_text("")
+    capsys.readouterr()
+    for argv in (["verify-tree", tree, str(empty)], ["verify-tree", str(empty), files["taa3"]]):
+        assert main(argv) == 2
+        _one_error_line(capsys, contains=f"error: {empty}: Expecting value")
+
+
 def test_classify_and_witness_refuse_more_than_sixteen_applicants(files, capsys):
     market = _market(files["tmp"], 17, "cli/17")
     for command in ("classify", "witness"):
@@ -326,9 +337,9 @@ def test_json_flag_round_trips(files, capsys):
     assert doc["transcript"][0][0] == ["b", "c"]
 
 
-def _one_error_line(capsys):
+def _one_error_line(capsys, contains="error: "):
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and contains in err, err
 
 
 def _mutated_tree(files, tmp_path, mutate):
@@ -360,10 +371,11 @@ def test_verify_tree_rejects_bad_type_indices(files, tmp_path, capsys, mutate):
     _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("row", [0, 2], ids=["first", "later"])
-def test_priorities_reject_non_string_names(tmp_path, capsys, row):
+@pytest.mark.parametrize("row, value", [(0, [["a"], "b", "c"]), (2, [["a"], "b", "c"]), (0, 5)],
+                         ids=["first", "later", "first_not_a_list"])
+def test_priorities_reject_non_string_names(tmp_path, capsys, row, value):
     rows = [["a", "b", "c"], ["a", "c", "b"], ["b", "a", "c"]]
-    rows[row] = [["a"], "b", "c"]
+    rows[row] = value
     path = write(tmp_path / "bad.json", {"n": 3, "priorities": rows})
     assert main(["classify", path]) == 2
     _one_error_line(capsys)
@@ -375,7 +387,7 @@ def test_priorities_reject_bool_size(tmp_path, capsys):
     _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("field", ["node", "player", "applicants", "positions", "universes"])
+@pytest.mark.parametrize("field", ["node", "player", "applicants", "positions", "universes", "record"])
 def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
     tree_path = tmp_path / "t.json"
     assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
@@ -388,6 +400,8 @@ def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
         root["player"] = ["a"]
     elif field == "universes":
         doc["universes"][1] = True
+    elif field == "record":
+        doc["nodes"][1] = 5
     else:
         doc[field][0] = [doc[field][0]]
     mutated = write(tmp_path / "mutated.json", doc)

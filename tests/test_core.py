@@ -1,4 +1,4 @@
-"""Core types: orders, restrictions, canonical forms, enumeration."""
+"""Core types: ranking tables, restrictions, canonical forms, enumeration."""
 from __future__ import annotations
 
 import random
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import FIG_E, TAA3, q_of
 from ospmatch.core import (
-    Order,
+    PreferenceProfile,
     PrioritySet,
     Restriction,
     all_rankings,
@@ -18,6 +18,7 @@ from ospmatch.core import (
     canonical_table,
     enumerate_priority_sets,
     favorites,
+    inverse,
     priority_set_count,
     priority_set_ids,
     relabel,
@@ -27,18 +28,24 @@ from ospmatch.core import (
 )
 
 
-def test_order_validates_permutation():
-    with pytest.raises(ValueError):
-        Order((0, 0, 1))
-    with pytest.raises(ValueError):
-        Order((0, 1, 3))
+@pytest.mark.parametrize("table", [PrioritySet, PreferenceProfile])
+def test_tables_validate_rankings(table):
+    for rankings in ((), ((0, 0, 1), (0, 1, 2), (0, 1, 2)), ((0, 1, 3), (0, 1, 2), (0, 1, 2)),
+                     ((0, 1), (1, 0), (0, 1)), ((0, 1, 2), (0, 1, 2))):
+        with pytest.raises(ValueError):
+            table.from_rankings(rankings)
+    t = table.from_rankings([[2, 0, 1], (0, 1, 2), iter((1, 2, 0))])
+    assert t.n == 3 and t.rankings == ((2, 0, 1), (0, 1, 2), (1, 2, 0))
+    assert t.rank_table() == ((1, 2, 0), (0, 1, 2), (2, 0, 1)) == tuple(map(inverse, t.rankings))
+    assert t.rank_table() is t.rank_table()
 
 
-def test_order_prefers():
-    order = Order((2, 0, 1))
-    assert order.prefers(2, 0) and order.prefers(0, 1) and not order.prefers(1, 2)
-    assert order.top() == 2
-    assert order.best_of({0, 1}) == 0
+def test_tables_compare_by_rankings_and_class():
+    rankings = ((0, 1), (1, 0))
+    q = PrioritySet(rankings)
+    assert q == PrioritySet.from_rankings([[0, 1], [1, 0]]) and hash(q) == hash(PrioritySet(rankings))
+    assert q != PrioritySet.from_rankings(((1, 0), (0, 1)))
+    assert q != PreferenceProfile(rankings) and len({q, PreferenceProfile(rankings)}) == 2
 
 
 def test_priority_set_rejects_ragged_lists():

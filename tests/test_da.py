@@ -177,6 +177,41 @@ def test_brute_force_capped():
         )
 
 
+def _blocked(q, p, a2p):
+    """Whether some applicant and position each prefer the other to their
+    partner under the matching, read off the rankings themselves."""
+    holder = {x: a for a, x in enumerate(a2p)}
+    return any(
+        p.rankings[a].index(x) < p.rankings[a].index(a2p[a])
+        and q.rankings[x].index(a) < q.rankings[x].index(holder[x])
+        for a in range(q.n) for x in range(q.n)
+    )
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 150), (4, 60)])
+def test_stability_oracles_agree_with_the_definition(n, pairs):
+    rng = random.Random(f"stable/{n}")
+    rankings = all_rankings(n)
+    several = 0
+    for _ in range(pairs):
+        q = PrioritySet.from_rankings(rng.choice(rankings) for _ in range(n))
+        p = PreferenceProfile.from_rankings(rng.choice(rankings) for _ in range(n))
+        stable = [a2p for a2p in permutations(range(n)) if not _blocked(q, p, a2p)]
+        for a2p in permutations(range(n)):
+            assert is_stable(q, p, Matching(a2p)) == (a2p in stable)
+        da = run_da(q, p)
+        assert applicant_optimal(q, p, da)
+        for a2p in stable:
+            if a2p != da.applicant_to_position:
+                # DA is applicant-optimal, so another stable matching
+                # leaves some applicant with a position they like less
+                assert any(p.rankings[a].index(a2p[a]) > p.rankings[a].index(da.position_of(a))
+                           for a in range(n))
+                assert not applicant_optimal(q, p, Matching(a2p))
+                several += 1
+    assert several >= 10
+
+
 def test_da_output_stable_and_optimal_sampled():
     rng = random.Random(11)
     rankings = all_rankings(4)

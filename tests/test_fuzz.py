@@ -1,0 +1,223 @@
+"""Property-based fuzzing of the JSON formats and the command line.
+
+The round trips check that every format gives back what it was written
+from.  The CLI runs feed ``cli.main`` drawn documents, both arbitrary JSON
+values and valid documents with one field mutated, and hold every run to
+the exit-code contract: 0, 1, 2 or 3, never 4 and never a traceback, and
+an input error (exit 2) is exactly one line on stderr.
+"""
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import random
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ospmatch.classify import classify
+from ospmatch.cli import main
+from ospmatch.core import PreferenceProfile, PrioritySet
+from ospmatch.jsonio import (
+    default_names,
+    parse_priorities,
+    parse_profile,
+    parse_subdomain,
+    parse_tree,
+    priorities_to_doc,
+    profile_to_doc,
+    subdomain_to_doc,
+    tree_to_doc,
+)
+from ospmatch.mechanism import restrict_environment, reveal_tree
+from ospmatch.synth import synthesize
+from ospmatch.witness import Subdomain
+
+FUZZ = settings(deadline=None, derandomize=True)
+
+
+def rankings(n):
+    return st.permutations(range(n)).map(tuple)
+
+
+@st.composite
+def tables(draw, n):
+    """n rankings of 0..n-1.  Half the draws are one base ranking with at
+    most one adjacent swap per row, which is mostly limited cyclic (a
+    uniform table at n = 4 almost never is)."""
+    if draw(st.booleans()):
+        return draw(st.lists(rankings(n), min_size=n, max_size=n))
+    base = draw(rankings(n))
+    rows = []
+    for _ in range(n):
+        row = list(base)
+        swap = draw(st.integers(-1, n - 2))
+        if swap >= 0:
+            row[swap], row[swap + 1] = row[swap + 1], row[swap]
+        rows.append(tuple(row))
+    return rows
+
+
+@st.composite
+def trees(draw, restricted):
+    """A priority set at n <= 4 and a tree over it: its synthesized tree
+    (pruned to drawn sub-universes when ``restricted``) if it is limited
+    cyclic, else the reveal tree over drawn universes of 1 to 3 types."""
+    n = draw(st.integers(1, 4))
+    q = PrioritySet.from_rankings(draw(tables(n)))
+    size = math.factorial(n)
+    subs = [draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3, unique=True))
+            for _ in range(n)]
+    if draw(st.booleans()) and classify(q).limited_cyclic:
+        tree = synthesize(q)
+        return q, restrict_environment(tree, subs) if restricted or draw(st.booleans()) else tree
+    return q, reveal_tree(q, subs)
+
+
+@st.composite
+def subdomains(draw):
+    n = draw(st.integers(2, 5))
+    lists = [draw(st.lists(rankings(n), min_size=1, max_size=3, unique=True)) for _ in range(n)]
+    if all(len(ts) == 1 for ts in lists):
+        i = draw(st.integers(0, n - 1))
+        lists[i].append(draw(rankings(n).filter(lambda r: r != lists[i][0])))
+    return Subdomain(tuple(map(tuple, lists)))
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.data())
+def test_priorities_and_profiles_round_trip(data):
+    n = data.draw(st.integers(1, 6))
+    q = PrioritySet.from_rankings(data.draw(tables(n)))
+    p = PreferenceProfile.from_rankings(data.draw(tables(n)))
+    assert parse_priorities(priorities_to_doc(q)) == (q, default_names(n))
+    assert parse_profile(profile_to_doc(p), default_names(n))[0] == p
+
+
+@settings(FUZZ, max_examples=60)
+@given(subdomains())
+def test_subdomains_round_trip(subdomain):
+    assert parse_subdomain(subdomain_to_doc(subdomain))[0] == subdomain
+
+
+@settings(FUZZ, max_examples=60)
+@given(trees(restricted=False))
+def test_trees_round_trip(drawn):
+    _, tree = drawn
+    parsed, _ = parse_tree(json.loads(json.dumps(tree_to_doc(tree))))
+    assert (parsed.n, parsed.universes, parsed.nodes) == (tree.n, tree.universes, tree.nodes)
+
+
+KEYS = st.sampled_from(["n", "priorities", "preferences", "types", "applicants", "positions",
+                        "universes", "nodes", "player", "children", "node", "matching"])
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 30) | st.integers()
+           | st.floats() | st.text(max_size=4) | st.sampled_from(list("abcd") + ["1", "2", "3", "4"]))
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(KEYS | st.text(max_size=3), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+def _places(doc, path=()):
+    """Every place in a JSON document, as the path of keys and indices to it."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+def _document(data, valid):
+    """The valid document with one field mutated (three draws in five), the
+    valid document itself, or an arbitrary JSON value.  A mutation picks a
+    field, then a place of it (a field is a path with its list indices
+    left out, so the few containers near the root are hit as often as the
+    many leaf names), and replaces it with a drawn value, deletes it or, in
+    a list, repeats it.  The choices come from a ``Random`` seeded by a
+    drawn integer and the valid document: Hypothesis' own draws favour the
+    first option of a list and repeat values across examples, which would
+    mostly hit one field."""
+    rng = random.Random(repr((data.draw(st.integers(0, 2**64 - 1)), valid)))
+    kind = rng.random()
+    if kind < 0.2:
+        return valid
+    if kind < 0.4:
+        return data.draw(JSON)
+    doc = copy.deepcopy(valid)
+    fields: dict[tuple, list[tuple]] = {}
+    for path in list(_places(doc))[1:]:
+        fields.setdefault((len(path),) + tuple(k for k in path if isinstance(k, str)), []).append(path)
+    path = rng.choice(fields[rng.choice(sorted(fields))])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = rng.choice(["replace", "delete", "repeat"])
+    if action == "delete":
+        del parent[key]
+    elif action == "repeat" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = data.draw(SCALARS | JSON)
+    return doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["da", "classify", "synthesize", "verify-tree", "check-osp", "witness"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_cli_survives_drawn_documents(command, data):
+    if command in ("synthesize", "verify-tree", "check-osp"):
+        q, tree = data.draw(trees(restricted=True))
+        n = q.n
+    else:
+        n = data.draw(st.integers(1, 6))
+        q = PrioritySet.from_rankings(data.draw(tables(n)))
+    profile = PreferenceProfile.from_rankings(data.draw(tables(n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        def put(name, valid):
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(_document(data, valid), handle)
+            return path
+
+        flags = ["--json"] if data.draw(st.booleans()) else []
+        if command == "da":
+            argv = ["da", put("q.json", priorities_to_doc(q)), put("p.json", profile_to_doc(profile))]
+            argv += ["--transcript"] if data.draw(st.booleans()) else []
+        elif command in ("classify", "witness"):
+            argv = [command, put("q.json", priorities_to_doc(q))]
+            if command == "witness" and data.draw(st.booleans()):
+                argv += ["--search", "--budget", str(data.draw(st.integers(1, 20))),
+                         "--seed", str(data.draw(st.integers(-5, 5)))]
+        elif command == "synthesize":
+            argv = ["synthesize", put("q.json", priorities_to_doc(q)), "-o", os.path.join(tmp, "t.json")]
+        elif command == "check-osp":
+            argv = ["check-osp", put("t.json", tree_to_doc(tree))]
+        else:
+            argv = ["verify-tree", put("t.json", tree_to_doc(tree)), put("q.json", priorities_to_doc(q))]
+            mode = data.draw(st.sampled_from(["default", "--exhaustive", "--samples"]))
+            if mode == "--samples":
+                argv += ["--samples", "50", "--seed", str(data.draw(st.integers(-3, 3)))]
+            elif mode == "--exhaustive":
+                argv.append(mode)
+        code, out, err = _run(flags + argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

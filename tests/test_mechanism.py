@@ -116,8 +116,9 @@ def test_check_implements_sampled(star6_tree):
 def _sampled_profiles(universes, samples, seed):
     """The documented sample stream, drawn one word at a time: each type is
     the next 8 bytes of ``random.Random(seed).randbytes``, read as a
-    little-endian integer, modulo the universe size."""
-    rng = random.Random(seed)
+    little-endian integer, modulo the universe size.  A negative seed
+    draws from ``random.Random(str(seed))``."""
+    rng = random.Random(seed if seed >= 0 else str(seed))
     for _ in range(samples):
         yield tuple(u[int.from_bytes(rng.randbytes(8), "little") % len(u)] for u in universes)
 
@@ -229,6 +230,8 @@ def test_check_implements_accepts_any_int_seed(seed):
     report = check_implements(tree, TAA3, samples=500, seed=seed)
     assert report == check_implements(tree, TAA3, samples=500, seed=seed)
     assert (report.ok, report.checked, report.counterexample) == _scalar_check_implements(tree, TAA3, 500, seed)
+    if seed < 0:  # random.Random(-3) would repeat the stream of 3
+        assert report != check_implements(tree, TAA3, samples=500, seed=-seed)
 
 
 def test_execute_on_uncovered_type_raises_value_error():
