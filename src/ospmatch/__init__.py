@@ -11,7 +11,6 @@ from .classify import (
     classify,
     forbidden_patterns,
     is_cyclic,
-    is_two_adjacent_alternating,
     scan_forbidden,
 )
 from .core import (
@@ -19,7 +18,6 @@ from .core import (
     PreferenceProfile,
     PrioritySet,
     Restriction,
-    canonical_form,
     enumerate_priority_sets,
     restrict,
     restrictions,
@@ -56,7 +54,6 @@ __all__ = [
     "ValidationReport",
     "WitnessReport",
     "all_stable_matchings",
-    "canonical_form",
     "check_implements",
     "check_osp",
     "check_witness",
@@ -68,7 +65,6 @@ __all__ = [
     "forbidden_patterns",
     "is_cyclic",
     "is_stable",
-    "is_two_adjacent_alternating",
     "proposal_rounds",
     "restrict",
     "restrict_environment",

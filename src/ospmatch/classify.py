@@ -7,15 +7,14 @@ of ranking ids (see :func:`ospmatch.core.ranking_id`), restricted rows and
 the x -> u/v pattern ids are memoized per order id as they are first
 needed, and the forbidden tables are matched through their relabeling
 orbits.  The dataclass functions (``classify``, ``scan_forbidden``,
-``taa_labeling_table``, ``is_two_adjacent_alternating``) are thin wrappers
-over these kernels, and the exhaustive sweeps in :mod:`ospmatch.sweep`
-call the kernels directly.
+``taa_labeling_table``) are thin wrappers over these kernels, and the
+exhaustive sweeps in :mod:`ospmatch.sweep` call the kernels directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     inverse,
     ranking_at,
     ranking_id,
+    relabelings,
     restrict_ranking,
 )
 
@@ -158,13 +158,14 @@ def _uv_ids(k: int) -> _Memo:
 @lru_cache(maxsize=None)
 def forbidden_orbit(size: int) -> dict[IdTuple, str]:
     """Every forbidden table of the given side length, closed under
-    relabeling, keyed as a sorted tuple of order ids."""
+    relabeling: each table :func:`~ospmatch.core.relabelings` yields,
+    keyed by its order ids (sorted, as its lists are)."""
     out: dict[IdTuple, str] = {}
     for letter, table in FORBIDDEN_TABLES:
         if len(table) != size:
             continue
-        for sigma in permutations(range(size)):
-            key = tuple(sorted(ranking_id([sigma[x] for x in row]) for row in table))
+        for _, relabeled in relabelings(table):
+            key = _table_ids(relabeled)
             assert out.get(key, letter) == letter
             out[key] = letter
     return out
@@ -291,10 +292,6 @@ def taa_labeling_table(lists: Sequence[Ranking]) -> TaaLabeling | None:
     ids = _table_ids(lists)
     x = taa_base(k, ids)
     return None if x is None else _labeling(k, ids, x, range(k))
-
-
-def is_two_adjacent_alternating(q: PrioritySet) -> TaaLabeling | None:
-    return taa_labeling_table(q.rankings)
 
 
 def dominance_blocks(lists: Sequence[Ranking]) -> list[tuple[int, ...]]:

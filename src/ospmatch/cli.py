@@ -348,7 +348,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if not report.ok:
         raise RuntimeError("the witness subdomain fails check_witness")
     doc = jsonio.subdomain_to_doc(subdomain, names)
-    doc["evidence"] = jsonio.witness_report_to_doc(report, names)["improvements"]
+    doc["evidence"] = [jsonio.improvement_to_doc(i, names) for i in report.improvements]
     if args.json:
         _dump_json({"found": True, "witness": doc})
     else:

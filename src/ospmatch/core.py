@@ -235,23 +235,25 @@ def relabel_table(
     return tuple(out)
 
 
-def canonical_table(lists: Sequence[Ranking]) -> tuple[Ranking, ...]:
-    """Least representative of a priority table under relabeling.
+def relabelings(lists: Sequence[Ranking]) -> Iterator[tuple[Ranking, tuple[Ranking, ...]]]:
+    """Each applicant relabeling sigma (x becomes sigma[x]) in
+    ``permutations`` order, with the table's relabeled lists sorted.
 
-    Positions count as an unordered multiset of lists, so the result is
-    minimized over every applicant relabeling with the lists sorted
-    lexicographically.  Two tables are relabel-equivalent iff their
-    canonical tables are equal.
+    Positions count as an unordered multiset of lists, so two tables are
+    relabelings of one another iff some sigma maps the sorted lists of one
+    onto the sorted lists of the other.  This is the one search over the
+    relabelings of a ranking table.
     """
-    lists = tuple(tuple(lst) for lst in lists)
-    k = len(lists[0])
-    best: tuple[Ranking, ...] | None = None
-    for sigma in permutations(range(k)):
-        candidate = tuple(sorted(tuple(sigma[x] for x in lst) for lst in lists))
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+    for sigma in permutations(range(len(lists[0]))):
+        yield sigma, tuple(sorted(tuple(sigma[x] for x in lst) for lst in lists))
+
+
+def canonical_table(lists: Sequence[Ranking]) -> tuple[Ranking, ...]:
+    """Least representative of a priority table under relabeling: the least
+    sorted table :func:`relabelings` yields.  Two tables are
+    relabel-equivalent iff their canonical tables are equal.
+    """
+    return min(table for _, table in relabelings(lists))
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +267,6 @@ def restrict(q: PrioritySet, r: Restriction) -> PrioritySet:
         raise ValueError("restriction indices out of range for this market")
     return PrioritySet.from_rankings(
         restrict_table(q.rankings, r.applicants, r.positions)
-    )
-
-
-def canonical_form(q: PrioritySet) -> PrioritySet:
-    return PrioritySet.from_rankings(canonical_table(q.rankings))
-
-
-def relabel(
-    q: PrioritySet,
-    applicant_map: Sequence[int],
-    position_map: Sequence[int] | None = None,
-) -> PrioritySet:
-    return PrioritySet.from_rankings(
-        relabel_table(q.rankings, applicant_map, position_map)
     )
 
 

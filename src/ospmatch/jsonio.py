@@ -22,7 +22,7 @@ from .core import (
     ranking_id,
 )
 from .mechanism import Internal, Leaf, MechanismTree, Node
-from .witness import Improvement, Subdomain, WitnessReport
+from .witness import Improvement, Subdomain
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 # the largest tree a file may hold: the exact checkers' lookup tables take
@@ -203,13 +203,6 @@ def improvement_to_doc(imp: Improvement, names: Names) -> dict[str, Any]:
         "lie_profile": prof(imp.lie_profile),
         "truth_position": names.positions[imp.truth_position],
         "lie_position": names.positions[imp.lie_position],
-    }
-
-
-def witness_report_to_doc(report: WitnessReport, names: Names) -> dict[str, Any]:
-    return {
-        "ok": report.ok,
-        "improvements": [improvement_to_doc(i, names) for i in report.improvements],
     }
 
 

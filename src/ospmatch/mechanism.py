@@ -131,8 +131,11 @@ def validate(tree: MechanismTree) -> ValidationReport:
     """Check the partition axiom at every node and the leaf matchings.
 
     Together with path inheritance this implies every full type profile
-    reaches exactly one leaf.  The first problem found per node is
-    reported with the node's preorder id.
+    reaches exactly one leaf.  Every node whose ancestors all passed is
+    checked, and each of its problems is reported with its preorder id;
+    the subtree below a node with a problem is skipped, because the type
+    sets its children inherit are not defined.  A child whose type list
+    repeats a type fails, as it does in :func:`ospmatch.jsonio.parse_tree`.
     """
     problems: list[str] = []
     for i, u in enumerate(tree.universes):
@@ -152,11 +155,14 @@ def validate(tree: MechanismTree) -> ValidationReport:
             problems.append(f"node {nid}: player index out of range")
             continue
         inherited = current[node.player]
+        before = len(problems)
         seen: set[int] = set()
         for types, _ in node.children:
             tset = set(types)
             if not tset:
                 problems.append(f"node {nid}: empty child type set")
+            if len(tset) != len(types):
+                problems.append(f"node {nid}: child repeats a type")
             if tset & seen:
                 problems.append(f"node {nid}: overlapping child type sets")
             if not tset <= inherited:
@@ -164,7 +170,7 @@ def validate(tree: MechanismTree) -> ValidationReport:
             seen |= tset
         if seen != inherited:
             problems.append(f"node {nid}: child sets do not cover the parent set")
-        if problems:
+        if len(problems) > before:
             continue
         for types, child in node.children:
             states[child] = current[: node.player] + (frozenset(types),) + current[node.player + 1 :]

@@ -75,7 +75,13 @@ class ClassRow:
 
 def class_census(n: int) -> list[ClassRow]:
     """One row per relabeling class: canonical form, member count, verdict,
-    and the forbidden-pattern letter when one exists."""
+    and the forbidden-pattern letter when one exists.
+
+    Classes are met in ``priority_set_ids`` order, which is lexicographic,
+    so a class is met at the least id tuple of its orbit.  Order ids are
+    lexicographic too, so that tuple is the class's canonical table
+    (:func:`ospmatch.core.canonical_table`), and the rows come out sorted
+    by it."""
     rankings = all_rankings(n)
     sigma_maps = _sigma_map(n)
     visited: set[IdTuple] = set()
@@ -88,15 +94,13 @@ def class_census(n: int) -> list[ClassRow]:
             relabeled = sorted(mapping[i] for i in ids)
             orbit.update(permutations(relabeled))
         visited.update(orbit)
-        canonical = canonical_table(tuple(rankings[i] for i in ids))
         found = scan_ids(n, ids)
         rows.append(
             ClassRow(
-                canonical,
+                tuple(rankings[i] for i in ids),
                 len(orbit),
                 block_bases(n, ids, id_blocks(n, ids)) is not None,
                 None if found is None else found[2],
             )
         )
-    rows.sort(key=lambda row: row.canonical)
     return rows

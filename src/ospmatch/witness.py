@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
-from .core import PrioritySet, Ranking, Restriction, canonical_form, inverse, relabel_table, restrict
+from .core import PrioritySet, Ranking, Restriction, inverse, relabel_table, relabelings, restrict
 from .da import da_match_product
 
 
@@ -218,25 +217,26 @@ def _pref(*positions_1based: int) -> Ranking:
 
 def _transport(
     fixture_q: PrioritySet, subdomain: Subdomain, target: PrioritySet
-) -> Subdomain:
+) -> Subdomain | None:
     """Carry a witness onto an equivalent table: take the first applicant
-    relabeling sigma (in ``permutations`` order) that makes the fixture's
+    relabeling sigma (in :func:`relabelings` order) that makes the fixture's
     lists equal the target's as a multiset, and send each list to the least
-    unused target slot that holds it."""
+    unused target slot that holds it.  None when no sigma fits, i.e. when the
+    tables are not relabelings of one another (or differ in size)."""
     wanted = target.rankings
-    for sigma in permutations(range(fixture_q.n)):
-        relabeled = relabel_table(fixture_q.rankings, sigma)
-        if sorted(relabeled) != sorted(wanted):
+    goal = tuple(sorted(wanted))
+    for sigma, table in relabelings(fixture_q.rankings):
+        if table != goal:
             continue
         slots: dict[Ranking, list[int]] = {}
         for j, lst in enumerate(wanted):
             slots.setdefault(lst, []).append(j)
-        pi = [slots[lst].pop(0) for lst in relabeled]
+        pi = [slots[lst].pop(0) for lst in relabel_table(fixture_q.rankings, sigma)]
         out: list[tuple[Ranking, ...]] = [()] * subdomain.n
         for i, ts in enumerate(subdomain.type_lists):
             out[sigma[i]] = tuple(tuple(pi[p] for p in order) for order in ts)
         return Subdomain(tuple(out))
-    raise ValueError("tables are not relabelings of one another")
+    return None
 
 
 # Two identical lists on top; only the third list's ranking of c above a
@@ -311,8 +311,8 @@ def fixtures() -> tuple[WitnessFixture, ...]:
 
 def lift_witness(q: PrioritySet, r: Restriction) -> Subdomain:
     """Witness for q from a forbidden restriction r = A x P (as found by
-    ``scan_forbidden``): the first fixture whose table is a relabeling of
-    ``restrict(q, r)``, carried onto it and lifted.  Each applicant in A keeps
+    ``scan_forbidden``): the first fixture that :func:`_transport` carries
+    onto ``restrict(q, r)``, lifted to the whole market.  Each applicant in A keeps
     its fixture orders over P, then the positions outside P ascending; each
     applicant outside A gets one type, the positions outside P, then P.
 
@@ -324,9 +324,10 @@ def lift_witness(q: PrioritySet, r: Restriction) -> Subdomain:
     restriction, and the fixture's improvements carry over.
     """
     small = restrict(q, r)
-    canonical = canonical_form(small).rankings
-    fixture = next(f for f in fixtures() if canonical_form(f.priorities).rankings == canonical)
-    local = _transport(fixture.priorities, fixture.subdomain, small)
+    local = next(
+        found for f in fixtures()
+        if (found := _transport(f.priorities, f.subdomain, small)) is not None
+    )
     inside = r.positions
     outside = tuple(x for x in range(q.n) if x not in inside)
     type_lists = [(outside + inside,)] * q.n

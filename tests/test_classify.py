@@ -19,7 +19,6 @@ from ospmatch.classify import (
     dominance_blocks,
     forbidden_patterns,
     is_cyclic,
-    is_two_adjacent_alternating,
     scan_forbidden,
     taa_labeling_table,
     taa_patterns,
@@ -105,7 +104,7 @@ def test_taa_patterns_shapes():
 
 
 def test_taa_detection_on_star():
-    lab = is_two_adjacent_alternating(STAR6)
+    lab = taa_labeling_table(STAR6.rankings)
     assert lab is not None
     assert lab.applicant_order == (0, 1, 2, 3, 4, 5)
     assert lab.x_positions == (0, 1, 2, 3)
@@ -113,11 +112,11 @@ def test_taa_detection_on_star():
 
 
 def test_taa_detection_small():
-    lab = is_two_adjacent_alternating(TAA3)
+    lab = taa_labeling_table(TAA3.rankings)
     assert lab is not None
     assert lab.x_positions == (0,)
     assert (lab.u_position, lab.v_position) == (1, 2)
-    assert is_two_adjacent_alternating(q_of("abc", "abc", "abc")) is None
+    assert taa_labeling_table(q_of("abc", "abc", "abc").rankings) is None
 
 
 def test_taa_rejects_tiny_tables():
@@ -181,7 +180,7 @@ def test_block_roles_swap_when_the_leader_exits():
     # six-applicant market turns the offset-one flip list into the
     # offset-zero one and vice versa
     residual = restrict(STAR6, Restriction((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)))
-    lab = is_two_adjacent_alternating(residual)
+    lab = taa_labeling_table(residual.rankings)
     assert lab is not None
     assert lab.x_positions == (0, 1, 2)
     assert lab.u_position == 4  # previously the offset-zero flip
@@ -315,6 +314,16 @@ def test_census_three():
     assert flagged == {"a", "b", "c", "d"}
     for row in rows:
         assert row.limited_cyclic == (row.witness_letter is None)
+    assert {row.canonical for row in rows} == {
+        canonical_table(q.rankings) for q in enumerate_priority_sets(3)
+    }
+
+
+def test_census_four_canonicals_are_distinct_fixed_points():
+    canonicals = [row.canonical for row in class_census(4)]
+    assert len(canonicals) == len(set(canonicals)) == 762
+    for table in canonicals:
+        assert canonical_table(table) == table
 
 
 def test_dominance_blocks_examples():

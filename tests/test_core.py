@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +14,14 @@ from ospmatch.core import (
     PrioritySet,
     Restriction,
     all_rankings,
-    canonical_form,
     canonical_table,
     enumerate_priority_sets,
     favorites,
     inverse,
     priority_set_count,
     priority_set_ids,
-    relabel,
+    relabel_table,
+    relabelings,
     restrict,
     restrictions,
     spot_tables,
@@ -96,14 +96,14 @@ def test_canonical_form_merges_equivalent_tables():
         q_of("abc", "bac", "bca"),
         q_of("abc", "acb", "cab"),
     )
-    forms = {canonical_form(v).rankings for v in variants}
+    forms = {canonical_table(v.rankings) for v in variants}
     assert len(forms) == 1
 
 
 def test_canonical_form_idempotent():
     for q in (TAA3, FIG_E):
-        once = canonical_form(q)
-        assert canonical_form(once).rankings == once.rankings
+        once = canonical_table(q.rankings)
+        assert canonical_table(once) == once
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -117,13 +117,26 @@ def test_canonical_form_relabel_invariant(data):
     q = PrioritySet.from_rankings(lists)
     sigma = data.draw(st.permutations(range(n)))
     pi = data.draw(st.permutations(range(n)))
-    relabeled = relabel(q, tuple(sigma), tuple(pi))
-    assert canonical_form(relabeled).rankings == canonical_form(q).rankings
+    relabeled = relabel_table(q.rankings, tuple(sigma), tuple(pi))
+    assert canonical_table(relabeled) == canonical_table(q.rankings)
 
 
 def test_canonical_table_sorts_lists():
     table = canonical_table(TAA3.rankings)
     assert list(table) == sorted(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relabelings_yield_every_sigma_and_the_canonical_table(n):
+    rng = random.Random(f"relabelings/{n}")
+    rankings = all_rankings(n)
+    for _ in range(8):
+        lists = tuple(rng.choice(rankings) for _ in range(n))
+        pairs = list(relabelings(lists))
+        assert [sigma for sigma, _ in pairs] == list(permutations(range(n)))
+        for sigma, table in pairs:
+            assert table == tuple(sorted(relabel_table(lists, sigma)))
+        assert canonical_table(lists) == min(table for _, table in pairs)
 
 
 def test_enumeration_counts():

@@ -11,6 +11,7 @@ from conftest import FIG_A, STAR6, TAA3, flat_tree, nested_spec, p_of, q_of
 from ospmatch import mechanism
 from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
 from ospmatch.da import da_match
+from ospmatch.jsonio import FormatError, parse_tree, tree_to_doc
 from ospmatch.mechanism import (
     ImplementsReport,
     Internal,
@@ -47,6 +48,34 @@ def test_validate_flags_missing_cover():
     report = validate(flat_tree(2, (uni, uni), (0, (((0,), Leaf((0, 1))),))))
     assert not report.ok
     assert any("cover" in p for p in report.problems)
+
+
+def test_validate_checks_nodes_below_a_problem_elsewhere():
+    # node 1's bad leaf must not hide node 4, where type 0 escapes {1}
+    uni = full_universe(2)
+    tree = flat_tree(2, (uni, uni), (0, (
+        ((0,), Leaf((0, 0))),
+        ((1,), (1, (
+            ((0,), Leaf((0, 1))),
+            ((1,), (0, (((1,), Leaf((0, 1))), ((0,), Leaf((1, 0)))))),
+        ))),
+    )))
+    assert validate(tree).problems == (
+        "node 1: leaf matching is not a bijection",
+        "node 4: child types escape the parent set",
+        "node 4: child sets do not cover the parent set",
+    )
+
+
+def test_validate_flags_repeated_child_types():
+    # the rule parse_tree applies to a child's type list
+    uni = full_universe(2)
+    tree = flat_tree(2, (uni, uni), (0, (((0, 0), Leaf((0, 1))), ((1,), Leaf((1, 0))))))
+    assert validate(tree).problems == ("node 0: child repeats a type",)
+    with pytest.raises(FormatError, match="child repeats a type index"):
+        parse_tree(tree_to_doc(tree))
+    with pytest.raises(ValueError, match="child repeats a type"):
+        check_implements(tree, q_of("ab", "ab"))
 
 
 @pytest.mark.parametrize("nodes, message", [

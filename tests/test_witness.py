@@ -16,6 +16,7 @@ from ospmatch.witness import (
     Subdomain,
     WitnessReport,
     _sample_subdomain,
+    _transport,
     check_witness,
     find_witness,
     fixtures,
@@ -129,6 +130,13 @@ def test_fixtures_are_pinned():
         assert fixture.pattern_letter == letter
         assert fixture.priorities.rankings == q_of(*table.split("|")).rankings, label
         assert fixture.subdomain.type_lists == _types(types), label
+
+
+def test_transport_refuses_tables_that_are_not_relabelings():
+    shared_top, four = fixtures()[4], fixtures()[-1]
+    # FIG_A (fully cyclic) is not a relabeling of the shared-top table
+    assert _transport(shared_top.priorities, shared_top.subdomain, FIG_A) is None
+    assert _transport(shared_top.priorities, shared_top.subdomain, four.priorities) is None
 
 
 def test_every_fixture_verifies():
