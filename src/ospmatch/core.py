@@ -10,7 +10,9 @@ each applicant's ranking of the positions.  Both hold the ranking tuples
 themselves as ``rankings`` and build the inverse ``rank_table()`` once.
 
 All types here are immutable and hashable, and every operation is a pure
-function.
+function.  numpy is imported only where an array is built
+(:func:`spot_tables`, :func:`favorites`), so the types and the sweeps
+run without it.
 """
 from __future__ import annotations
 
@@ -18,16 +20,24 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Ranking = tuple[int, ...]
 
 
-def _check_permutation(ranking: Sequence[int], n: int) -> None:
-    if len(ranking) != n or sorted(ranking) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {ranking!r}")
+def is_permutation(ranking: Sequence[int], full: AbstractSet[int]) -> bool:
+    """Whether ``ranking`` lists each item of ``full`` exactly once, where
+    ``full`` is ``set(range(n))``, built once by callers that test many
+    rankings."""
+    return len(ranking) == len(full) and set(ranking) == full
+
+
+def _check_permutation(ranking: Sequence[int], full: AbstractSet[int]) -> None:
+    if not is_permutation(ranking, full):
+        raise ValueError(f"not a permutation of 0..{len(full) - 1}: {ranking!r}")
 
 
 @lru_cache(maxsize=None)
@@ -78,6 +88,8 @@ class SpotTables(NamedTuple):
 def spot_tables(n: int) -> SpotTables:
     """The :class:`SpotTables` of size n, built on first use (they take
     2·n!·2^n bytes: 46 KB at n = 6, 20 MB at n = 8)."""
+    import numpy as np
+
     positions = np.array(all_rankings(n), dtype=np.int8).reshape(-1, n)
     spots = np.argsort(positions, axis=1).astype(np.int8)  # spots[t, pos]
     best = np.empty((len(positions), 1 << n), dtype=np.int8)
@@ -97,6 +109,8 @@ def spot_tables(n: int) -> SpotTables:
 def favorites(n: int, mask: int) -> tuple[int, ...]:
     """``favorites(n, mask)[t]``: the position ranking t likes best among
     the positions in the (nonempty) bitmask."""
+    import numpy as np
+
     tables = spot_tables(n)
     rows = np.arange(len(tables.positions))
     return tuple(tables.positions[rows, tables.best[:, mask]].tolist())
@@ -128,8 +142,9 @@ class _Table:
         n = len(rankings)
         if n == 0:
             raise ValueError(f"{type(self).__name__} needs at least one ranking")
+        full = set(range(n))
         for ranking in rankings:
-            _check_permutation(ranking, n)
+            _check_permutation(ranking, full)
         object.__setattr__(self, "rankings", rankings)
         object.__setattr__(self, "_rank_table", tuple(map(inverse, rankings)))
 
@@ -165,7 +180,7 @@ class Matching:
 
     def __post_init__(self) -> None:
         a2p = tuple(self.applicant_to_position)
-        _check_permutation(a2p, len(a2p))
+        _check_permutation(a2p, set(range(len(a2p))))
         object.__setattr__(self, "applicant_to_position", a2p)
         object.__setattr__(self, "position_to_applicant", inverse(a2p))
 

@@ -14,15 +14,18 @@ marriage problem", CACM 1971): applicants enter one at a time and a
 rejected applicant proposes again at once.  The first two admit
 applicants in index order; since DA's outcome does not depend on the
 order of proposals, the batch can advance every profile in lockstep.
+numpy is imported only inside :func:`da_match_batch`, so the two scalar
+kernels run without it.
 """
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Matching, PreferenceProfile, PrioritySet, Ranking, spot_tables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Round-by-round proposal cells: cells[position][round] is the ascending
 # list of applicants proposing to that position in that round.
@@ -125,6 +128,8 @@ def da_match_batch(rank_by_pos: Sequence[Sequence[int]], type_ids) -> np.ndarray
     profile is done once every applicant has entered.  A profile makes at
     most n² proposals.
     """
+    import numpy as np
+
     type_ids = np.asarray(type_ids, dtype=np.intp)
     m, n = type_ids.shape
     # flat views: prefs[(row*n + a)*n + choice], ranks[x*n + a],

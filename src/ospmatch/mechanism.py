@@ -26,16 +26,17 @@ slices: each slice is routed down the preorder as a whole, the rows that
 reach a node split by their type there, and is compared with the batched
 DA kernel :func:`ospmatch.da.da_match_batch`.  The scalar walk
 :func:`execute_ids` and the scalar :func:`ospmatch.da.da_match` stay the
-oracles the tests hold it to.
+oracles the tests hold it to.  numpy is imported only inside the
+functions that build arrays (:func:`check_implements`, its helpers and
+:func:`check_osp`), so building, validating and executing a tree run
+without it.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     Matching,
@@ -43,10 +44,14 @@ from .core import (
     PrioritySet,
     Ranking,
     all_rankings,
+    is_permutation,
     ranking_id,
     spot_tables,
 )
 from .da import da_match, da_match_batch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IdSet = tuple[int, ...]  # sorted type ids
 
@@ -141,6 +146,7 @@ def validate(tree: MechanismTree) -> ValidationReport:
     for i, u in enumerate(tree.universes):
         if not u or list(u) != sorted(set(u)):
             problems.append(f"universe of applicant {i} is empty or unsorted")
+    full = set(range(tree.n))
     # type sets inherited from the path, for nodes whose parent was entered
     states = {0: tuple(frozenset(u) for u in tree.universes)}
     for nid, node in enumerate(tree.nodes):
@@ -148,7 +154,7 @@ def validate(tree: MechanismTree) -> ValidationReport:
         if current is None:
             continue
         if isinstance(node, Leaf):
-            if sorted(node.matching) != list(range(tree.n)):
+            if not is_permutation(node.matching, full):
                 problems.append(f"node {nid}: leaf matching is not a bijection")
             continue
         if not 0 <= node.player < tree.n:
@@ -168,7 +174,7 @@ def validate(tree: MechanismTree) -> ValidationReport:
             if not tset <= inherited:
                 problems.append(f"node {nid}: child types escape the parent set")
             seen |= tset
-        if seen != inherited:
+        if not inherited <= seen:
             problems.append(f"node {nid}: child sets do not cover the parent set")
         if len(problems) > before:
             continue
@@ -241,6 +247,8 @@ def check_implements(
     comparing a slice in which some profile reaches a node where no child
     holds its type.
     """
+    import numpy as np
+
     if q.n != tree.n:
         raise ValueError("priorities do not match the tree size")
     if samples is not None and samples < 1:
@@ -284,6 +292,8 @@ def _sample_places(rng: random.Random, m: int, sizes: Sequence[int]) -> np.ndarr
     on how it is cut into slices, and it does not depend on numpy.  The
     modulo favours small places by less than ``sizes[i] / 2**64`` (under
     3e-15 at n = 8)."""
+    import numpy as np
+
     words = np.frombuffer(rng.randbytes(8 * m * len(sizes)), dtype="<u8").reshape(m, len(sizes))
     return (words % np.array(sizes, dtype=np.uint64)).astype(np.intp)
 
@@ -296,6 +306,8 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
     internal node by a type -> child slot array (the first child holding
     a type takes it, as in :func:`execute_ids`), and jumps over subtrees
     that no row reaches."""
+    import numpy as np
+
     nodes, end = tree.nodes, tree.end
     leaves = np.full(len(profiles), -1, dtype=np.intp)
     pending = {0: np.arange(len(profiles))}
@@ -359,6 +371,8 @@ def check_osp(tree: MechanismTree) -> OspReport:
     that cannot reach the node).  Alongside, one int per applicant holds
     the positions of all leaves below, the deviating side's reach.
     """
+    import numpy as np
+
     n = tree.n
     tables = spot_tables(n)
     mask_type = np.min_scalar_type((1 << n) - 1)

@@ -15,7 +15,16 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import PrioritySet, Ranking, Restriction, inverse, relabel_table, relabelings, restrict
+from .core import (
+    PrioritySet,
+    Ranking,
+    Restriction,
+    inverse,
+    is_permutation,
+    relabel_table,
+    relabelings,
+    restrict,
+)
 from .da import da_match_product
 
 
@@ -26,16 +35,16 @@ class Subdomain:
     type_lists: tuple[tuple[Ranking, ...], ...]
 
     def __post_init__(self) -> None:
-        lists = tuple(tuple(tuple(r) for r in ts) for ts in self.type_lists)
+        lists = tuple(tuple(map(tuple, ts)) for ts in self.type_lists)
         object.__setattr__(self, "type_lists", lists)
-        n = len(lists)
+        full = set(range(len(lists)))
         for i, ts in enumerate(lists):
             if not 1 <= len(ts) <= 3:
                 raise ValueError(f"applicant {i} needs 1 to 3 types, got {len(ts)}")
             if len(set(ts)) != len(ts):
                 raise ValueError(f"applicant {i} repeats a type")
             for r in ts:
-                if sorted(r) != list(range(n)):
+                if not is_permutation(r, full):
                     raise ValueError(f"applicant {i} holds a malformed order {r}")
         if all(len(ts) == 1 for ts in lists):
             raise ValueError("some applicant must hold more than one type")

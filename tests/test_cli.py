@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -497,3 +498,69 @@ def test_tree_files_above_eight_applicants_are_refused(files, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "tree: n = 9 is above the supported 8" in err
+
+
+# numpy is loaded lazily, so whether a command loads it is checked in a new
+# interpreter: this suite imports numpy itself.
+_FRESH_MAIN = """\
+import sys
+import ospmatch.cli
+on_import = "numpy" in sys.modules
+code = ospmatch.cli.main(sys.argv[1:])
+print(on_import, code, "numpy" in sys.modules)
+"""
+
+
+def _fresh_run(script: str, *args: str) -> list[str]:
+    """The words of the last line ``script`` prints, run in a new
+    interpreter with ``args`` as ``sys.argv[1:]``."""
+    src = os.path.dirname(os.path.dirname(ospmatch.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    return done.stdout.splitlines()[-1].split()
+
+
+def _fresh_main(argv: list[str]) -> tuple[bool, int, bool]:
+    """(numpy loaded by ``import ospmatch.cli``, exit code of
+    ``main(argv)``, numpy loaded afterwards), in a new interpreter."""
+    on_import, code, after = _fresh_run(_FRESH_MAIN, *argv)
+    return on_import == "True", int(code), after == "True"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "fig1a"], 1),
+    (["witness", "fig1a"], 0),
+    (["witness", "--search", "--budget", "50", "fig1a"], 1),
+    (["da", "fig1b", "profile"], 0),
+    (["enumerate", "--n", "3"], 0),
+], ids=["classify", "witness", "witness_search", "da", "enumerate"])
+def test_pure_python_commands_never_load_numpy(files, argv, code):
+    argv = [files.get(arg, arg) for arg in argv]
+    assert _fresh_main(argv) == (False, code, False)
+
+
+def test_tree_commands_load_numpy_on_first_use(files):
+    tree = str(files["tmp"] / "taa3_tree.json")
+    for argv in (["synthesize", files["taa3"], "-o", tree],
+                 ["verify-tree", tree, files["taa3"]],
+                 ["check-osp", tree]):
+        assert _fresh_main(argv) == (False, 0, True)
+
+
+def test_library_decisions_never_load_numpy():
+    script = """\
+import sys
+from ospmatch.classify import classify, scan_forbidden
+from ospmatch.core import PrioritySet, Restriction
+from ospmatch.da import da_match, da_match_product
+from ospmatch.sweep import class_census, sweep_equivalence
+from ospmatch.witness import check_witness, find_witness, fixtures, lift_witness
+q = PrioritySet.from_rankings(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+classify(q), scan_forbidden(q), sweep_equivalence(3), class_census(3), fixtures()
+subdomain = lift_witness(q, Restriction((0, 1, 2), (0, 1, 2)))
+check_witness(q, subdomain), find_witness(q, 50, 0)
+da_match(q.rank_table(), q.rankings), da_match_product(q.rank_table(), subdomain.type_lists)
+print("numpy" in sys.modules)
+"""
+    assert _fresh_run(script) == ["False"]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import islice, permutations
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import FIG_E, TAA3, q_of
 from ospmatch.core import (
+    Matching,
     PreferenceProfile,
     PrioritySet,
     Restriction,
@@ -51,6 +53,19 @@ def test_tables_compare_by_rankings_and_class():
 def test_priority_set_rejects_ragged_lists():
     with pytest.raises(ValueError):
         PrioritySet.from_rankings(((0, 1, 2), (0, 1, 2), (0, 1)))
+
+
+@pytest.mark.parametrize("row", [(0, 0, 2), (0, 1, "2"), (0, 1, 2, 3)],
+                         ids=["repeated", "string", "long"])
+def test_tables_refuse_non_permutations(row):
+    with pytest.raises(ValueError, match=re.escape(f"not a permutation of 0..2: {row!r}")):
+        PrioritySet.from_rankings(((0, 1, 2), row, (2, 1, 0)))
+
+
+@pytest.mark.parametrize("a2p", [(0, 0, 2), (0, 1, "2"), (1, 2, 3)])
+def test_matching_refuses_non_bijections(a2p):
+    with pytest.raises(ValueError, match=re.escape(f"not a permutation of 0..2: {a2p!r}")):
+        Matching(a2p)
 
 
 def test_restriction_validation():

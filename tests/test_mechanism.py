@@ -63,7 +63,26 @@ def test_validate_checks_nodes_below_a_problem_elsewhere():
     assert validate(tree).problems == (
         "node 1: leaf matching is not a bijection",
         "node 4: child types escape the parent set",
-        "node 4: child sets do not cover the parent set",
+    )
+
+
+def test_validate_reports_cover_only_when_a_parent_type_is_missing():
+    # below node 1 applicant 0 holds {1}: a child adding type 0 escapes the
+    # parent set but still covers it; one dropping type 1 leaves it uncovered
+    uni = full_universe(2)
+
+    def tree_with(children):
+        return flat_tree(2, (uni, uni), (0, (
+            ((0,), Leaf((0, 1))),
+            ((1,), (0, children)),
+        )))
+
+    escaping = tree_with((((1,), Leaf((1, 0))), ((0,), Leaf((1, 0)))))
+    assert validate(escaping).problems == ("node 2: child types escape the parent set",)
+    missing_and_escaping = tree_with((((0,), Leaf((1, 0))),))
+    assert validate(missing_and_escaping).problems == (
+        "node 2: child types escape the parent set",
+        "node 2: child sets do not cover the parent set",
     )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -37,6 +38,13 @@ def test_subdomain_validation():
         Subdomain(
             (((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0)), ((0, 1, 2),), ((0, 1, 2),))
         )  # too many
+
+
+@pytest.mark.parametrize("order", [(0, 1), (0, 1, 1), (0, 1, 1.5), (0, 1, "2"), (0, 1, 2, 3)],
+                         ids=["short", "repeated", "fraction", "string", "long"])
+def test_subdomain_refuses_malformed_orders(order):
+    with pytest.raises(ValueError, match=re.escape(f"applicant 1 holds a malformed order {order}")):
+        Subdomain((((0, 1, 2), (2, 1, 0)), ((0, 1, 2), order), ((0, 1, 2),)))
 
 
 def test_check_witness_two_same_lists():
