@@ -2,34 +2,34 @@
 two-adjacent-alternating pattern, limited-cyclic classification, and the
 forbidden-pattern restriction scanner.
 
-Each predicate has one implementation, on the id layer: a table is a tuple
-of ranking ids (see :func:`ospmatch.core.ranking_id`), restricted rows and
-the x -> u/v pattern ids are memoized per order id as they are first
-needed, and the forbidden tables are matched through their relabeling
-orbits.  The dataclass functions (``classify``, ``scan_forbidden``,
-``taa_labeling_table``) are thin wrappers over these kernels, and the
-exhaustive sweeps in :mod:`ospmatch.sweep` call the kernels directly.
+Each predicate has one implementation, on ranking tables: a table is a
+tuple of ranking tuples, one per position (``PrioritySet.rankings``).
+Each ranking's ranks, its restriction to an applicant set
+(:func:`ospmatch.core.restricted_rankings`) and its u and v lists are
+memoized per ranking as they are first needed, and the forbidden tables
+are matched through their relabeling orbits.  The kernels are
+``dominance_blocks``, ``block_bases``, ``taa_base``, ``taa_labeling_table``
+and ``scan_table``; ``classify`` and ``scan_forbidden`` are thin wrappers
+over them, and the exhaustive sweeps in :mod:`ospmatch.sweep` and the
+synthesizer call them directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, permutations
+from typing import Sequence
 
 from .core import (
+    Memo,
     PrioritySet,
     Ranking,
     Restriction,
     canonical_table,
     inverse,
-    ranking_at,
-    ranking_id,
     relabelings,
-    restrict_ranking,
+    restricted_rankings,
 )
-
-IdTuple = tuple[int, ...]
 
 # The irreducible non-implementable priority tables, keyed by the letter of
 # the subfigure they appear under.  Letter "b" covers three concrete tables
@@ -116,65 +116,38 @@ def taa_patterns(base: Sequence[int]) -> tuple[Ranking, Ranking, Ranking]:
 
 
 # ---------------------------------------------------------------------------
-# Id layer
+# Kernels on ranking tables
 # ---------------------------------------------------------------------------
 
-class _Memo(dict):
-    """Dict that computes and keeps an entry on its first lookup."""
+Table = tuple[Ranking, ...]
 
-    def __init__(self, fill: Callable):
-        super().__init__()
-        self.fill = fill
+# ranking -> the rank of each item in it
+_ranks = Memo(inverse)
 
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
+# base list x -> its u and v lists
+_uv = Memo(lambda x: taa_patterns(x)[1:])
 
 
 @lru_cache(maxsize=None)
-def _orders(n: int) -> _Memo:
-    """order id -> (ranking, rank of each item)."""
-    def fill(i: int):
-        ranking = ranking_at(n, i)
-        return ranking, inverse(ranking)
-    return _Memo(fill)
-
-
-@lru_cache(maxsize=None)
-def _restricted_rows(n: int, keep: IdTuple) -> _Memo:
-    """order id over n items -> id of its restriction to ``keep``."""
-    return _Memo(lambda i: ranking_id(restrict_ranking(ranking_at(n, i), keep)))
-
-
-@lru_cache(maxsize=None)
-def _uv_ids(k: int) -> _Memo:
-    """id of a base list x -> ids of its u and v lists."""
-    def fill(x: int) -> tuple[int, int]:
-        _, u, v = taa_patterns(ranking_at(k, x))
-        return ranking_id(u), ranking_id(v)
-    return _Memo(fill)
-
-
-@lru_cache(maxsize=None)
-def forbidden_orbit(size: int) -> dict[IdTuple, str]:
+def forbidden_orbit(size: int) -> dict[Table, str]:
     """Every forbidden table of the given side length, closed under
-    relabeling: each table :func:`~ospmatch.core.relabelings` yields,
-    keyed by its order ids (sorted, as its lists are)."""
-    out: dict[IdTuple, str] = {}
+    relabeling: each table :func:`~ospmatch.core.relabelings` yields, in
+    every order of its lists, mapped to its letter.  So a restriction's
+    lists are looked up in the order they stand."""
+    out: dict[Table, str] = {}
     for letter, table in FORBIDDEN_TABLES:
         if len(table) != size:
             continue
         for _, relabeled in relabelings(table):
-            key = _table_ids(relabeled)
-            assert out.get(key, letter) == letter
-            out[key] = letter
+            for ordered in permutations(relabeled):
+                assert out.get(ordered, letter) == letter
+                out[ordered] = letter
     return out
 
 
-def _blocks(order: Ranking, rank_rows: Sequence[Sequence[int]]) -> list[IdTuple]:
+def dominance_blocks(table: Table) -> list[tuple[int, ...]]:
     """Finest ordered partition of the applicants with unanimous dominance
-    between blocks, given the first list and every list's rank of each
-    applicant.
+    between blocks.
 
     Applicants are taken in the first list's order; a boundary falls after
     the first ``end`` of them exactly when every list ranks those ``end``
@@ -182,7 +155,9 @@ def _blocks(order: Ranking, rank_rows: Sequence[Sequence[int]]) -> list[IdTuple]
     ``end - 1``.  Any pair some two positions disagree on therefore shares
     a block, and the result does not depend on which list anchors the order.
     """
-    blocks: list[IdTuple] = []
+    order = table[0]
+    rank_rows = [_ranks[ranking] for ranking in table]
+    blocks: list[tuple[int, ...]] = []
     start = worst = 0
     for end, item in enumerate(order, 1):
         for ranks in rank_rows:
@@ -194,72 +169,65 @@ def _blocks(order: Ranking, rank_rows: Sequence[Sequence[int]]) -> list[IdTuple]
     return blocks
 
 
-def id_blocks(n: int, ids: IdTuple) -> list[IdTuple]:
-    """Dominance blocks of a table of order ids over n applicants."""
-    orders = _orders(n)
-    return _blocks(orders[ids[0]][0], [orders[i][1] for i in ids])
-
-
-def restrict_ids(n: int, ids: IdTuple, keep: IdTuple) -> IdTuple:
-    """Each list of the table restricted to the applicants in ``keep``."""
-    if len(keep) == n:
-        return ids
-    rows = _restricted_rows(n, keep)
-    return tuple(rows[i] for i in ids)
-
-
-def taa_base(k: int, ids: IdTuple) -> int | None:
-    """Least id of a base list x for which the table (ids of lists over k
-    applicants) is two-adjacent-alternating, or None.
+def taa_base(table: Table) -> Ranking | None:
+    """Least base list x for which the table is two-adjacent-alternating,
+    or None.
 
     x must occur exactly l - 2 times among the l lists and its u and v
-    lists once each; the least such id is the lexicographically first
+    lists once each; the least such x is the lexicographically first
     applicant order that fits."""
-    counts: dict[int, int] = {}
-    for i in ids:
-        counts[i] = counts.get(i, 0) + 1
-    target = len(ids) - 2
-    uv = _uv_ids(k)
-    for x in sorted(i for i, count in counts.items() if count == target):
-        u, v = uv[x]
+    counts: dict[Ranking, int] = {}
+    for ranking in table:
+        counts[ranking] = counts.get(ranking, 0) + 1
+    target = len(table) - 2
+    for x in sorted(r for r, count in counts.items() if count == target):
+        u, v = _uv[x]
         if counts.get(u) == 1 and counts.get(v) == 1:
             return x
     return None
 
 
 def block_bases(
-    n: int, ids: IdTuple, blocks: Sequence[IdTuple]
-) -> list[tuple[int, IdTuple, int]] | None:
-    """(block index, restricted ids, base id) for every block of three or
-    more applicants, or None when one of them is not two-adjacent-alternating
-    over all positions, i.e. when the table is not limited cyclic."""
+    table: Table, blocks: Sequence[tuple[int, ...]]
+) -> list[tuple[int, Table, Ranking]] | None:
+    """(block index, restricted table, base list) for every block of three
+    or more applicants, or None when one of them is not two-adjacent-
+    alternating over all positions, i.e. when the table is not limited
+    cyclic."""
     out = []
     for index, block in enumerate(blocks):
-        k = len(block)
-        if k < 3:
+        if len(block) < 3:
             continue
-        restricted = restrict_ids(n, ids, block)
-        x = taa_base(k, restricted)
+        if len(block) == len(table[0]):
+            restricted = table
+        else:
+            rows = restricted_rankings(block)
+            restricted = tuple([rows[ranking] for ranking in table])
+        x = taa_base(restricted)
         if x is None:
             return None
         out.append((index, restricted, x))
     return out
 
 
-def scan_ids(n: int, ids: IdTuple) -> tuple[IdTuple, IdTuple, str] | None:
+def scan_table(table: Table) -> tuple[tuple[int, ...], tuple[int, ...], str] | None:
     """First (applicants, positions, letter), in ``restrictions`` order and
     trying size 3 before size 4, whose restricted table is a forbidden
     pattern up to relabeling."""
+    n = len(table)
     for m in (3, 4):
         if m > n:
             break
         orbit = forbidden_orbit(m)
         subsets = tuple(combinations(range(n), m))
         for s in subsets:
-            rows = _restricted_rows(n, s)
-            restricted = [rows[i] for i in ids]
+            if m == n:
+                restricted = table
+            else:
+                rows = restricted_rankings(s)
+                restricted = [rows[ranking] for ranking in table]
             for t in subsets:
-                letter = orbit.get(tuple(sorted([restricted[x] for x in t])))
+                letter = orbit.get(tuple([restricted[x] for x in t]))
                 if letter is not None:
                     return s, t, letter
     return None
@@ -269,50 +237,37 @@ def scan_ids(n: int, ids: IdTuple) -> tuple[IdTuple, IdTuple, str] | None:
 # Dataclass wrappers
 # ---------------------------------------------------------------------------
 
-def _table_ids(lists: Sequence[Sequence[int]]) -> IdTuple:
-    return tuple(ranking_id(lst) for lst in lists)
-
-
-def _labeling(k: int, ids: IdTuple, x: int, applicants: Sequence[int]) -> TaaLabeling:
-    u, v = _uv_ids(k)[x]
+def _labeling(table: Table, x: Ranking, applicants: Sequence[int]) -> TaaLabeling:
+    u, v = _uv[x]
     return TaaLabeling(
-        tuple(applicants[a] for a in ranking_at(k, x)),
-        tuple(pos for pos, i in enumerate(ids) if i == x),
-        ids.index(u),
-        ids.index(v),
+        tuple(applicants[a] for a in x),
+        tuple(pos for pos, ranking in enumerate(table) if ranking == x),
+        table.index(u),
+        table.index(v),
     )
 
 
-def taa_labeling_table(lists: Sequence[Ranking]) -> TaaLabeling | None:
+def taa_labeling_table(lists: Table) -> TaaLabeling | None:
     """Two-adjacent-alternating detection on a raw table of ``l`` lists over
     k applicants, reporting the lexicographically first applicant order."""
     k = len(lists[0])
     if len(lists) < 3 or k < 3:
         raise ValueError("two-adjacent-alternating needs >= 3 lists over >= 3 applicants")
-    ids = _table_ids(lists)
-    x = taa_base(k, ids)
-    return None if x is None else _labeling(k, ids, x, range(k))
-
-
-def dominance_blocks(lists: Sequence[Ranking]) -> list[tuple[int, ...]]:
-    """Finest ordered partition with unanimous dominance between blocks
-    (see :func:`_blocks`)."""
-    return _blocks(tuple(lists[0]), [inverse(lst) for lst in lists])
+    x = taa_base(lists)
+    return None if x is None else _labeling(lists, x, range(k))
 
 
 def classify(q: PrioritySet) -> Classification:
     """Decide limited cyclicity via the finest dominance partition, checking
     that every block of three or more applicants restricts to a
     two-adjacent-alternating table over all positions."""
-    ids = _table_ids(q.rankings)
-    blocks = tuple(id_blocks(q.n, ids))
-    bases = block_bases(q.n, ids, blocks)
+    blocks = tuple(dominance_blocks(q.rankings))
+    bases = block_bases(q.rankings, blocks)
     if bases is None:
         return Classification("not-limited-cyclic", witness=scan_forbidden(q))
     # report the labelings in original applicant / position indices
     labelings = tuple(
-        (i, _labeling(len(blocks[i]), restricted, x, blocks[i]))
-        for i, restricted, x in bases
+        (i, _labeling(restricted, x, blocks[i])) for i, restricted, x in bases
     )
     return Classification("limited-cyclic", blocks=blocks, block_labelings=labelings)
 
@@ -321,7 +276,7 @@ def scan_forbidden(q: PrioritySet) -> tuple[Restriction, str] | None:
     """First restriction of size 3 or 4 that is a forbidden pattern up to
     relabeling, or None.  Sizes beyond 4 never need scanning: the pattern
     list is complete at those sizes."""
-    found = scan_ids(q.n, _table_ids(q.rankings))
+    found = scan_table(q.rankings)
     if found is None:
         return None
     s, t, letter = found

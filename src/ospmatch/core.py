@@ -8,6 +8,10 @@ A market is two tables of strict rankings: a :class:`PrioritySet` holds
 each position's ranking of the applicants and a :class:`PreferenceProfile`
 each applicant's ranking of the positions.  Both hold the ranking tuples
 themselves as ``rankings`` and build the inverse ``rank_table()`` once.
+The predicates and the sweeps read such tables of ranking tuples as they
+are.  A ranking's lexicographic index (:func:`ranking_id`) is used only
+where something is indexed by it: the rows of :func:`spot_tables`, and
+so the type ids of mechanism trees.
 
 All types here are immutable and hashable, and every operation is a pure
 function.  numpy is imported only where an array is built
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,16 +60,6 @@ def ranking_id(ranking: Sequence[int]) -> int:
         out = out * len(rest) + spot
         rest.pop(spot)
     return out
-
-
-def ranking_at(n: int, index: int) -> Ranking:
-    """The ranking of 0..n-1 whose ``ranking_id`` is ``index``."""
-    digits = []
-    for base in range(1, n + 1):
-        index, spot = divmod(index, base)
-        digits.append(spot)
-    rest = list(range(n))
-    return tuple(rest.pop(spot) for spot in reversed(digits))
 
 
 class SpotTables(NamedTuple):
@@ -209,6 +203,8 @@ class Restriction:
             raise ValueError("restriction subsets must not repeat indices")
         if len(s) != len(t) or not s:
             raise ValueError("restriction needs equal-size nonempty subsets")
+        if s[0] < 0 or t[0] < 0:
+            raise ValueError("restriction indices must not be negative")
         object.__setattr__(self, "applicants", s)
         object.__setattr__(self, "positions", t)
 
@@ -218,9 +214,22 @@ class Restriction:
 
 
 # ---------------------------------------------------------------------------
-# Raw-table helpers.  The hot paths (exhaustive sweeps) work on plain tuples
-# of rankings rather than on the dataclasses above.
+# Raw-table helpers.  The hot paths (the predicates and the exhaustive
+# sweeps) work on plain tuples of ranking tuples rather than on the
+# dataclasses above.
 # ---------------------------------------------------------------------------
+
+class Memo(dict):
+    """Dict that computes and keeps an entry on its first lookup."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
 
 def restrict_ranking(ranking: Ranking, keep: Sequence[int]) -> Ranking:
     """Filter a ranking to ``keep`` and relabel by sorted order to 0..m-1."""
@@ -228,10 +237,20 @@ def restrict_ranking(ranking: Ranking, keep: Sequence[int]) -> Ranking:
     return tuple(relabel[x] for x in ranking if x in relabel)
 
 
+@lru_cache(maxsize=None)
+def restricted_rankings(keep: tuple[int, ...]) -> Memo:
+    """ranking -> ``restrict_ranking(ranking, keep)``, for an ascending
+    ``keep``, filled as rankings are first looked up.  This is the one
+    restriction behind :func:`restrict_table`, :func:`restrict` and the
+    forbidden-pattern scan."""
+    return Memo(lambda ranking: restrict_ranking(ranking, keep))
+
+
 def restrict_table(
     lists: Sequence[Ranking], applicants: Sequence[int], positions: Sequence[int]
 ) -> tuple[Ranking, ...]:
-    return tuple(restrict_ranking(lists[t], applicants) for t in sorted(positions))
+    rows = restricted_rankings(tuple(sorted(applicants)))
+    return tuple(rows[lists[t]] for t in sorted(positions))
 
 
 def relabel_table(
@@ -289,20 +308,13 @@ def priority_set_count(n: int) -> int:
     return math.factorial(n) ** n
 
 
-def priority_set_ids(n: int) -> Iterator[tuple[int, ...]]:
-    """Every priority set of size n as a tuple of ranking ids, one per
-    position, with position 0 as the most significant digit in base n!."""
+def enumerate_priority_sets(n: int) -> Iterator[PrioritySet]:
+    """Yield all (n!)^n priority sets exactly once, in the lexicographic
+    order of their tables: ``product(all_rankings(n), repeat=n)``, with
+    position 0 the most significant."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return product(range(math.factorial(n)), repeat=n)
-
-
-def enumerate_priority_sets(n: int) -> Iterator[PrioritySet]:
-    """Yield all (n!)^n priority sets exactly once, in the order of
-    ``priority_set_ids``."""
-    rankings = all_rankings(n)
-    for ids in priority_set_ids(n):
-        yield PrioritySet.from_rankings(rankings[i] for i in ids)
+    return map(PrioritySet, product(all_rankings(n), repeat=n))
 
 
 def restrictions(n: "int | PrioritySet", m: int) -> Iterator[Restriction]:

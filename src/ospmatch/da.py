@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Matching, PreferenceProfile, PrioritySet, Ranking, spot_tables
+from .core import Matching, PreferenceProfile, PrioritySet, Ranking, inverse, spot_tables
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,10 +59,7 @@ def da_match(rank_by_pos: Sequence[Sequence[int]], prefs: Sequence[Ranking]) -> 
                 a = incumbent
                 pref = prefs[a]
             # rejected: continue down the same applicant's list
-    matching = [0] * n
-    for x, a in enumerate(held):
-        matching[a] = x
-    return tuple(matching)
+    return inverse(held)
 
 
 def da_match_product(rank_by_pos: Sequence[Sequence[int]],
@@ -105,10 +102,7 @@ def da_match_product(rank_by_pos: Sequence[Sequence[int]],
             if k + 1 < n:
                 enter(k + 1, h, nc)
             else:
-                matching = [0] * n
-                for x, a in enumerate(h):
-                    matching[a] = x
-                out.append(tuple(matching))
+                out.append(inverse(h))
 
     if not n:
         return [()]
@@ -199,10 +193,7 @@ def proposal_rounds(q: PrioritySet, p: PreferenceProfile) -> tuple[Transcript, M
             held[x] = winner
     assert len(rounds) <= n * n
     cells = [[rnd.get(x, []) for rnd in rounds] for x in range(n)]
-    matching = [0] * n
-    for x, a in enumerate(held):
-        matching[a] = x
-    return cells, Matching(tuple(matching))
+    return cells, Matching(inverse(held))
 
 
 def render_transcript(cells: Transcript, applicant_names: Sequence[str],

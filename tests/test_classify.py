@@ -1,9 +1,9 @@
 """Cyclicity, partitions, the alternating pattern, and the scanner.
 
-The id-layer kernels behind ``classify`` and ``scan_forbidden`` are checked
-against two brute oracles kept here: a permutation search for the
-two-adjacent-alternating labeling and a ``canonical_table`` scan over
-``restrictions()``.
+The kernels behind ``classify`` and ``scan_forbidden``, which read ranking
+tables directly, are checked against two brute oracles kept here: a
+permutation search for the two-adjacent-alternating labeling and a
+``canonical_table`` scan over ``restrictions()``.
 """
 from __future__ import annotations
 
@@ -273,6 +273,22 @@ def test_sweep_matches_per_set_wrappers():
     assert result.cyclic_no_small_witness == hard_forms and hard > 0
 
 
+def test_sweep_reports_every_mismatch(monkeypatch):
+    # a scan that never finds a pattern disagrees with classify on exactly
+    # the tables that are not limited cyclic
+    import ospmatch.sweep as sweep
+
+    monkeypatch.setattr(sweep, "scan_table", lambda table: None)
+    mismatches = sweep_equivalence(3).mismatches
+    expected = [
+        q.rankings for q in enumerate_priority_sets(3) if not classify(q).limited_cyclic
+    ]
+    assert len(expected) == 138
+    assert mismatches == [(table, False, None) for table in expected]
+    for table, _, _ in mismatches:
+        assert type(table) is tuple and all(type(r) is tuple for r in table)
+
+
 def _check_against_oracles(q):
     assert scan_forbidden(q) == brute_scan(q)
     assert taa_labeling_table(q.rankings) == brute_taa(q.rankings)
@@ -290,7 +306,7 @@ def _check_against_oracles(q):
 
 
 def test_sweep_fast_paths_match_slow_paths():
-    # the id-layer kernels against the brute oracles on full return values:
+    # the ranking-table kernels against the brute oracles on full return values:
     # every table at n = 3, seeded samples at n = 4..6
     rankings3 = all_rankings(3)
     for ids in product(range(6), repeat=3):
@@ -341,9 +357,10 @@ def test_restrict_table_keeps_all_positions_for_blocks():
 
 
 def test_scan_on_a_seven_market_fills_rows_lazily():
-    # a full no-hit scan touches only the order ids the table holds, not
-    # every ranking of seven applicants
-    from ospmatch.classify import _restricted_rows
+    # a full no-hit scan touches only the rankings the table holds, not
+    # every ranking of seven applicants; the restriction memo is shared
+    # with tables of other sizes, so only its 7-item rankings are counted
+    from ospmatch.core import restricted_rankings
 
     base = tuple(range(7))
     x, u, v = taa_patterns(base)
@@ -351,4 +368,5 @@ def test_scan_on_a_seven_market_fills_rows_lazily():
     assert scan_forbidden(q) is None and classify(q).limited_cyclic
     for m in (3, 4):
         for keep in combinations(range(7), m):
-            assert len(_restricted_rows(7, keep)) <= 3
+            rows = restricted_rankings(keep)
+            assert sum(1 for ranking in rows if len(ranking) == 7) <= 3

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,6 @@ from ospmatch.core import (
     favorites,
     inverse,
     priority_set_count,
-    priority_set_ids,
     relabel_table,
     relabelings,
     restrict,
@@ -74,6 +73,15 @@ def test_restriction_validation():
     with pytest.raises(ValueError):
         Restriction((0, 0), (0, 1))
     assert Restriction((2, 0), (1, 3)).applicants == (0, 2)
+
+
+@pytest.mark.parametrize("applicants, positions", [
+    ((0, 1, 2), (-1, 0, 1)),  # would read as the last position's list
+    ((-1, 0, 1), (0, 1, 2)),
+])
+def test_restriction_refuses_negative_indices(applicants, positions):
+    with pytest.raises(ValueError, match="must not be negative"):
+        restrict(TAA3, Restriction(applicants, positions))
 
 
 def test_restrict_four_table_to_top_corner():
@@ -164,11 +172,11 @@ def test_enumeration_counts():
 
 def test_enumeration_restartable():
     # every call restarts the same stream: position 0 is the most
-    # significant digit over the lexicographic ranking ids
+    # significant digit over the lexicographic rankings
     whole = [q.rankings for q in enumerate_priority_sets(3)]
     assert whole == [q.rankings for q in enumerate_priority_sets(3)]
     rankings = all_rankings(3)
-    assert whole == [tuple(rankings[i] for i in ids) for ids in priority_set_ids(3)]
+    assert whole == list(product(rankings, repeat=3))
     assert whole[1] == (rankings[0], rankings[0], rankings[1])
     assert whole[-1] == (rankings[-1],) * 3
 
