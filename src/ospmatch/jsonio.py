@@ -4,6 +4,9 @@ Applicants are named by lowercase tokens (default ``a, b, c, ...``) and
 positions by the numerals ``1..n``; everything internal is a 0-based
 index, so name mapping happens only here.  Parsing validates permutation
 structure and raises :class:`FormatError` with a pointered message.
+Tree documents list each distinct edge type set once (format 2, see the
+comment above :func:`tree_to_doc`); files in the older inline layout are
+still read.
 """
 from __future__ import annotations
 
@@ -207,9 +210,18 @@ def improvement_to_doc(imp: Improvement, names: Names) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Mechanism trees: nodes serialized in preorder with explicit child type-id
-# lists; type ids index into the owning applicant's universe list.
+# Mechanism trees.  Format 2, the one tree_to_doc writes, lists the nodes in
+# preorder and each applicant's distinct child type sets once, in
+# "type_sets": a child is {"set": k, "node": c}, where k indexes the acting
+# applicant's table.  A type set is a list of type indices into that
+# applicant's universe list as given.  A file without "format" carries each
+# child's list inline, as {"types": [...], "node": c}, and is still read.
+# Either way each distinct set is checked once and becomes one tuple that
+# every edge holding it shares.
 # ---------------------------------------------------------------------------
+
+TREE_FORMAT = 2
+
 
 def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, Any]:
     names = names or default_names(tree.n)
@@ -221,6 +233,22 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
     local = [
         {t: j for j, t in enumerate(universe)} for universe in tree.universes
     ]
+    # per applicant: set -> its index in the table, in order of first use;
+    # by_id skips hashing the sets that synthesize and parse_tree share
+    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(tree.n)]
+    by_id: dict[tuple[int, int], int] = {}
+    type_sets: list[list[list[int]]] = [[] for _ in range(tree.n)]
+
+    def set_index(player: int, types: tuple[int, ...]) -> int:
+        k = by_id.get((player, id(types)))
+        if k is None:
+            k = index[player].get(types)
+            if k is None:
+                k = index[player][types] = len(type_sets[player])
+                type_sets[player].append([local[player][t] for t in types])
+            by_id[player, id(types)] = k
+        return k
+
     nodes: list[dict[str, Any]] = []
     for node in tree.nodes:
         if isinstance(node, Leaf):
@@ -234,18 +262,17 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
             nodes.append({
                 "player": names.applicants[node.player],
                 "children": [
-                    {
-                        "types": [local[node.player][t] for t in types],
-                        "node": child,
-                    }
+                    {"set": set_index(node.player, types), "node": child}
                     for types, child in node.children
                 ],
             })
     return {
+        "format": TREE_FORMAT,
         "n": tree.n,
         "applicants": list(names.applicants),
         "positions": list(names.positions),
         "universes": universes,
+        "type_sets": type_sets,
         "nodes": nodes,
     }
 
@@ -270,7 +297,7 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     raw_universes = doc.get("universes")
     if not isinstance(raw_universes, Sequence) or len(raw_universes) != n:
         raise FormatError("tree: 'universes' must list one type list per applicant")
-    # "types" entries index into the universe lists as given; the in-memory
+    # type indices point into the universe lists as given; the in-memory
     # tree keeps universes sorted by lexicographic ranking id.
     given: list[tuple[int, ...]] = []
     universes: list[tuple[int, ...]] = []
@@ -285,11 +312,42 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             raise FormatError(f"universes[{i}]: empty or repeats an order")
         given.append(tuple(ids))
         universes.append(tuple(sorted(ids)))
+    if "format" in doc:
+        if type(doc["format"]) is not int or doc["format"] != TREE_FORMAT:
+            raise FormatError(f"tree: 'format' must be {TREE_FORMAT} or absent")
+        raw_sets = doc.get("type_sets")
+        if (
+            not isinstance(raw_sets, Sequence)
+            or len(raw_sets) != n
+            or not all(isinstance(row, Sequence) and not isinstance(row, str) for row in raw_sets)
+        ):
+            raise FormatError("tree: 'type_sets' must list one list of type sets per applicant")
     records = doc.get("nodes")
     if not isinstance(records, Sequence) or not records:
         raise FormatError("tree: 'nodes' must be a nonempty list")
     app_index = names.applicant_index()
     valid = [frozenset(range(len(ids))) for ids in given]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct set
+
+    def type_set(local_ids: Any, player: int, where: str) -> tuple[int, ...]:
+        if not isinstance(local_ids, Sequence) or not local_ids:
+            raise FormatError(f"{where}: child needs a type list")
+        # whole-list set operations keep these checks cheap on lists of
+        # thousands of indices; the exact type test rules out bools
+        if set(map(type, local_ids)) != {int}:
+            raise FormatError(f"{where}: type indices must be integers")
+        distinct = set(local_ids)
+        if not distinct <= valid[player]:
+            raise FormatError(f"{where}: type index outside 0..{len(given[player]) - 1}")
+        if len(distinct) != len(local_ids):
+            raise FormatError(f"{where}: child repeats a type index")
+        types = tuple(sorted([given[player][j] for j in local_ids]))
+        return shared.setdefault(types, types)
+
+    tables = None if "format" not in doc else [
+        [type_set(entry, i, f"type_sets[{i}][{k}]") for k, entry in enumerate(row)]
+        for i, row in enumerate(doc["type_sets"])
+    ]
     # each record is checked in list order; the tree's constructor checks
     # that the records come in preorder, so record i is node i in every report
     nodes: list[Node] = []
@@ -319,21 +377,22 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         children = []
         for child in children_doc:
             child = _expect_mapping(child, f"nodes[{idx}].children")
-            local_ids = child.get("types")
-            if not isinstance(local_ids, Sequence) or not local_ids:
-                raise FormatError(f"nodes[{idx}]: child needs a type list")
-            # whole-list set operations keep these checks cheap on trees
-            # with millions of indices; the exact type test rules out bools
-            if set(map(type, local_ids)) != {int}:
-                raise FormatError(f"nodes[{idx}]: type indices must be integers")
-            distinct = set(local_ids)
-            if not distinct <= valid[player]:
+            if tables is None:
+                types = type_set(child.get("types"), player, f"nodes[{idx}]")
+            elif "types" in child:
                 raise FormatError(
-                    f"nodes[{idx}]: type index outside 0..{len(given[player]) - 1}"
+                    f"nodes[{idx}]: a format-{TREE_FORMAT} child names its 'set', not inline types"
                 )
-            if len(distinct) != len(local_ids):
-                raise FormatError(f"nodes[{idx}]: child repeats a type index")
-            types = tuple(sorted([given[player][j] for j in local_ids]))
+            else:
+                k = child.get("set")
+                if type(k) is not int:
+                    raise FormatError(f"nodes[{idx}]: child needs an integer 'set'")
+                if not 0 <= k < len(tables[player]):
+                    raise FormatError(
+                        f"nodes[{idx}]: set {k} is not in type_sets[{player}]"
+                        f" ({len(tables[player])} sets)"
+                    )
+                types = tables[player][k]
             # a new int object, so the tree keeps no part of the document alive
             ref = child.get("node")
             children.append((types, ref + 0 if type(ref) is int else ref))

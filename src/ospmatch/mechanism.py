@@ -15,6 +15,15 @@ recursion limit: top-down walks run forward with per-node state keyed by
 id, bottom-up walks run backward and pop each child's result when the
 parent merges it.
 
+Equal edge sets are usually one shared tuple: the trees of
+:func:`ospmatch.synth.synthesize`, :func:`ospmatch.jsonio.parse_tree`,
+:func:`reveal_tree` and :func:`restrict_environment` are built that way.  So :func:`validate`
+checks each distinct question (inherited set, child sets) once, and
+:func:`check_osp` and :func:`_route` make each set's index array once per
+call.  These caches are keyed by object id, which is sound because the
+tree holds every edge set while a checker runs; a tree whose equal sets
+are separate objects gets the same answers, only without the savings.
+
 The checkers work on tables and batches rather than per node or per
 profile.  :func:`check_osp` carries, per node and applicant, the bitmask
 of positions still reachable (Li's condition, "Obviously Strategy-Proof
@@ -147,8 +156,12 @@ def validate(tree: MechanismTree) -> ValidationReport:
         if not u or list(u) != sorted(set(u)):
             problems.append(f"universe of applicant {i} is empty or unsorted")
     full = set(range(tree.n))
-    # type sets inherited from the path, for nodes whose parent was entered
-    states = {0: tuple(frozenset(u) for u in tree.universes)}
+    # type sets inherited from the path, for nodes whose parent was entered;
+    # each is the tree's own tuple (a universe or an edge's set), so the
+    # verdict on a question (inherited set, child sets) is kept by their
+    # ids and each distinct question is checked once
+    states = {0: tree.universes}
+    verdicts: dict[tuple[int, ...], tuple[str, ...]] = {}
     for nid, node in enumerate(tree.nodes):
         current = states.pop(nid, None)
         if current is None:
@@ -161,26 +174,38 @@ def validate(tree: MechanismTree) -> ValidationReport:
             problems.append(f"node {nid}: player index out of range")
             continue
         inherited = current[node.player]
-        before = len(problems)
-        seen: set[int] = set()
-        for types, _ in node.children:
-            tset = set(types)
-            if not tset:
-                problems.append(f"node {nid}: empty child type set")
-            if len(tset) != len(types):
-                problems.append(f"node {nid}: child repeats a type")
-            if tset & seen:
-                problems.append(f"node {nid}: overlapping child type sets")
-            if not tset <= inherited:
-                problems.append(f"node {nid}: child types escape the parent set")
-            seen |= tset
-        if not inherited <= seen:
-            problems.append(f"node {nid}: child sets do not cover the parent set")
-        if len(problems) > before:
+        key = (id(inherited), *[id(types) for types, _ in node.children])
+        found = verdicts.get(key)
+        if found is None:
+            found = verdicts[key] = _partition_problems(inherited, node.children)
+        if found:
+            problems.extend(f"node {nid}: {problem}" for problem in found)
             continue
         for types, child in node.children:
-            states[child] = current[: node.player] + (frozenset(types),) + current[node.player + 1 :]
+            states[child] = current[: node.player] + (types,) + current[node.player + 1 :]
     return ValidationReport(not problems, tuple(problems))
+
+
+def _partition_problems(inherited: IdSet,
+                        children: tuple[tuple[IdSet, int], ...]) -> tuple[str, ...]:
+    """What keeps the children's type sets from partitioning ``inherited``."""
+    parent = frozenset(inherited)
+    problems = []
+    seen: set[int] = set()
+    for types, _ in children:
+        tset = set(types)
+        if not tset:
+            problems.append("empty child type set")
+        if len(tset) != len(types):
+            problems.append("child repeats a type")
+        if tset & seen:
+            problems.append("overlapping child type sets")
+        if not tset <= parent:
+            problems.append("child types escape the parent set")
+        seen |= tset
+    if not parent <= seen:
+        problems.append("child sets do not cover the parent set")
+    return tuple(problems)
 
 
 def execute_ids(tree: MechanismTree, type_ids: Sequence[int]) -> Ranking:
@@ -312,6 +337,7 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
     leaves = np.full(len(profiles), -1, dtype=np.intp)
     pending = {0: np.arange(len(profiles))}
     unheld = np.full(math.factorial(tree.n), -1, dtype=np.intp)
+    arrays: dict[int, np.ndarray] = {}  # see _index_array
     nid = 0
     while nid < len(nodes):
         rows = pending.pop(nid, None)
@@ -324,7 +350,7 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
         else:
             slot = unheld.copy()
             for k in range(len(node.children) - 1, -1, -1):
-                slot[list(node.children[k][0])] = k
+                slot[_index_array(arrays, node.children[k][0])] = k
             picked = slot[profiles[rows, node.player]]
             for k, (_, child) in enumerate(node.children):
                 taken = rows[picked == k]
@@ -332,6 +358,17 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
                     pending[child] = taken
         nid += 1
     return leaves
+
+
+def _index_array(arrays: dict[int, np.ndarray], types: IdSet) -> np.ndarray:
+    """``types`` as an index array, made once per set object: ``arrays`` is
+    keyed by id, which is sound while the tree holds every edge set."""
+    ids = arrays.get(id(types))
+    if ids is None:
+        import numpy as np
+
+        ids = arrays[id(types)] = np.array(types, dtype=np.intp)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -378,6 +415,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
     mask_type = np.min_scalar_type((1 << n) - 1)
     nodes, end = tree.nodes, tree.end
     raw_violations: list[tuple[int, int, int, int, int, int]] = []
+    arrays: dict[int, np.ndarray] = {}  # see _index_array
     # per node (truthful reach, reach of all leaves), held until the
     # parent merges them
     results: dict[int, tuple[list, list[int]]] = {}
@@ -389,7 +427,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
             continue
         pl = node.player
         child_results = [results.pop(child) for _, child in node.children]
-        child_types = [np.array(types, dtype=np.intp) for types, _ in node.children]
+        child_types = [_index_array(arrays, types) for types, _ in node.children]
         # OSP condition at this node, one child (truthful branch) at a time;
         # the deviation reaches everything under the other children
         after = [0]
@@ -482,6 +520,7 @@ def restrict_environment(
         if not set(sub) <= set(full):
             raise ValueError(f"sub-universe of applicant {i} escapes the environment")
     states = {0: tuple(frozenset(u) for u in subs)}
+    shared: dict[IdSet, IdSet] = {}  # one tuple per distinct kept set
     # the nodes reached, in preorder, with their kept children's old ids
     reached: list[Node] = []
     renumber: dict[int, int] = {}
@@ -496,7 +535,8 @@ def restrict_environment(
                 keep = frozenset(types) & current[node.player]
                 if keep:
                     states[child] = current[: node.player] + (keep,) + current[node.player + 1 :]
-                    kept.append((tuple(sorted(keep)), child))
+                    types = tuple(sorted(keep))
+                    kept.append((shared.setdefault(types, types), child))
             node = Internal(node.player, tuple(kept))
         reached.append(node)
     return MechanismTree(tree.n, subs, tuple(
@@ -523,6 +563,7 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
     )
 
     nodes: list = []
+    singles = {t: (t,) for u in unis for t in u}  # one shared set per type
 
     def build(i: int, chosen: tuple[int, ...]) -> None:
         if i == n:
@@ -534,7 +575,7 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
             nodes.append(None)
             children = []
             for t in unis[i]:
-                children.append(((t,), len(nodes)))
+                children.append((singles[t], len(nodes)))
                 build(i + 1, chosen + (t,))
             nodes[slot] = Internal(i, tuple(children))
 

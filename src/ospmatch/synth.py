@@ -13,7 +13,12 @@ offered, then)``: the player's types are grouped by their favorite w
 among ``offered``, one edge per group in ascending order of w, each with
 the subtree ``then(w, group)``; the favorites in ``last`` share one final
 edge, with ``then(None, group)``.  ``ask`` appends its node before the
-subtrees ``then`` appends, so the nodes come in preorder.  ``fix`` pins
+subtrees ``then`` appends, so the nodes come in preorder.  Within one
+call of :func:`synthesize`, ``ask`` groups each distinct question (the
+types object, ``offered`` and ``last``) once and hands out one shared
+tuple per distinct group, so equal edge sets are one object; every
+``types`` it is given is the full universe or a group it handed out.
+``fix`` pins
 (applicant, position) pairs and recurses on the rest.  The trade asks its
 lead applicant once: one edge per favorite in its half U, where it
 clinches, and the pass edge (favorites outside U) last.  The lurker
@@ -65,19 +70,31 @@ def synthesize(q: PrioritySet) -> MechanismTree:
     everyone = full_universe(n)
     nodes: list = []  # in preorder; each ask reserves its slot first
 
+    # (id(types), offered mask, last mask) -> (types, ((w, group), ...)); each
+    # value holds its types, so a key's id cannot be reused while it is in here
+    questions: dict[tuple[int, int, int], tuple[Types, tuple]] = {}
+    shared: dict[Types, Types] = {everyone: everyone}  # one tuple per distinct group
+
     def ask(player: int, types: Types, offered: frozenset[int],
             then: Callable[[int | None, Types], None], last: Set[int] = frozenset()) -> None:
         """The question node: ``player`` names its favorite among ``offered``."""
-        favorite = favorites(n, sum(1 << pos for pos in offered))
-        groups: dict[int | None, list[int]] = {}
-        for t in types:
-            w = favorite[t]
-            groups.setdefault(None if w in last else w, []).append(t)
+        mask = sum(1 << pos for pos in offered)
+        key = (id(types), mask, sum(1 << pos for pos in last))
+        if key not in questions:
+            favorite = favorites(n, mask)
+            groups: dict[int | None, list[int]] = {}
+            for t in types:
+                w = favorite[t]
+                groups.setdefault(None if w in last else w, []).append(t)
+            edges = []
+            for w in sorted(groups, key=lambda w: (w is None, w)):
+                group = tuple(groups[w])
+                edges.append((w, shared.setdefault(group, group)))
+            questions[key] = (types, tuple(edges))
         slot = len(nodes)
         nodes.append(None)
         children = []
-        for w in sorted(groups, key=lambda w: (w is None, w)):
-            group = tuple(groups[w])
+        for w, group in questions[key][1]:
             children.append((group, len(nodes)))
             then(w, group)
         nodes[slot] = Internal(player, tuple(children))
@@ -148,5 +165,8 @@ def synthesize(q: PrioritySet) -> MechanismTree:
 
     build(frozenset(range(n)), frozenset(range(n)), {})
     tree = MechanismTree(n, (everyone,) * n, nodes)
-    nodes.clear()  # the recursive closures keep the list alive until a gc pass
+    # the recursive closures keep these alive until a gc pass
+    nodes.clear()
+    questions.clear()
+    shared.clear()
     return tree

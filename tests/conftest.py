@@ -48,6 +48,46 @@ def nested_spec(tree: MechanismTree, nid: int = 0):
     return node.player, tuple((types, nested_spec(tree, child)) for types, child in node.children)
 
 
+def inline_tree_doc(doc):
+    """A tree document in the inline layout, the only one before format 2:
+    each child carries its type-index list as ``"types"``, and there is no
+    ``"format"`` or ``"type_sets"``.  Keys keep the order the inline writer
+    used, so ``json.dumps`` of the result is that writer's output."""
+    doc = dict(doc)
+    tables = doc.pop("type_sets")
+    del doc["format"]
+    player = {name: i for i, name in enumerate(doc["applicants"])}
+    doc["nodes"] = [
+        {**record, "children": [
+            {"types": list(tables[player[record["player"]]][child["set"]]), "node": child["node"]}
+            for child in record["children"]
+        ]} if "children" in record else record
+        for record in doc["nodes"]
+    ]
+    return doc
+
+
+LAYOUTS = ("format2", "inline")
+
+
+def tree_doc(tree, layout):
+    """``tree_to_doc(tree)`` in the named layout."""
+    from ospmatch.jsonio import tree_to_doc
+
+    doc = tree_to_doc(tree)
+    return doc if layout == "format2" else inline_tree_doc(doc)
+
+
+def child_type_list(doc, nid, k):
+    """The type-index list of child ``k`` of record ``nid``, as a list in the
+    document: inline in the record, or the shared ``type_sets`` entry."""
+    record = doc["nodes"][nid]
+    child = record["children"][k]
+    if "types" in child:
+        return child["types"]
+    return doc["type_sets"][doc["applicants"].index(record["player"])][child["set"]]
+
+
 # The irreducible non-implementable tables (letters by subfigure).
 FIG_A = q_of("abc", "bca", "cab")
 FIG_B = (q_of("abc", "abc", "cab"), q_of("abc", "abc", "cba"), q_of("abc", "abc", "bca"))

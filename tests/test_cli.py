@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import FIG_A, flat_tree
+from conftest import FIG_A, LAYOUTS, child_type_list, flat_tree, inline_tree_doc
 import ospmatch.cli
 from ospmatch.cli import main
 from ospmatch.jsonio import parse_subdomain, subdomain_to_doc, tree_to_doc
@@ -343,33 +343,59 @@ def _one_error_line(capsys, contains="error: "):
     assert err.startswith("error: ") and err.count("\n") == 1 and contains in err, err
 
 
-def _mutated_tree(files, tmp_path, mutate):
-    """The TAA3 tree with one child's type list rewritten by ``mutate``.
-    Under plain Python indexing the negative, bool and repeated rewrites
-    still name the same types, so only strict parsing can refuse them."""
+def _mutated_tree(files, tmp_path, mutate, layout):
+    """The TAA3 tree, written by ``synthesize`` and put in ``layout``, with
+    one child's type list rewritten by ``mutate``.  Under plain Python
+    indexing the negative, bool and repeated rewrites still name the same
+    types, so only strict parsing can refuse them."""
     tree_path = tmp_path / "t.json"
     assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
     doc = json.loads(tree_path.read_text())
-    node = next(n for n in doc["nodes"] if "children" in n)
-    universe = doc["universes"][doc["applicants"].index(node["player"])]
-    child = next(c for c in node["children"] if 1 in c["types"])
-    child["types"] = mutate(child["types"], len(universe))
+    if layout == "inline":
+        doc = inline_tree_doc(doc)
+    nid = next(i for i, n in enumerate(doc["nodes"]) if "children" in n)
+    universe = doc["universes"][doc["applicants"].index(doc["nodes"][nid]["player"])]
+    k = next(k for k in range(len(doc["nodes"][nid]["children"]))
+             if 1 in child_type_list(doc, nid, k))
+    types = child_type_list(doc, nid, k)
+    types[:] = mutate(list(types), len(universe))
     return write(tmp_path / "mutated.json", doc)
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda types, size: [1 - size if t == 1 else t for t in types],
-    lambda types, size: [True if t == 1 else t for t in types],
-    lambda types, size: types + [types[0]],
-    lambda types, size: types + [[types[0]]],
+@pytest.mark.parametrize("mutate, message", [
+    (lambda types, size: [1 - size if t == 1 else t for t in types], "type index outside 0..5"),
+    (lambda types, size: [True if t == 1 else t for t in types], "type indices must be integers"),
+    (lambda types, size: types + [types[0]], "child repeats a type index"),
+    (lambda types, size: types + [[types[0]]], "type indices must be integers"),
 ], ids=["negative", "bool", "repeated", "nested"])
-def test_verify_tree_rejects_bad_type_indices(files, tmp_path, capsys, mutate):
-    mutated = _mutated_tree(files, tmp_path, mutate)
+def test_verify_tree_rejects_bad_type_indices(files, tmp_path, capsys, mutate, message):
+    for layout in LAYOUTS:  # the same refusal whether the list is shared or inline
+        mutated = _mutated_tree(files, tmp_path, mutate, layout)
+        capsys.readouterr()
+        assert main(["verify-tree", mutated, files["taa3"]]) == 2
+        _one_error_line(capsys, ": " + message + "\n")
+        assert main(["check-osp", mutated]) == 2
+        _one_error_line(capsys, ": " + message + "\n")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda child: child.pop("set"), "child needs an integer 'set'"),
+    (lambda child: child.update(set="0"), "child needs an integer 'set'"),
+    (lambda child: child.update(set=True), "child needs an integer 'set'"),
+    (lambda child: child.update(set=-1), "is not in type_sets"),
+    (lambda child: child.update(set=99), "is not in type_sets"),
+    (lambda child: child.update(types=[0]), "not inline types"),
+], ids=["missing", "string", "bool", "negative", "out_of_range", "inline_types"])
+def test_verify_tree_rejects_bad_set_references(files, tmp_path, capsys, mutate, message):
+    tree_path = tmp_path / "t.json"
+    assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
+    doc = json.loads(tree_path.read_text())
+    mutate(doc["nodes"][0]["children"][0])
+    mutated = write(tmp_path / "mutated.json", doc)
     capsys.readouterr()
-    assert main(["verify-tree", mutated, files["taa3"]]) == 2
-    _one_error_line(capsys)
-    assert main(["check-osp", mutated]) == 2
-    _one_error_line(capsys)
+    for argv in (["verify-tree", mutated, files["taa3"]], ["check-osp", mutated]):
+        assert main(argv) == 2
+        _one_error_line(capsys, message)
 
 
 @pytest.mark.parametrize("row, value", [(0, [["a"], "b", "c"]), (2, [["a"], "b", "c"]), (0, 5)],

@@ -4,7 +4,9 @@ The round trips check that every format gives back what it was written
 from.  The CLI runs feed ``cli.main`` drawn documents, both arbitrary JSON
 values and valid documents with one field mutated, and hold every run to
 the exit-code contract: 0, 1, 2 or 3, never 4 and never a traceback, and
-an input error (exit 2) is exactly one line on stderr.
+an input error (exit 2) is exactly one line on stderr.  Tree documents
+come in both layouts the reader takes: format 2, with its shared
+``type_sets`` table, and the older inline layout.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LAYOUTS, tree_doc
 from ospmatch.classify import classify
 from ospmatch.cli import main
 from ospmatch.core import PreferenceProfile, PrioritySet
@@ -33,7 +36,6 @@ from ospmatch.jsonio import (
     priorities_to_doc,
     profile_to_doc,
     subdomain_to_doc,
-    tree_to_doc,
 )
 from ospmatch.mechanism import restrict_environment, reveal_tree
 from ospmatch.synth import synthesize
@@ -107,15 +109,16 @@ def test_subdomains_round_trip(subdomain):
 
 
 @settings(FUZZ, max_examples=60)
-@given(trees(restricted=False))
-def test_trees_round_trip(drawn):
+@given(trees(restricted=False), st.sampled_from(LAYOUTS))
+def test_trees_round_trip(drawn, layout):
     _, tree = drawn
-    parsed, _ = parse_tree(json.loads(json.dumps(tree_to_doc(tree))))
+    parsed, _ = parse_tree(json.loads(json.dumps(tree_doc(tree, layout))))
     assert (parsed.n, parsed.universes, parsed.nodes) == (tree.n, tree.universes, tree.nodes)
 
 
 KEYS = st.sampled_from(["n", "priorities", "preferences", "types", "applicants", "positions",
-                        "universes", "nodes", "player", "children", "node", "matching"])
+                        "universes", "nodes", "player", "children", "node", "matching",
+                        "format", "type_sets", "set"])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 30) | st.integers()
            | st.floats() | st.text(max_size=4) | st.sampled_from(list("abcd") + ["1", "2", "3", "4"]))
 JSON = st.recursive(
@@ -208,9 +211,10 @@ def test_cli_survives_drawn_documents(command, data):
         elif command == "synthesize":
             argv = ["synthesize", put("q.json", priorities_to_doc(q)), "-o", os.path.join(tmp, "t.json")]
         elif command == "check-osp":
-            argv = ["check-osp", put("t.json", tree_to_doc(tree))]
+            argv = ["check-osp", put("t.json", tree_doc(tree, data.draw(st.sampled_from(LAYOUTS))))]
         else:
-            argv = ["verify-tree", put("t.json", tree_to_doc(tree)), put("q.json", priorities_to_doc(q))]
+            argv = ["verify-tree", put("t.json", tree_doc(tree, data.draw(st.sampled_from(LAYOUTS)))),
+                    put("q.json", priorities_to_doc(q))]
             mode = data.draw(st.sampled_from(["default", "--exhaustive", "--samples"]))
             if mode == "--samples":
                 argv += ["--samples", "50", "--seed", str(data.draw(st.integers(-3, 3)))]

@@ -1,9 +1,12 @@
 """JSON boundary: round-trips and format validation."""
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from conftest import TAA3, p_of
+from conftest import LAYOUTS, TAA3, child_type_list, flat_tree, inline_tree_doc, p_of, tree_doc
 from ospmatch.jsonio import (
     FormatError,
     default_names,
@@ -18,8 +21,18 @@ from ospmatch.jsonio import (
     tree_to_doc,
 )
 from ospmatch.da import run_da
-from ospmatch.mechanism import check_osp, execute_ids, restrict_environment, validate
+from ospmatch.mechanism import (
+    Internal,
+    Leaf,
+    check_osp,
+    execute_ids,
+    full_universe,
+    restrict_environment,
+    validate,
+)
 from ospmatch.witness import fixtures
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_priorities_round_trip():
@@ -127,16 +140,123 @@ def test_tree_rejects_cycles_and_double_references(taa3_tree):
 
 
 def test_tree_rejects_out_of_range_type_index(taa3_tree):
+    for layout in LAYOUTS:
+        doc = tree_doc(taa3_tree, layout)
+        nid = next(i for i, record in enumerate(doc["nodes"]) if "children" in record)
+        for k in range(len(doc["nodes"][nid]["children"])):
+            child_type_list(doc, nid, k)[:] = [999]
+        with pytest.raises(FormatError, match=r": type index outside 0\.\.5$"):
+            parse_tree(doc)
+
+
+# each rewrite of one child's type-index list, with the refusal it gets
+BAD_TYPE_LISTS = {
+    "empty": (lambda ids: [], "child needs a type list"),
+    "not_a_list": (lambda ids: 3, "child needs a type list"),
+    "string": (lambda ids: ["0"], "type indices must be integers"),
+    "bool": (lambda ids: [True], "type indices must be integers"),
+    "float": (lambda ids: [0.0], "type indices must be integers"),
+    "nested": (lambda ids: [ids], "type indices must be integers"),
+    "negative": (lambda ids: [-1], "type index outside 0..5"),
+    "too_large": (lambda ids: [6], "type index outside 0..5"),
+    "repeated": (lambda ids: ids + ids[:1], "child repeats a type index"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TYPE_LISTS))
+def test_tree_type_list_refusals_match_across_layouts(taa3_tree, case):
+    rewrite, message = BAD_TYPE_LISTS[case]
+    for layout, where in (("format2", "type_sets[0][0]"), ("inline", "nodes[0]")):
+        doc = tree_doc(taa3_tree, layout)
+        record = doc["nodes"][0]
+        if layout == "format2":
+            doc["type_sets"][0][0] = rewrite(child_type_list(doc, 0, 0))
+        else:
+            record["children"][0]["types"] = rewrite(child_type_list(doc, 0, 0))
+        with pytest.raises(FormatError) as caught:
+            parse_tree(doc)
+        assert str(caught.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize("value", [1, 3, "2", True, 2.0, None])
+def test_tree_rejects_unknown_format(taa3_tree, value):
+    doc = {**tree_to_doc(taa3_tree), "format": value}
+    with pytest.raises(FormatError, match="'format' must be 2 or absent"):
+        parse_tree(doc)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda sets: None,
+    lambda sets: "abc",
+    lambda sets: {"a": sets[0]},
+    lambda sets: sets[:2],
+    lambda sets: sets + [[]],
+    lambda sets: [sets[0], 5, sets[2]],
+    lambda sets: [sets[0], "xy", sets[2]],
+], ids=["missing", "string", "object", "short", "long", "row_not_a_list", "row_string"])
+def test_tree_rejects_bad_type_set_table(taa3_tree, rewrite):
     doc = tree_to_doc(taa3_tree)
-    bad_nodes = [dict(n) for n in doc["nodes"]]
-    for record in bad_nodes:
-        if "children" in record:
-            record["children"] = [
-                {**child, "types": [999]} for child in record["children"]
-            ]
-            break
-    with pytest.raises(FormatError):
-        parse_tree({**doc, "nodes": bad_nodes})
+    doc["type_sets"] = rewrite(doc["type_sets"])
+    with pytest.raises(FormatError, match="'type_sets' must list one list of type sets per applicant"):
+        parse_tree(doc)
+
+
+def test_tree_document_lists_each_set_once(star6_tree):
+    doc = tree_to_doc(star6_tree)
+    assert doc["format"] == 2
+    distinct = [set() for _ in range(star6_tree.n)]
+    edges = 0
+    for node in star6_tree.nodes:
+        if isinstance(node, Internal):
+            distinct[node.player].update(types for types, _ in node.children)
+            edges += len(node.children)
+    assert list(map(len, doc["type_sets"])) == list(map(len, distinct))
+    # 309 distinct sets on 4,253 edges; 439 (applicant, set) table entries
+    assert len(set().union(*distinct)) == 309 and edges == 4_253
+    assert sum(map(len, doc["type_sets"])) == 439
+    for record in doc["nodes"]:
+        for child in record.get("children", ()):
+            assert set(child) == {"set", "node"}
+
+
+def test_tree_document_keeps_a_table_per_applicant():
+    # the same two set objects, first used in opposite orders by the two
+    # applicants, get each applicant's own indices
+    uni = full_universe(2)
+    first, second = (0,), (1,)
+    tree = flat_tree(2, (uni, uni), (0, (
+        (first, (1, ((second, Leaf((0, 1))), (first, Leaf((1, 0)))))),
+        (second, Leaf((1, 0))),
+    )))
+    doc = tree_to_doc(tree)
+    assert doc["type_sets"] == [[[0], [1]], [[1], [0]]]
+    assert doc["nodes"][1]["children"] == [{"set": 0, "node": 2}, {"set": 1, "node": 3}]
+    assert parse_tree(doc)[0].nodes == tree.nodes
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_parsed_tree_shares_equal_sets(star6_tree, layout):
+    parsed, _ = parse_tree(json.loads(json.dumps(tree_doc(star6_tree, layout))))
+    assert parsed.nodes == star6_tree.nodes
+    objects: dict[tuple, set[int]] = {}
+    for node in parsed.nodes:
+        if isinstance(node, Internal):
+            for types, _ in node.children:
+                objects.setdefault(types, set()).add(id(types))
+    assert len(objects) == 309
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_tree_reads_the_inline_file_synthesize_used_to_write(taa3_tree):
+    # written by `ospmatch synthesize` before format 2, from the TAA3 market
+    v1 = DATA / "taa3_tree_v1.json"
+    assert v1.read_text() == json.dumps(inline_tree_doc(tree_to_doc(taa3_tree))) + "\n"
+    from_v1, names = parse_tree(json.loads(v1.read_text()))
+    from_v2, _ = parse_tree(json.loads(json.dumps(tree_to_doc(taa3_tree))))
+    assert names == default_names(3)
+    assert (from_v1.n, from_v1.universes, from_v1.nodes) == (
+        from_v2.n, from_v2.universes, from_v2.nodes)
+    assert tree_to_doc(from_v1) == tree_to_doc(taa3_tree)
 
 
 def test_tree_rejects_bad_matching(taa3_tree):

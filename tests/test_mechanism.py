@@ -7,11 +7,11 @@ from itertools import product
 
 import pytest
 
-from conftest import FIG_A, STAR6, TAA3, flat_tree, nested_spec, p_of, q_of
+from conftest import FIG_A, LAYOUTS, STAR6, TAA3, flat_tree, nested_spec, p_of, q_of, tree_doc
 from ospmatch import mechanism
 from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
 from ospmatch.da import da_match
-from ospmatch.jsonio import FormatError, parse_tree, tree_to_doc
+from ospmatch.jsonio import FormatError, parse_tree
 from ospmatch.mechanism import (
     ImplementsReport,
     Internal,
@@ -86,13 +86,48 @@ def test_validate_reports_cover_only_when_a_parent_type_is_missing():
     )
 
 
+def test_validate_reports_a_shared_question_at_every_node():
+    # applicant 1's two nodes ask the same question with the same set
+    # objects, and neither covers applicant 1's universe
+    uni = full_universe(2)
+    half = (0,)
+    tree = flat_tree(2, (uni, uni), (0, (
+        ((0,), (1, ((half, Leaf((0, 1))),))),
+        ((1,), (1, ((half, Leaf((1, 0))),))),
+    )))
+    assert tree.nodes[1].children[0][0] is tree.nodes[3].children[0][0]
+    assert validate(tree).problems == (
+        "node 1: child sets do not cover the parent set",
+        "node 3: child sets do not cover the parent set",
+    )
+
+
+def _edge_sets(tree):
+    """Each distinct edge set of the tree, with the ids of its objects."""
+    objects: dict[tuple, set[int]] = {}
+    for node in tree.nodes:
+        if isinstance(node, Internal):
+            for types, _ in node.children:
+                objects.setdefault(types, set()).add(id(types))
+    return objects
+
+
+def test_reveal_and_restricted_trees_share_equal_sets(taa3_tree):
+    reveal = reveal_tree(FIG_A)
+    assert len(_edge_sets(reveal)) == 6
+    small = restrict_environment(taa3_tree, ((0, 2, 5), (1, 3), (4,)))
+    for tree in (reveal, small):
+        assert all(len(ids) == 1 for ids in _edge_sets(tree).values())
+
+
 def test_validate_flags_repeated_child_types():
     # the rule parse_tree applies to a child's type list
     uni = full_universe(2)
     tree = flat_tree(2, (uni, uni), (0, (((0, 0), Leaf((0, 1))), ((1,), Leaf((1, 0))))))
     assert validate(tree).problems == ("node 0: child repeats a type",)
-    with pytest.raises(FormatError, match="child repeats a type index"):
-        parse_tree(tree_to_doc(tree))
+    for layout in LAYOUTS:
+        with pytest.raises(FormatError, match="child repeats a type index"):
+            parse_tree(tree_doc(tree, layout))
     with pytest.raises(ValueError, match="child repeats a type"):
         check_implements(tree, q_of("ab", "ab"))
 

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FIG_A, STAR6, TAA3, q_of
+from conftest import FIG_A, STAR6, TAA3, inline_tree_doc, q_of
 from ospmatch.core import PrioritySet, all_rankings
 from ospmatch.jsonio import tree_to_doc
 from ospmatch.mechanism import (
@@ -229,12 +229,14 @@ def test_sampled_limited_cyclic_four_members():
         assert check_osp(tree).ok
 
 
-def _tree_digest(tree) -> str:
-    doc = json.dumps(tree_to_doc(tree), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
+def _tree_digest(tree, expand=True) -> str:
+    doc = tree_to_doc(tree)
+    text = json.dumps(inline_tree_doc(doc) if expand else doc, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-# SHA-256 of the sorted-key tree JSON; the n = 4 classes are keyed by
+# SHA-256 of the sorted-key tree JSON with each child's type list written
+# inline (the layout before format 2); the n = 4 classes are keyed by
 # their canonical table, one position's list per group of digits
 GOLDEN_FOUR = {
     "0123 0123 0123 0123": "3c237378579c652cbacc34be0c88ebbfdbe85ed1ba310d11682fa2c484007196",
@@ -267,3 +269,22 @@ def test_synthesized_trees_are_byte_stable(taa3_tree, star6_tree):
         for row in class_census(4) if row.limited_cyclic
     }
     assert got == GOLDEN_FOUR
+
+
+def test_synthesized_format_two_documents_are_byte_stable(taa3_tree, star6_tree):
+    assert _tree_digest(taa3_tree, expand=False) == (
+        "b5302bf4d35bde2c1c93db1de73968b60ea1ef8e27637de879746842a2b6251a")
+    assert _tree_digest(star6_tree, expand=False) == (
+        "e1b10e899b5545d614623b52c6599cba2b3c3e3497e028c1c2cf54c67c47e71a")
+
+
+def test_synthesized_trees_share_equal_sets(taa3_tree, star6_tree):
+    # every edge set equal to another is the same tuple object
+    for tree, distinct in ((taa3_tree, 14), (star6_tree, 309)):
+        objects: dict[tuple, set[int]] = {}
+        for node in tree.nodes:
+            if isinstance(node, Internal):
+                for types, _ in node.children:
+                    objects.setdefault(types, set()).add(id(types))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len(objects) == distinct
