@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .core import (
     PrioritySet,
@@ -157,14 +158,14 @@ def check_witness(q: PrioritySet, subdomain: Subdomain) -> WitnessReport:
 _SIZE_CHOICES = (1, 2, 2, 2, 3, 3, 3)
 
 
-def _sample_subdomain(rng: random.Random, n: int) -> Subdomain:
-    """Random subdomain, biased so the sampled types of one applicant tend
-    to disagree already in their top two positions."""
+def _draw_lists(rng: random.Random, n: int) -> Iterator[tuple[Ranking, ...]]:
+    """The type lists of a random subdomain, one applicant at a time,
+    biased so the types of one applicant tend to disagree already in their
+    top two positions."""
     sizes = [rng.choice(_SIZE_CHOICES) for _ in range(n)]
     if max(sizes) == 1:
         sizes[rng.randrange(n)] = 2
     base = list(range(n))
-    type_lists = []
     for size in sizes:
         chosen: list[Ranking] = []
         tops: set[tuple[int, int]] = set()
@@ -179,8 +180,18 @@ def _sample_subdomain(rng: random.Random, n: int) -> Subdomain:
                 continue
             chosen.append(candidate)
             tops.add(candidate[:2])
-        type_lists.append(tuple(chosen))
-    return Subdomain(tuple(type_lists))
+        yield tuple(chosen)
+
+
+def _sample_subdomain(rng: random.Random, n: int) -> Subdomain:
+    return Subdomain(tuple(_draw_lists(rng, n)))
+
+
+def _doomed(firsts: Sequence[int], i: int, ts: tuple[Ranking, ...]) -> bool:
+    """Whether applicant i's list ts fails check_witness whatever the other
+    lists are, ``firsts[x]`` being the applicant first at position x."""
+    safe = sum(firsts[t[0]] == i for t in ts)
+    return safe == len(ts) == 2 or (safe > 0 and len(ts) == 3)
 
 
 def find_witness(q: PrioritySet, budget: int, seed: int) -> Subdomain | None:
@@ -189,16 +200,28 @@ def find_witness(q: PrioritySet, budget: int, seed: int) -> Subdomain | None:
     the result is reproducible and a search that first succeeds at
     iteration i returns the same subdomain for every budget above i.
 
+    A sample is dropped at the first list that cannot pass: one of three
+    types, or both of two, whose top position ranks the applicant first.
+    Such a truth gets its top position in every profile (the applicant
+    proposes there first and nobody displaces it), so no lie beats it.
+
     Markets with fewer than three applicants get None without sampling:
     every such market is limited cyclic, so no witness exists.  (The
     sampler could not serve them either: it may ask for three distinct
     orders, and one or two positions have at most two.)"""
     if q.n < 3:
         return None
+    firsts = [r[0] for r in q.rankings]
     for i in range(budget):
-        candidate = _sample_subdomain(random.Random(f"{seed}/{i}"), q.n)
-        if check_witness(q, candidate).ok:
-            return candidate
+        lists: list[tuple[Ranking, ...]] = []
+        for ts in _draw_lists(random.Random(f"{seed}/{i}"), q.n):
+            if _doomed(firsts, len(lists), ts):
+                break
+            lists.append(ts)
+        else:
+            candidate = Subdomain(tuple(lists))
+            if check_witness(q, candidate).ok:
+                return candidate
     return None
 
 

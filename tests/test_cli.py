@@ -137,6 +137,15 @@ def test_witness_search_deterministic(files, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_witness_search_output_is_pinned(files, capsys):
+    # the CI smoke step compares the console script's output with this file too
+    argv = ["--json", "witness", "--search", "--budget", "500", "--seed", "7", files["fig1a"]]
+    assert main(argv) == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", "cyclic_search_b500_s7.json")
+    with open(golden) as f:
+        assert capsys.readouterr().out == f.read()
+
+
 def _market(tmp_path, n, seed):
     names = [chr(ord("a") + i) for i in range(n)]
     rng = random.Random(seed)

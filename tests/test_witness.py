@@ -9,13 +9,14 @@ import pytest
 
 from conftest import FIG_A, STAR6, TAA3, q_of
 from ospmatch.classify import classify, scan_forbidden
-from ospmatch.core import PrioritySet, Restriction
-from ospmatch.da import da_match
+from ospmatch.core import PrioritySet, Restriction, all_rankings
+from ospmatch.da import da_match, da_match_product
 from ospmatch.sweep import class_census
 from ospmatch.witness import (
     Improvement,
     Subdomain,
     WitnessReport,
+    _doomed,
     _sample_subdomain,
     _transport,
     check_witness,
@@ -407,3 +408,84 @@ def test_find_witness_returns_none_below_three_applicants(rows):
     q = PrioritySet.from_rankings(rows)
     assert classify(q).limited_cyclic
     assert find_witness(q, budget=50, seed=0) is None
+
+
+# ---------------------------------------------------------------------------
+# The search's screen: a truth whose top position ranks its applicant first
+# ---------------------------------------------------------------------------
+
+def test_sure_top_iff_first_in_priority():
+    # on every n = 3 table, a truth gets its top position against all 36
+    # opponent profiles exactly when its applicant is first there
+    everyone = all_rankings(3)
+    for table in product(everyone, repeat=3):
+        ranks = PrioritySet.from_rankings(table).rank_table()
+        for a in range(3):
+            for t in everyone:
+                lists = [everyone] * 3
+                lists[a] = (t,)
+                sure = all(m[a] == t[0] for m in da_match_product(ranks, lists))
+                assert sure == (table[t[0]][0] == a)
+
+
+def test_doomed_lists_fail_check_witness():
+    rng = random.Random("screen")
+    flagged = 0
+    for n in range(3, 9):
+        tables = [PrioritySet.from_rankings([rng.sample(range(n), n) for _ in range(n)]),
+                  _planted(rng, n)] + [q for q in (TAA3, STAR6) if q.n == n]
+        for q in tables:
+            firsts = [r[0] for r in q.rankings]
+            for k in range(40):
+                candidate = _sample_subdomain(random.Random(f"screen/{n}/{k}"), n)
+                lists = candidate.type_lists
+                if not any(_doomed(firsts, i, ts) for i, ts in enumerate(lists)):
+                    continue
+                flagged += 1
+                assert not check_witness(q, candidate).ok
+                for profile, match in zip(product(*lists), da_match_product(q.rank_table(), lists)):
+                    for i, truth in enumerate(profile):
+                        if firsts[truth[0]] == i:
+                            assert match[i] == truth[0]
+    assert flagged > 300
+
+
+def _plain_search(q, budget, seed):
+    """find_witness without the screen: (first passing iteration, sample)."""
+    for i in range(budget):
+        candidate = _sample_subdomain(random.Random(f"{seed}/{i}"), q.n)
+        if check_witness(q, candidate).ok:
+            return i, candidate
+    return None
+
+
+def test_find_witness_matches_the_plain_search():
+    rng = random.Random("plain")
+    hits = 0
+    for n in range(3, 7):
+        for q in (PrioritySet.from_rankings([rng.sample(range(n), n) for _ in range(n)]),
+                  _planted(rng, n)):
+            for seed in (0, 7):
+                hit = _plain_search(q, 300, seed)
+                if hit is None:
+                    assert find_witness(q, 300, seed) is None
+                    continue
+                hits += 1
+                first, found = hit
+                assert find_witness(q, first, seed) is None
+                assert find_witness(q, first + 1, seed) == found
+    assert hits >= 4
+
+
+def test_find_witness_first_success_is_pinned():
+    # the first passing iteration of the plain search, per seed
+    for seed, first in enumerate((460, 230, 14, 269, 542, 277, 281, 153)):
+        assert find_witness(FIG_A, budget=first, seed=seed) is None
+        assert find_witness(FIG_A, budget=first + 1, seed=seed) is not None
+
+
+def test_find_witness_gives_up_on_limited_cyclic_classes():
+    tables = [row.canonical for row in class_census(4) if row.limited_cyclic]
+    assert len(tables) == 16
+    for table in tables:
+        assert find_witness(PrioritySet.from_rankings(table), budget=2000, seed=0) is None
