@@ -238,6 +238,8 @@ def _describe_violations(tree: MechanismTree, names: Names, report) -> list[str]
 
 
 def _cmd_verify_tree(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.samples is None:
+        raise FormatError("--seed applies only to --samples")
     if args.samples is not None and args.samples < 1:
         raise FormatError(f"--samples must be at least 1, got {args.samples}")
     tree, names = jsonio.parse_tree(_load(args.tree))
@@ -259,7 +261,7 @@ def _cmd_verify_tree(args: argparse.Namespace) -> int:
                     f"environment has {profile_count} profiles; pass "
                     "--samples N (or force --exhaustive)"
                 )
-        implements = check_implements(tree, q, samples=samples, seed=args.seed)
+        implements = check_implements(tree, q, samples=samples, seed=args.seed or 0)
         checks["implements"] = {
             "ok": implements.ok,
             "checked": implements.checked,
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check every profile of the environment (default)")
     mode.add_argument("--samples", type=int, default=None,
                       help="check this many seeded random profiles instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed for --samples (default 0)")
     p.set_defaults(func=_cmd_verify_tree)
 
     p = sub.add_parser("check-osp", help="report OSP violations of a tree")

@@ -20,7 +20,6 @@ run without it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -302,10 +301,6 @@ def restrict(q: PrioritySet, r: Restriction) -> PrioritySet:
     return PrioritySet.from_rankings(
         restrict_table(q.rankings, r.applicants, r.positions)
     )
-
-
-def priority_set_count(n: int) -> int:
-    return math.factorial(n) ** n
 
 
 def enumerate_priority_sets(n: int) -> Iterator[PrioritySet]:

@@ -235,13 +235,3 @@ def all_stable_matchings(q: PrioritySet, p: PreferenceProfile) -> list[Matching]
         if is_stable(q, p, mu):
             out.append(mu)
     return out
-
-
-def applicant_optimal(q: PrioritySet, p: PreferenceProfile, mu: Matching) -> bool:
-    """True iff mu weakly beats every stable matching for every applicant."""
-    prefs = p.rank_table()
-    for other in all_stable_matchings(q, p):
-        for a in range(q.n):
-            if prefs[a][other.position_of(a)] < prefs[a][mu.position_of(a)]:
-                return False
-    return True

@@ -4,9 +4,10 @@ Applicants are named by lowercase tokens (default ``a, b, c, ...``) and
 positions by the numerals ``1..n``; everything internal is a 0-based
 index, so name mapping happens only here.  Parsing validates permutation
 structure and raises :class:`FormatError` with a pointered message.
-Tree documents list each distinct edge type set once (format 2, see the
-comment above :func:`tree_to_doc`); files in the older inline layout are
-still read.
+Tree documents list each applicant's distinct edge type sets once and
+name them by index (format 2, see the comment above :func:`tree_to_doc`),
+the layout a :class:`ospmatch.mechanism.MechanismTree` holds in memory;
+files in the older inline layout are still read.
 """
 from __future__ import annotations
 
@@ -111,16 +112,6 @@ def parse_priorities(doc: Any) -> tuple[PrioritySet, Names]:
     return PrioritySet.from_rankings(rankings), names
 
 
-def priorities_to_doc(q: PrioritySet, names: Names | None = None) -> dict[str, Any]:
-    names = names or default_names(q.n)
-    return {
-        "n": q.n,
-        "priorities": [
-            [names.applicants[a] for a in ranking] for ranking in q.rankings
-        ],
-    }
-
-
 def parse_profile(doc: Any, names: Names | None = None) -> tuple[PreferenceProfile, Names]:
     doc = _expect_mapping(doc, "preferences")
     n = _expect_n(doc, "preferences")
@@ -135,16 +126,6 @@ def parse_profile(doc: Any, names: Names | None = None) -> tuple[PreferenceProfi
         _ranking_from_names(row, index, f"preferences[{i}]") for i, row in enumerate(rows)
     )
     return PreferenceProfile.from_rankings(rankings), names
-
-
-def profile_to_doc(p: PreferenceProfile, names: Names | None = None) -> dict[str, Any]:
-    names = names or default_names(p.n)
-    return {
-        "n": p.n,
-        "preferences": [
-            [names.positions[x] for x in ranking] for ranking in p.rankings
-        ],
-    }
 
 
 def matching_to_doc(mu: Matching, names: Names | None = None) -> dict[str, Any]:
@@ -214,10 +195,12 @@ def improvement_to_doc(imp: Improvement, names: Names) -> dict[str, Any]:
 # preorder and each applicant's distinct child type sets once, in
 # "type_sets": a child is {"set": k, "node": c}, where k indexes the acting
 # applicant's table.  A type set is a list of type indices into that
-# applicant's universe list as given.  A file without "format" carries each
-# child's list inline, as {"types": [...], "node": c}, and is still read.
-# Either way each distinct set is checked once and becomes one tuple that
-# every edge holding it shares.
+# applicant's universe list as given.  The tables are the tree's own
+# type_sets: tree_to_doc writes them as they are, and parse_tree keeps a
+# file's tables as listed.  A file without "format" carries each child's
+# list inline, as {"types": [...], "node": c}, and is still read; its
+# tables list each distinct set in order of first use.  Either way equal
+# sets become one tuple across applicants.
 # ---------------------------------------------------------------------------
 
 TREE_FORMAT = 2
@@ -233,22 +216,10 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
     local = [
         {t: j for j, t in enumerate(universe)} for universe in tree.universes
     ]
-    # per applicant: set -> its index in the table, in order of first use;
-    # by_id skips hashing the sets that synthesize and parse_tree share
-    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(tree.n)]
-    by_id: dict[tuple[int, int], int] = {}
-    type_sets: list[list[list[int]]] = [[] for _ in range(tree.n)]
-
-    def set_index(player: int, types: tuple[int, ...]) -> int:
-        k = by_id.get((player, id(types)))
-        if k is None:
-            k = index[player].get(types)
-            if k is None:
-                k = index[player][types] = len(type_sets[player])
-                type_sets[player].append([local[player][t] for t in types])
-            by_id[player, id(types)] = k
-        return k
-
+    type_sets = [
+        [[local[i][t] for t in types] for types in table]
+        for i, table in enumerate(tree.type_sets)
+    ]
     nodes: list[dict[str, Any]] = []
     for node in tree.nodes:
         if isinstance(node, Leaf):
@@ -261,10 +232,7 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
         else:
             nodes.append({
                 "player": names.applicants[node.player],
-                "children": [
-                    {"set": set_index(node.player, types), "node": child}
-                    for types, child in node.children
-                ],
+                "children": [{"set": k, "node": child} for k, child in node.children],
             })
     return {
         "format": TREE_FORMAT,
@@ -312,7 +280,8 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             raise FormatError(f"universes[{i}]: empty or repeats an order")
         given.append(tuple(ids))
         universes.append(tuple(sorted(ids)))
-    if "format" in doc:
+    inline = "format" not in doc
+    if not inline:
         if type(doc["format"]) is not int or doc["format"] != TREE_FORMAT:
             raise FormatError(f"tree: 'format' must be {TREE_FORMAT} or absent")
         raw_sets = doc.get("type_sets")
@@ -344,10 +313,13 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         types = tuple(sorted([given[player][j] for j in local_ids]))
         return shared.setdefault(types, types)
 
-    tables = None if "format" not in doc else [
-        [type_set(entry, i, f"type_sets[{i}][{k}]") for k, entry in enumerate(row)]
-        for i, row in enumerate(doc["type_sets"])
-    ]
+    if inline:  # each distinct set enters its table, a dict set -> index, at first use
+        tables = [{} for _ in range(n)]
+    else:
+        tables = [
+            [type_set(entry, i, f"type_sets[{i}][{k}]") for k, entry in enumerate(row)]
+            for i, row in enumerate(doc["type_sets"])
+        ]
     # each record is checked in list order; the tree's constructor checks
     # that the records come in preorder, so record i is node i in every report
     nodes: list[Node] = []
@@ -377,8 +349,9 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         children = []
         for child in children_doc:
             child = _expect_mapping(child, f"nodes[{idx}].children")
-            if tables is None:
+            if inline:
                 types = type_set(child.get("types"), player, f"nodes[{idx}]")
+                k = tables[player].setdefault(types, len(tables[player]))
             elif "types" in child:
                 raise FormatError(
                     f"nodes[{idx}]: a format-{TREE_FORMAT} child names its 'set', not inline types"
@@ -392,12 +365,12 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
                         f"nodes[{idx}]: set {k} is not in type_sets[{player}]"
                         f" ({len(tables[player])} sets)"
                     )
-                types = tables[player][k]
-            # a new int object, so the tree keeps no part of the document alive
+            # new int objects, so the tree keeps no part of the document alive
             ref = child.get("node")
-            children.append((types, ref + 0 if type(ref) is int else ref))
+            children.append((k + 0, ref + 0 if type(ref) is int else ref))
         nodes.append(Internal(player, tuple(children)))
     try:
-        return MechanismTree(n, tuple(universes), nodes), names
+        # the constructor makes each table a tuple, of its keys for a dict
+        return MechanismTree(n, tuple(universes), tables, nodes), names
     except ValueError as exc:
         raise FormatError(f"tree: {exc}") from exc

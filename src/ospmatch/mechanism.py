@@ -15,14 +15,15 @@ recursion limit: top-down walks run forward with per-node state keyed by
 id, bottom-up walks run backward and pop each child's result when the
 parent merges it.
 
-Equal edge sets are usually one shared tuple: the trees of
-:func:`ospmatch.synth.synthesize`, :func:`ospmatch.jsonio.parse_tree`,
-:func:`reveal_tree` and :func:`restrict_environment` are built that way.  So :func:`validate`
-checks each distinct question (inherited set, child sets) once, and
-:func:`check_osp` and :func:`_route` make each set's index array once per
-call.  These caches are keyed by object id, which is sound because the
-tree holds every edge set while a checker runs; a tree whose equal sets
-are separate objects gets the same answers, only without the savings.
+A tree holds each applicant's distinct edge sets once, in its
+``type_sets`` table, and an edge names its set by index in the acting
+applicant's table: the layout of format-2 tree files
+(:mod:`ospmatch.jsonio`).  The producers (:func:`ospmatch.synth.synthesize`,
+:func:`ospmatch.jsonio.parse_tree`, :func:`reveal_tree` and
+:func:`restrict_environment`) fill each table in order of first use in
+preorder.  So :func:`validate` checks each distinct question (player,
+inherited set index, child set indices) once, and :func:`check_osp` and
+:func:`check_implements` make each set's index array once per call.
 
 The checkers work on tables and batches rather than per node or per
 profile.  :func:`check_osp` carries, per node and applicant, the bitmask
@@ -76,7 +77,7 @@ class Leaf:
 @dataclass(frozen=True, slots=True)
 class Internal:
     player: int
-    children: tuple[tuple[IdSet, int], ...]  # (types, child id)
+    children: tuple[tuple[int, int], ...]  # (set index in type_sets[player], child id)
 
 
 Node = Leaf | Internal
@@ -86,17 +87,23 @@ Node = Leaf | Internal
 class MechanismTree:
     """Rooted tree plus the per-applicant type universes it is played over.
 
-    ``nodes`` lists the nodes in preorder, so node 0 is the root and a
-    node's id is its index; node i's subtree is ids ``i..end[i]-1``.  The
-    constructor refuses, with ``ValueError``, child ids that are out of
-    range, referenced twice or out of preorder, and unreachable nodes."""
+    ``type_sets[i]`` lists applicant i's edge sets, which a child of a node
+    where i acts names by index.  ``nodes`` lists the nodes in preorder, so
+    node 0 is the root and a node's id is its index; node i's subtree is ids
+    ``i..end[i]-1``.  The constructor refuses, with ``ValueError``, a table
+    count other than n, child ids that are out of range, referenced twice
+    or out of preorder, and unreachable nodes."""
 
     n: int
     universes: tuple[IdSet, ...]
+    type_sets: tuple[tuple[IdSet, ...], ...]
     nodes: tuple[Node, ...]
     end: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.type_sets = tuple(map(tuple, self.type_sets))
+        if len(self.type_sets) != self.n:
+            raise ValueError(f"expected {self.n} type-set tables, got {len(self.type_sets)}")
         nodes = self.nodes = tuple(self.nodes)
         visited = 0
         stack: list = [0]
@@ -156,11 +163,10 @@ def validate(tree: MechanismTree) -> ValidationReport:
         if not u or list(u) != sorted(set(u)):
             problems.append(f"universe of applicant {i} is empty or unsorted")
     full = set(range(tree.n))
-    # type sets inherited from the path, for nodes whose parent was entered;
-    # each is the tree's own tuple (a universe or an edge's set), so the
-    # verdict on a question (inherited set, child sets) is kept by their
-    # ids and each distinct question is checked once
-    states = {0: tree.universes}
+    # per node whose parent was entered: each applicant's inherited set, as
+    # an index into its table or -1 for its universe; each distinct question
+    # (player, inherited set, child sets) is checked once
+    states = {0: (-1,) * tree.n}
     verdicts: dict[tuple[int, ...], tuple[str, ...]] = {}
     for nid, node in enumerate(tree.nodes):
         current = states.pop(nid, None)
@@ -170,29 +176,36 @@ def validate(tree: MechanismTree) -> ValidationReport:
             if not is_permutation(node.matching, full):
                 problems.append(f"node {nid}: leaf matching is not a bijection")
             continue
-        if not 0 <= node.player < tree.n:
+        pl = node.player
+        if not 0 <= pl < tree.n:
             problems.append(f"node {nid}: player index out of range")
             continue
-        inherited = current[node.player]
-        key = (id(inherited), *[id(types) for types, _ in node.children])
+        key = (pl, current[pl], *[k for k, _ in node.children])
         found = verdicts.get(key)
         if found is None:
-            found = verdicts[key] = _partition_problems(inherited, node.children)
+            found = verdicts[key] = _partition_problems(tree, pl, current[pl], node.children)
         if found:
             problems.extend(f"node {nid}: {problem}" for problem in found)
             continue
-        for types, child in node.children:
-            states[child] = current[: node.player] + (types,) + current[node.player + 1 :]
+        for k, child in node.children:
+            states[child] = current[:pl] + (k,) + current[pl + 1 :]
     return ValidationReport(not problems, tuple(problems))
 
 
-def _partition_problems(inherited: IdSet,
-                        children: tuple[tuple[IdSet, int], ...]) -> tuple[str, ...]:
-    """What keeps the children's type sets from partitioning ``inherited``."""
-    parent = frozenset(inherited)
+def _partition_problems(tree: MechanismTree, player: int, inherited: int,
+                        children: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
+    """What keeps the children's type sets from partitioning the inherited
+    set (an index into ``player``'s table, or -1 for the universe)."""
+    table = tree.type_sets[player]
+    bad = [k for k, _ in children if not 0 <= k < len(table)]
+    if bad:
+        return tuple(f"child set {k} is not in type_sets[{player}] ({len(table)} sets)"
+                     for k in bad)
+    parent = frozenset(tree.universes[player] if inherited < 0 else table[inherited])
     problems = []
     seen: set[int] = set()
-    for types, _ in children:
+    for k, _ in children:
+        types = table[k]
         tset = set(types)
         if not tset:
             problems.append("empty child type set")
@@ -215,8 +228,9 @@ def execute_ids(tree: MechanismTree, type_ids: Sequence[int]) -> Ranking:
     node = tree.nodes[0]
     while isinstance(node, Internal):
         t = type_ids[node.player]
-        for types, child in node.children:
-            if t in types:
+        table = tree.type_sets[node.player]
+        for k, child in node.children:
+            if t in table[k]:
                 node = tree.nodes[child]
                 break
         else:
@@ -287,6 +301,7 @@ def check_implements(
     universes = [np.array(u, dtype=np.intp) for u in tree.universes]
     total = math.prod(sizes) if samples is None else samples
     rng = random.Random(seed if seed >= 0 else str(seed))
+    arrays = _set_arrays(tree)
     matchings = np.array(
         [node.matching if isinstance(node, Leaf) else (-1,) * tree.n for node in tree.nodes],
         dtype=np.intp,
@@ -298,7 +313,7 @@ def check_implements(
         else:
             places = _sample_places(rng, stop - start, sizes).T
         profiles = np.stack([u[col] for u, col in zip(universes, places)], axis=1)
-        leaves = _route(tree, profiles)
+        leaves = _route(tree, profiles, arrays)
         if (leaves < 0).any():  # only reachable on an invalid tree
             raise ValueError("no child covers a profile; tree fails validation")
         bad = np.flatnonzero((da_match_batch(ranks, profiles) != matchings[leaves]).any(axis=1))
@@ -323,21 +338,20 @@ def _sample_places(rng: random.Random, m: int, sizes: Sequence[int]) -> np.ndarr
     return (words % np.array(sizes, dtype=np.uint64)).astype(np.intp)
 
 
-def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
+def _route(tree: MechanismTree, profiles: np.ndarray, arrays: list[list[np.ndarray]]) -> np.ndarray:
     """The leaf id each row of an (M, n) array of type ids reaches, or -1
     where the row meets a node at which no child holds its type (only on
     a tree that fails :func:`validate`).  The walk runs forward over the
     preorder carrying the rows that reach each node, splits them at each
     internal node by a type -> child slot array (the first child holding
     a type takes it, as in :func:`execute_ids`), and jumps over subtrees
-    that no row reaches."""
+    that no row reaches.  ``arrays`` is :func:`_set_arrays` of the tree."""
     import numpy as np
 
     nodes, end = tree.nodes, tree.end
     leaves = np.full(len(profiles), -1, dtype=np.intp)
     pending = {0: np.arange(len(profiles))}
     unheld = np.full(math.factorial(tree.n), -1, dtype=np.intp)
-    arrays: dict[int, np.ndarray] = {}  # see _index_array
     nid = 0
     while nid < len(nodes):
         rows = pending.pop(nid, None)
@@ -350,7 +364,7 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
         else:
             slot = unheld.copy()
             for k in range(len(node.children) - 1, -1, -1):
-                slot[_index_array(arrays, node.children[k][0])] = k
+                slot[arrays[node.player][node.children[k][0]]] = k
             picked = slot[profiles[rows, node.player]]
             for k, (_, child) in enumerate(node.children):
                 taken = rows[picked == k]
@@ -360,15 +374,11 @@ def _route(tree: MechanismTree, profiles: np.ndarray) -> np.ndarray:
     return leaves
 
 
-def _index_array(arrays: dict[int, np.ndarray], types: IdSet) -> np.ndarray:
-    """``types`` as an index array, made once per set object: ``arrays`` is
-    keyed by id, which is sound while the tree holds every edge set."""
-    ids = arrays.get(id(types))
-    if ids is None:
-        import numpy as np
+def _set_arrays(tree: MechanismTree) -> list[list[np.ndarray]]:
+    """Each applicant's table of edge sets as index arrays."""
+    import numpy as np
 
-        ids = arrays[id(types)] = np.array(types, dtype=np.intp)
-    return ids
+    return [[np.array(types, dtype=np.intp) for types in table] for table in tree.type_sets]
 
 
 @dataclass(frozen=True)
@@ -415,7 +425,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
     mask_type = np.min_scalar_type((1 << n) - 1)
     nodes, end = tree.nodes, tree.end
     raw_violations: list[tuple[int, int, int, int, int, int]] = []
-    arrays: dict[int, np.ndarray] = {}  # see _index_array
+    arrays = _set_arrays(tree)
     # per node (truthful reach, reach of all leaves), held until the
     # parent merges them
     results: dict[int, tuple[list, list[int]]] = {}
@@ -427,7 +437,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
             continue
         pl = node.player
         child_results = [results.pop(child) for _, child in node.children]
-        child_types = [_index_array(arrays, types) for types, _ in node.children]
+        child_types = [arrays[pl][k] for k, _ in node.children]
         # OSP condition at this node, one child (truthful branch) at a time;
         # the deviation reaches everything under the other children
         after = [0]
@@ -497,8 +507,9 @@ def _first_leaf(tree: MechanismTree, spans: list[tuple[int, int]], player: int,
                     return nid
             elif type_id is not None and node.player == player:
                 spans.append((end[nid], stop))
+                table = tree.type_sets[player]
                 nid, stop = next(
-                    (child, end[child]) for types, child in node.children if type_id in types
+                    (child, end[child]) for k, child in node.children if type_id in table[k]
                 )
                 continue
             nid += 1
@@ -521,6 +532,8 @@ def restrict_environment(
             raise ValueError(f"sub-universe of applicant {i} escapes the environment")
     states = {0: tuple(frozenset(u) for u in subs)}
     shared: dict[IdSet, IdSet] = {}  # one tuple per distinct kept set
+    # per applicant: kept set -> its index in the new table, in order of first use
+    index: list[dict[IdSet, int]] = [{} for _ in subs]
     # the nodes reached, in preorder, with their kept children's old ids
     reached: list[Node] = []
     renumber: dict[int, int] = {}
@@ -530,18 +543,19 @@ def restrict_environment(
             continue
         renumber[nid] = len(reached)
         if isinstance(node, Internal):
-            kept = []
-            for types, child in node.children:
-                keep = frozenset(types) & current[node.player]
+            pl, table, kept = node.player, tree.type_sets[node.player], []
+            for k, child in node.children:
+                keep = frozenset(table[k]) & current[pl]
                 if keep:
-                    states[child] = current[: node.player] + (keep,) + current[node.player + 1 :]
+                    states[child] = current[:pl] + (keep,) + current[pl + 1 :]
                     types = tuple(sorted(keep))
-                    kept.append((shared.setdefault(types, types), child))
-            node = Internal(node.player, tuple(kept))
+                    types = shared.setdefault(types, types)
+                    kept.append((index[pl].setdefault(types, len(index[pl])), child))
+            node = Internal(pl, tuple(kept))
         reached.append(node)
-    return MechanismTree(tree.n, subs, tuple(
+    return MechanismTree(tree.n, subs, tuple(map(tuple, index)), tuple(
         node if isinstance(node, Leaf)
-        else Internal(node.player, tuple((types, renumber[child]) for types, child in node.children))
+        else Internal(node.player, tuple((k, renumber[child]) for k, child in node.children))
         for node in reached
     ))
 
@@ -564,6 +578,8 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
 
     nodes: list = []
     singles = {t: (t,) for u in unis for t in u}  # one shared set per type
+    # type j of applicant i's universe is set j of its table (none if it never acts)
+    type_sets = tuple(tuple(singles[t] for t in u) if len(u) > 1 else () for u in unis)
 
     def build(i: int, chosen: tuple[int, ...]) -> None:
         if i == n:
@@ -574,13 +590,13 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
             slot = len(nodes)
             nodes.append(None)
             children = []
-            for t in unis[i]:
-                children.append((singles[t], len(nodes)))
+            for j, t in enumerate(unis[i]):
+                children.append((j, len(nodes)))
                 build(i + 1, chosen + (t,))
             nodes[slot] = Internal(i, tuple(children))
 
     build(0, ())
-    tree = MechanismTree(n, unis, nodes)
+    tree = MechanismTree(n, unis, type_sets, nodes)
     nodes.clear()  # the recursive closure keeps the list alive until a gc pass
     return tree
 

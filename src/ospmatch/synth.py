@@ -9,16 +9,17 @@ all-x branch (removing the lead applicant turns the u-list into the new
 v-list and vice versa) and the fall-through to smaller gadgets.
 
 Every internal node is one question, made by ``ask(player, types,
-offered, then)``: the player's types are grouped by their favorite w
-among ``offered``, one edge per group in ascending order of w, each with
-the subtree ``then(w, group)``; the favorites in ``last`` share one final
-edge, with ``then(None, group)``.  ``ask`` appends its node before the
-subtrees ``then`` appends, so the nodes come in preorder.  Within one
-call of :func:`synthesize`, ``ask`` groups each distinct question (the
-types object, ``offered`` and ``last``) once and hands out one shared
-tuple per distinct group, so equal edge sets are one object; every
-``types`` it is given is the full universe or a group it handed out.
-``fix`` pins
+offered, then)``, where ``types`` indexes the player's table of sets (-1
+for the whole universe): the player's types are grouped by their favorite
+w among ``offered``, one edge per group in ascending order of w, each with
+the subtree ``then(w, group)`` (``group`` the index of the edge's set);
+the favorites in ``last`` share one final edge, with ``then(None,
+group)``.  ``ask`` appends its node, and enters its new sets in the
+player's table, before the subtrees ``then`` appends, so the nodes come in
+preorder and each table lists its sets in order of first use.  Within one
+call of :func:`synthesize`, ``ask`` groups each distinct question (player,
+set index, ``offered`` and ``last``) once, and equal sets are one tuple
+across applicants.  ``fix`` pins
 (applicant, position) pairs and recurses on the rest.  The trade asks its
 lead applicant once: one edge per favorite in its half U, where it
 clinches, and the pass edge (favorites outside U) last.  The lurker
@@ -34,13 +35,13 @@ gadget on applicants a1, a2, a3 and positions u, v is one ask per step:
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence, Set
+from collections.abc import Callable, Set
 
 from .classify import Classification, classify, dominance_blocks, taa_labeling_table
 from .core import PrioritySet, favorites, restrict_table
 from .mechanism import Internal, Leaf, MechanismTree, full_universe
 
-Types = Sequence[int]  # type ids in ascending order
+ALL = -1  # the set index ask reads as the player's whole universe
 
 
 class NotLimitedCyclicError(ValueError):
@@ -67,34 +68,43 @@ def synthesize(q: PrioritySet) -> MechanismTree:
 
     n = q.n
     lists = q.rankings
-    everyone = full_universe(n)
+    universe = full_universe(n)
     nodes: list = []  # in preorder; each ask reserves its slot first
+    # per applicant: its distinct edge sets in order of first use, and each
+    # set's index there; one tuple per distinct set across applicants
+    tables: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+    shared = {universe: universe}
+    # (player, set index, offered mask, last mask) -> ((w, set index), ...)
+    questions: dict[tuple[int, int, int, int], tuple[tuple[int | None, int], ...]] = {}
 
-    # (id(types), offered mask, last mask) -> (types, ((w, group), ...)); each
-    # value holds its types, so a key's id cannot be reused while it is in here
-    questions: dict[tuple[int, int, int], tuple[Types, tuple]] = {}
-    shared: dict[Types, Types] = {everyone: everyone}  # one tuple per distinct group
+    def set_index(player: int, group: tuple[int, ...]) -> int:
+        group = shared.setdefault(group, group)
+        k = index[player].setdefault(group, len(tables[player]))
+        if k == len(tables[player]):
+            tables[player].append(group)
+        return k
 
-    def ask(player: int, types: Types, offered: frozenset[int],
-            then: Callable[[int | None, Types], None], last: Set[int] = frozenset()) -> None:
+    def ask(player: int, types: int, offered: frozenset[int],
+            then: Callable[[int | None, int], None], last: Set[int] = frozenset()) -> None:
         """The question node: ``player`` names its favorite among ``offered``."""
         mask = sum(1 << pos for pos in offered)
-        key = (id(types), mask, sum(1 << pos for pos in last))
-        if key not in questions:
+        key = (player, types, mask, sum(1 << pos for pos in last))
+        edges = questions.get(key)
+        if edges is None:
             favorite = favorites(n, mask)
             groups: dict[int | None, list[int]] = {}
-            for t in types:
+            for t in universe if types == ALL else tables[player][types]:
                 w = favorite[t]
                 groups.setdefault(None if w in last else w, []).append(t)
-            edges = []
-            for w in sorted(groups, key=lambda w: (w is None, w)):
-                group = tuple(groups[w])
-                edges.append((w, shared.setdefault(group, group)))
-            questions[key] = (types, tuple(edges))
+            edges = questions[key] = tuple(
+                (w, set_index(player, tuple(groups[w])))
+                for w in sorted(groups, key=lambda w: (w is None, w))
+            )
         slot = len(nodes)
         nodes.append(None)
         children = []
-        for w, group in questions[key][1]:
+        for w, group in edges:
             children.append((group, len(nodes)))
             then(w, group)
         nodes[slot] = Internal(player, tuple(children))
@@ -114,20 +124,20 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         block = tuple(apps[i] for i in dominance_blocks(restrict_table(lists, apps, rem_pos))[0])
         if len(block) == 1:
             s, = block
-            return ask(s, everyone, rem_pos, lambda w, _: fix((s, w)))
+            return ask(s, ALL, rem_pos, lambda w, _: fix((s, w)))
         if len(block) == 2:
             # a has top priority on U, b on V; both nonempty in a finest block
             a, b = sorted(block, key=lists[min(rem_pos)].index)
             u_set = {p for p in rem_pos if lists[p].index(a) < lists[p].index(b)}
             assert u_set and u_set != rem_pos, "size-2 block without a disagreement"
 
-            def a_first(u: int | None, passers: Types) -> None:
+            def a_first(u: int | None, passers: int) -> None:
                 if u is not None:  # a clinched u
-                    return ask(b, everyone, rem_pos - {u}, lambda w, _: fix((a, u), (b, w)))
-                ask(b, everyone, rem_pos, lambda w, _: ask(  # a passed, b took w
+                    return ask(b, ALL, rem_pos - {u}, lambda w, _: fix((a, u), (b, w)))
+                ask(b, ALL, rem_pos, lambda w, _: ask(  # a passed, b took w
                     a, passers, rem_pos - {w}, lambda w2, _: fix((b, w), (a, w2))))
 
-            return ask(a, everyone, rem_pos, a_first, last=rem_pos - u_set)
+            return ask(a, ALL, rem_pos, a_first, last=rem_pos - u_set)
 
         poss = sorted(rem_pos)
         labeling = taa_labeling_table(restrict_table(lists, block, poss))
@@ -136,37 +146,38 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         u, v = poss[labeling.u_position], poss[labeling.v_position]
         no_u, no_v = rem_pos - {u}, rem_pos - {v}
 
-        def a2_node(a1_types: Types) -> None:
-            ask(a2, everyone, rem_pos, lambda w, a2_types: (
+        def a2_node(a1_types: int) -> None:
+            ask(a2, ALL, rem_pos, lambda w, a2_types: (
                 a3_node(a1_types, a2_types) if w is None else node_i(a1_types) if w == v
                 else fix((a1, v), (a2, w))), last={u})
 
-        def node_i(a1_types: Types) -> None:
+        def node_i(a1_types: int) -> None:
             ask(a1, a1_types, no_v, lambda w, _: fix((a2, v), (a1, w)))
 
-        def a3_node(a1_types: Types, a2_types: Types) -> None:
-            ask(a3, everyone, no_v, lambda w, a3_types: (
+        def a3_node(a1_types: int, a2_types: int) -> None:
+            ask(a3, ALL, no_v, lambda w, a3_types: (
                 a2_second(a1_types, a2_types, a3_types) if w is None
                 else fix((a1, v), (a2, u), (a3, w))), last={u})
 
-        def a2_second(a1_types: Types, a2_types: Types, a3_types: Types) -> None:
+        def a2_second(a1_types: int, a2_types: int, a3_types: int) -> None:
             ask(a2, a2_types, no_u, lambda w, _: (
                 node_ii(a1_types, a3_types) if w == v else fix((a1, v), (a3, u), (a2, w))))
 
-        def node_ii(a1_types: Types, a3_types: Types) -> None:
+        def node_ii(a1_types: int, a3_types: int) -> None:
             ask(a1, a1_types, no_v, lambda w, _: (
                 node_iii(a3_types) if w == u else fix((a2, v), (a1, w), (a3, u))))
 
-        def node_iii(a3_types: Types) -> None:
+        def node_iii(a3_types: int) -> None:
             ask(a3, a3_types, no_v - {u}, lambda w, _: fix((a2, v), (a1, u), (a3, w)))
 
-        ask(a1, everyone, rem_pos, lambda w, a1_types: (
+        ask(a1, ALL, rem_pos, lambda w, a1_types: (
             a2_node(a1_types) if w is None else fix((a1, w))), last={v})
 
     build(frozenset(range(n)), frozenset(range(n)), {})
-    tree = MechanismTree(n, (everyone,) * n, nodes)
+    tree = MechanismTree(n, (universe,) * n, tables, nodes)
     # the recursive closures keep these alive until a gc pass
     nodes.clear()
     questions.clear()
+    index.clear()
     shared.clear()
     return tree

@@ -183,10 +183,6 @@ def _draw_lists(rng: random.Random, n: int) -> Iterator[tuple[Ranking, ...]]:
         yield tuple(chosen)
 
 
-def _sample_subdomain(rng: random.Random, n: int) -> Subdomain:
-    return Subdomain(tuple(_draw_lists(rng, n)))
-
-
 def _doomed(firsts: Sequence[int], i: int, ts: tuple[Ranking, ...]) -> bool:
     """Whether applicant i's list ts fails check_witness whatever the other
     lists are, ``firsts[x]`` being the applicant first at position x."""

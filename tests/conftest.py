@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from ospmatch.core import PreferenceProfile, PrioritySet
+from ospmatch.jsonio import Names, default_names
 from ospmatch.mechanism import Internal, Leaf, MechanismTree
 
 
@@ -21,10 +22,24 @@ def p_of(*rows: tuple[int, ...]) -> PreferenceProfile:
     )
 
 
+def priorities_to_doc(q: PrioritySet, names: Names | None = None) -> dict:
+    """The priorities document of ``q``, the input of ``parse_priorities``."""
+    names = names or default_names(q.n)
+    return {"n": q.n, "priorities": [[names.applicants[a] for a in ranking] for ranking in q.rankings]}
+
+
+def profile_to_doc(p: PreferenceProfile, names: Names | None = None) -> dict:
+    """The preferences document of ``p``, the input of ``parse_profile``."""
+    names = names or default_names(p.n)
+    return {"n": p.n, "preferences": [[names.positions[x] for x in ranking] for ranking in p.rankings]}
+
+
 def flat_tree(n: int, universes, spec) -> MechanismTree:
-    """The tree of a nested spec, its nodes listed in preorder.  A spec is a
+    """The tree of a nested spec, its nodes listed in preorder and each
+    applicant's sets in its table in order of first use.  A spec is a
     ``Leaf`` or ``(player, ((types, spec), ...))``."""
     nodes = []
+    index = [{} for _ in range(n)]  # per applicant: set -> its index
 
     def add(spec) -> int:
         nid = len(nodes)
@@ -33,11 +48,12 @@ def flat_tree(n: int, universes, spec) -> MechanismTree:
             return nid
         player, children = spec
         nodes.append(None)
-        nodes[nid] = Internal(player, tuple((types, add(child)) for types, child in children))
+        sets = [index[player].setdefault(tuple(types), len(index[player])) for types, _ in children]
+        nodes[nid] = Internal(player, tuple((k, add(child)) for k, (_, child) in zip(sets, children)))
         return nid
 
     add(spec)
-    return MechanismTree(n, tuple(universes), nodes)
+    return MechanismTree(n, tuple(universes), tuple(map(tuple, index)), nodes)
 
 
 def nested_spec(tree: MechanismTree, nid: int = 0):
@@ -45,7 +61,21 @@ def nested_spec(tree: MechanismTree, nid: int = 0):
     node = tree.nodes[nid]
     if isinstance(node, Leaf):
         return node
-    return node.player, tuple((types, nested_spec(tree, child)) for types, child in node.children)
+    table = tree.type_sets[node.player]
+    return node.player, tuple((table[k], nested_spec(tree, child)) for k, child in node.children)
+
+
+def assert_first_use_tables(tree: MechanismTree) -> None:
+    """Each applicant's table lists distinct sets, every one named by an
+    edge, in order of first use in preorder."""
+    used = [{} for _ in range(tree.n)]  # per applicant: set indices in order of first use
+    for node in tree.nodes:
+        if isinstance(node, Internal):
+            for k, _ in node.children:
+                used[node.player].setdefault(k, None)
+    for table, order in zip(tree.type_sets, used):
+        assert len(set(table)) == len(table)
+        assert list(order) == list(range(len(table)))
 
 
 def inline_tree_doc(doc):

@@ -514,6 +514,18 @@ def test_witness_refuses_search_flags_without_search(files, capsys, flags, with_
     assert main(["witness", files["fig1a"], "--search", *flags]) == with_search
 
 
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--exhaustive", "--seed", "5"], ["--seed", "0"]])
+def test_verify_tree_refuses_seed_without_samples(files, capsys, flags):
+    # refused before the files are read, so a missing tree is not reached
+    tree_path = str(files["tmp"] / "t.json")
+    assert main(["synthesize", files["taa3"], "-o", tree_path]) == 0
+    capsys.readouterr()
+    for path in (tree_path, str(files["tmp"] / "missing.json")):
+        assert main(["verify-tree", path, files["taa3"], *flags]) == 2
+        assert capsys.readouterr().err == "error: --seed applies only to --samples\n"
+    assert main(["verify-tree", tree_path, files["taa3"], "--samples", "300", *flags[-2:]]) == 0
+
+
 def test_tree_files_above_eight_applicants_are_refused(files, capsys):
     # a single-leaf n = 9 tree: tiny on disk, but the exact checkers'
     # tables would take hundreds of MB

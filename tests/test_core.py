@@ -20,7 +20,6 @@ from ospmatch.core import (
     enumerate_priority_sets,
     favorites,
     inverse,
-    priority_set_count,
     relabel_table,
     relabelings,
     restrict,
@@ -163,8 +162,6 @@ def test_relabelings_yield_every_sigma_and_the_canonical_table(n):
 
 
 def test_enumeration_counts():
-    assert priority_set_count(3) == 216
-    assert priority_set_count(4) == 331_776
     assert sum(1 for _ in enumerate_priority_sets(1)) == 1
     seen = {q.rankings for q in enumerate_priority_sets(3)}
     assert len(seen) == 216

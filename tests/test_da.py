@@ -11,7 +11,6 @@ from conftest import FIG_E, q_of, p_of
 from ospmatch.core import Matching, PreferenceProfile, PrioritySet, all_rankings
 from ospmatch.da import (
     all_stable_matchings,
-    applicant_optimal,
     da_match,
     da_match_batch,
     da_match_product,
@@ -20,6 +19,16 @@ from ospmatch.da import (
     render_transcript,
     run_da,
 )
+
+
+def applicant_optimal(q: PrioritySet, p: PreferenceProfile, mu: Matching) -> bool:
+    """True iff mu weakly beats every stable matching for every applicant."""
+    prefs = p.rank_table()
+    for other in all_stable_matchings(q, p):
+        for a in range(q.n):
+            if prefs[a][other.position_of(a)] < prefs[a][mu.position_of(a)]:
+                return False
+    return True
 
 
 def test_two_same_lists_example():

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from conftest import TAA3
+from conftest import TAA3, priorities_to_doc
 from ospmatch.cli import main
-from ospmatch.jsonio import parse_tree, priorities_to_doc, tree_to_doc
+from ospmatch.jsonio import parse_tree, tree_to_doc
 from ospmatch.mechanism import (
     Internal,
     Leaf,
@@ -26,9 +26,9 @@ DEPTHS = [5_000, 100_000]
 
 def chain(depth: int) -> MechanismTree:
     uni = full_universe(3)
-    nodes = [Internal(0, ((uni, nid + 1),)) for nid in range(depth)]
+    nodes = [Internal(0, ((0, nid + 1),)) for nid in range(depth)]
     nodes.append(Leaf((0, 1, 2)))
-    return MechanismTree(3, (uni,) * 3, nodes)
+    return MechanismTree(3, (uni,) * 3, ((uni,), (), ()), nodes)
 
 
 @pytest.mark.parametrize("depth", DEPTHS)

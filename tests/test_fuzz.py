@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAYOUTS, tree_doc
+from conftest import LAYOUTS, priorities_to_doc, profile_to_doc, tree_doc
 from ospmatch.classify import classify
 from ospmatch.cli import main
 from ospmatch.core import PreferenceProfile, PrioritySet
@@ -33,8 +33,6 @@ from ospmatch.jsonio import (
     parse_profile,
     parse_subdomain,
     parse_tree,
-    priorities_to_doc,
-    profile_to_doc,
     subdomain_to_doc,
 )
 from ospmatch.mechanism import restrict_environment, reveal_tree

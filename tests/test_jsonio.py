@@ -6,7 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LAYOUTS, TAA3, child_type_list, flat_tree, inline_tree_doc, p_of, tree_doc
+from conftest import (
+    LAYOUTS,
+    TAA3,
+    assert_first_use_tables,
+    child_type_list,
+    flat_tree,
+    inline_tree_doc,
+    p_of,
+    priorities_to_doc,
+    profile_to_doc,
+    tree_doc,
+)
 from ospmatch.jsonio import (
     FormatError,
     default_names,
@@ -15,8 +26,6 @@ from ospmatch.jsonio import (
     parse_profile,
     parse_subdomain,
     parse_tree,
-    priorities_to_doc,
-    profile_to_doc,
     subdomain_to_doc,
     tree_to_doc,
 )
@@ -208,7 +217,8 @@ def test_tree_document_lists_each_set_once(star6_tree):
     edges = 0
     for node in star6_tree.nodes:
         if isinstance(node, Internal):
-            distinct[node.player].update(types for types, _ in node.children)
+            table = star6_tree.type_sets[node.player]
+            distinct[node.player].update(table[k] for k, _ in node.children)
             edges += len(node.children)
     assert list(map(len, doc["type_sets"])) == list(map(len, distinct))
     # 309 distinct sets on 4,253 edges; 439 (applicant, set) table entries
@@ -220,7 +230,7 @@ def test_tree_document_lists_each_set_once(star6_tree):
 
 
 def test_tree_document_keeps_a_table_per_applicant():
-    # the same two set objects, first used in opposite orders by the two
+    # the same two sets, first used in opposite orders by the two
     # applicants, get each applicant's own indices
     uni = full_universe(2)
     first, second = (0,), (1,)
@@ -236,15 +246,32 @@ def test_tree_document_keeps_a_table_per_applicant():
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_parsed_tree_shares_equal_sets(star6_tree, layout):
+    # both layouts give the synthesized tables back: 309 distinct sets in
+    # 439 entries, each table listing its sets once in order of first use
     parsed, _ = parse_tree(json.loads(json.dumps(tree_doc(star6_tree, layout))))
     assert parsed.nodes == star6_tree.nodes
-    objects: dict[tuple, set[int]] = {}
-    for node in parsed.nodes:
-        if isinstance(node, Internal):
-            for types, _ in node.children:
-                objects.setdefault(types, set()).add(id(types))
-    assert len(objects) == 309
-    assert all(len(ids) == 1 for ids in objects.values())
+    assert parsed.type_sets == star6_tree.type_sets
+    assert_first_use_tables(parsed)
+    assert len(set().union(*parsed.type_sets)) == 309
+    assert sum(map(len, parsed.type_sets)) == 439
+
+
+def test_format_two_tables_round_trip_as_listed(taa3_tree):
+    # a file may list its sets in any order and hold sets no edge names;
+    # the tree keeps its tables as listed and writes them back unchanged
+    doc = tree_to_doc(taa3_tree)
+    order = list(range(len(doc["type_sets"][0])))[::-1]
+    renamed = {old: new for new, old in enumerate(order)}
+    doc["type_sets"][0] = [doc["type_sets"][0][old] for old in order] + [[0, 5]]
+    for record in doc["nodes"]:
+        if record.get("player") == "a":
+            for child in record["children"]:
+                child["set"] = renamed[child["set"]]
+    tree, _ = parse_tree(doc)
+    assert validate(tree).ok
+    assert tree_to_doc(tree) == doc
+    assert len(tree.type_sets[0]) == len(order) + 1
+    assert tree_to_doc(parse_tree(json.loads(json.dumps(doc)))[0]) == doc
 
 
 def test_tree_reads_the_inline_file_synthesize_used_to_write(taa3_tree):

@@ -7,7 +7,18 @@ from itertools import product
 
 import pytest
 
-from conftest import FIG_A, LAYOUTS, STAR6, TAA3, flat_tree, nested_spec, p_of, q_of, tree_doc
+from conftest import (
+    FIG_A,
+    LAYOUTS,
+    STAR6,
+    TAA3,
+    assert_first_use_tables,
+    flat_tree,
+    nested_spec,
+    p_of,
+    q_of,
+    tree_doc,
+)
 from ospmatch import mechanism
 from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
 from ospmatch.da import da_match
@@ -87,37 +98,62 @@ def test_validate_reports_cover_only_when_a_parent_type_is_missing():
 
 
 def test_validate_reports_a_shared_question_at_every_node():
-    # applicant 1's two nodes ask the same question with the same set
-    # objects, and neither covers applicant 1's universe
+    # applicant 1's two nodes ask the same question, naming the same set
+    # of its table, and neither covers applicant 1's universe
     uni = full_universe(2)
     half = (0,)
     tree = flat_tree(2, (uni, uni), (0, (
         ((0,), (1, ((half, Leaf((0, 1))),))),
         ((1,), (1, ((half, Leaf((1, 0))),))),
     )))
-    assert tree.nodes[1].children[0][0] is tree.nodes[3].children[0][0]
+    assert tree.type_sets[1] == (half,)
+    assert tree.nodes[1].children[0][0] == tree.nodes[3].children[0][0] == 0
     assert validate(tree).problems == (
         "node 1: child sets do not cover the parent set",
         "node 3: child sets do not cover the parent set",
     )
 
 
-def _edge_sets(tree):
-    """Each distinct edge set of the tree, with the ids of its objects."""
-    objects: dict[tuple, set[int]] = {}
-    for node in tree.nodes:
-        if isinstance(node, Internal):
-            for types, _ in node.children:
-                objects.setdefault(types, set()).add(id(types))
-    return objects
-
-
 def test_reveal_and_restricted_trees_share_equal_sets(taa3_tree):
+    # each table lists distinct sets in order of first use; the reveal
+    # tree's applicants name type j of their universe by set j
     reveal = reveal_tree(FIG_A)
-    assert len(_edge_sets(reveal)) == 6
+    assert reveal.type_sets == (tuple((t,) for t in full_universe(3)),) * 3
     small = restrict_environment(taa3_tree, ((0, 2, 5), (1, 3), (4,)))
-    for tree in (reveal, small):
-        assert all(len(ids) == 1 for ids in _edge_sets(tree).values())
+    assert small.type_sets[2] == ((4,),)  # single-child nodes keep their set
+    for tree in (reveal, small, reveal_tree(FIG_A, ((0, 5), (3,), (1, 2, 4)))):
+        assert_first_use_tables(tree)
+
+
+def test_validate_tells_apart_players_naming_the_same_indices():
+    # both nodes name sets 0 and 1 of the acting applicant's own table,
+    # which partition applicant 0's universe but overlap in applicant 1's
+    uni = full_universe(2)
+    tree = MechanismTree(2, (uni, uni), (((0,), (1,)), ((0,), (0, 1))), (
+        Internal(0, ((0, 1), (1, 4))),
+        Internal(1, ((0, 2), (1, 3))), Leaf((0, 1)), Leaf((1, 0)),
+        Leaf((1, 0)),
+    ))
+    assert validate(tree).problems == ("node 1: overlapping child type sets",)
+
+
+def test_validate_reports_set_indices_out_of_range():
+    uni = full_universe(2)
+    tree = flat_tree(2, (uni, uni), (0, (((0,), (1, ((uni, Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
+    nodes = list(tree.nodes)
+    nodes[1] = Internal(1, ((1, 2),))
+    nodes[0] = Internal(0, ((0, 1), (-1, 3)))
+    bad = MechanismTree(2, tree.universes, tree.type_sets, nodes)
+    assert validate(bad).problems == (
+        "node 0: child set -1 is not in type_sets[0] (2 sets)",
+    )
+    nodes[0] = tree.nodes[0]
+    bad = MechanismTree(2, tree.universes, tree.type_sets, nodes)
+    assert validate(bad).problems == (
+        "node 1: child set 1 is not in type_sets[1] (1 sets)",
+    )
+    with pytest.raises(ValueError, match="child set 1 is not in type_sets"):
+        check_implements(bad, q_of("ab", "ab"))
 
 
 def test_validate_flags_repeated_child_types():
@@ -134,30 +170,36 @@ def test_validate_flags_repeated_child_types():
 
 @pytest.mark.parametrize("nodes, message", [
     # an out-of-range child id
-    ((Internal(0, (((0,), 1), ((1,), 2))), Leaf((0, 1))), "node reference 2 out of range"),
+    ((Internal(0, ((0, 1), (1, 2))), Leaf((0, 1))), "node reference 2 out of range"),
     # a child referenced twice
-    ((Internal(0, (((0,), 1), ((1,), 1))), Leaf((0, 1))), "node 1 referenced twice"),
+    ((Internal(0, ((0, 1), (1, 1))), Leaf((0, 1))), "node 1 referenced twice"),
     # the second child listed before the first child's subtree
-    ((Internal(0, (((0,), 2), ((1,), 1))), Leaf((0, 1)), Leaf((1, 0))),
+    ((Internal(0, ((0, 2), (1, 1))), Leaf((0, 1)), Leaf((1, 0))),
      "nodes[2] is out of preorder (preorder reaches it as node 1)"),
     # a node no edge reaches
-    ((Internal(0, (((0, 1), 1),)), Leaf((0, 1)), Leaf((1, 0))), "unreachable"),
+    ((Internal(0, ((2, 1),)), Leaf((0, 1)), Leaf((1, 0))), "unreachable"),
 ], ids=["out_of_range", "referenced_twice", "out_of_preorder", "unreachable"])
 def test_tree_constructor_refuses_nodes_out_of_preorder(nodes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        MechanismTree(2, (full_universe(2),) * 2, nodes)
+        MechanismTree(2, (full_universe(2),) * 2, (((0,), (1,), (0, 1)), ()), nodes)
+
+
+def test_tree_constructor_refuses_a_table_count_other_than_n():
+    with pytest.raises(ValueError, match="expected 2 type-set tables, got 1"):
+        MechanismTree(2, (full_universe(2),) * 2, ((),), (Leaf((0, 1)),))
 
 
 def test_tree_constructor_records_subtree_ends():
     uni = full_universe(2)
     tree = flat_tree(2, (uni, uni), (0, (((0,), (1, (((0, 1), Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
-    assert tree.nodes == (Internal(0, (((0,), 1), ((1,), 3))), Internal(1, (((0, 1), 2),)),
+    assert tree.type_sets == (((0,), (1,)), ((0, 1),))
+    assert tree.nodes == (Internal(0, ((0, 1), (1, 3))), Internal(1, ((0, 2),)),
                           Leaf((0, 1)), Leaf((1, 0)))
     assert tree.end == [4, 3, 3, 4]
 
 
 def test_validate_single_leaf_market():
-    tree = MechanismTree(1, ((0,),), (Leaf((0,)),))
+    tree = MechanismTree(1, ((0,),), ((),), (Leaf((0,)),))
     assert validate(tree).ok
     assert execute_ids(tree, (0,)) == (0,)
 
@@ -183,7 +225,7 @@ def test_check_implements_exhaustive(taa3_tree):
 def test_check_implements_catches_constant_tree():
     q = q_of("abc", "abc", "abc")
     uni = full_universe(3)
-    tree = MechanismTree(3, (uni,) * 3, (Leaf((0, 1, 2)),))
+    tree = MechanismTree(3, (uni,) * 3, ((),) * 3, (Leaf((0, 1, 2)),))
     # a single leaf is a valid tree but cannot equal DA across profiles
     assert validate(tree).ok
     report = check_implements(tree, q)
@@ -231,14 +273,14 @@ def _swapped_leaf(tree, k):
     m = tree.nodes[nid].matching
     nodes = list(tree.nodes)
     nodes[nid] = Leaf((m[1], m[0]) + m[2:])
-    return MechanismTree(tree.n, tree.universes, nodes)
+    return MechanismTree(tree.n, tree.universes, tree.type_sets, nodes)
 
 
 def _implements_cases():
     four_q = q_of("dabc", "dabc", "dacb", "dbac")
     four = synthesize(four_q)
     taa3 = synthesize(TAA3)
-    constant = MechanismTree(3, (full_universe(3),) * 3, (Leaf((0, 1, 2)),))
+    constant = MechanismTree(3, (full_universe(3),) * 3, ((),) * 3, (Leaf((0, 1, 2)),))
     cases = [(taa3, TAA3), (constant, TAA3), (constant, FIG_A), (constant, q_of("abc", "abc", "abc")),
              (reveal_tree(FIG_A), FIG_A), (reveal_tree(FIG_A), TAA3)]
     leaves = taa3.leaf_count()
@@ -351,7 +393,7 @@ def test_reveal_tree_with_pinned_opponents_is_clean():
 
 
 def test_single_leaf_tree_is_trivially_osp():
-    tree = MechanismTree(1, ((0,),), (Leaf((0,)),))
+    tree = MechanismTree(1, ((0,),), ((),), (Leaf((0,)),))
     assert check_osp(tree).ok
 
 
@@ -452,8 +494,8 @@ def _brute_osp_violations(tree):
         if not isinstance(node, Internal):
             return [nid]
         if node.player == player:
-            for types, child in node.children:
-                if type_id in types:
+            for k, child in node.children:
+                if type_id in tree.type_sets[player][k]:
                     return truthful_leaves(child, player, type_id)
             return []
         out = []
@@ -466,7 +508,8 @@ def _brute_osp_violations(tree):
         if not isinstance(node, Internal):
             return
         player = node.player
-        for k, (types, child) in enumerate(node.children):
+        for k, (s, child) in enumerate(node.children):
+            types = tree.type_sets[player][s]
             dev = []
             for j, (_, sibling) in enumerate(node.children):
                 if j != k:

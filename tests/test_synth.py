@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FIG_A, STAR6, TAA3, inline_tree_doc, q_of
+from conftest import FIG_A, STAR6, TAA3, assert_first_use_tables, inline_tree_doc, q_of
 from ospmatch.core import PrioritySet, all_rankings
 from ospmatch.jsonio import tree_to_doc
 from ospmatch.mechanism import (
@@ -31,9 +31,8 @@ def test_small_gadget_tree_shape(taa3_tree):
     assert len(root.children) == 3
     rankings = all_rankings(3)
     # first two branches clinch positions 1 and 2, the last passes on 3
-    for branch, top in zip(root.children, (0, 1, 2)):
-        types, _ = branch
-        assert all(rankings[t][0] == top for t in types)
+    for (k, _), top in zip(root.children, (0, 1, 2)):
+        assert all(rankings[t][0] == top for t in taa3_tree.type_sets[0][k])
     # the pass branch hands the move to the second block member
     pass_child = taa3_tree.nodes[root.children[-1][1]]
     assert isinstance(pass_child, Internal) and pass_child.player == 1
@@ -279,12 +278,9 @@ def test_synthesized_format_two_documents_are_byte_stable(taa3_tree, star6_tree)
 
 
 def test_synthesized_trees_share_equal_sets(taa3_tree, star6_tree):
-    # every edge set equal to another is the same tuple object
-    for tree, distinct in ((taa3_tree, 14), (star6_tree, 309)):
-        objects: dict[tuple, set[int]] = {}
-        for node in tree.nodes:
-            if isinstance(node, Internal):
-                for types, _ in node.children:
-                    objects.setdefault(types, set()).add(id(types))
-        assert all(len(ids) == 1 for ids in objects.values())
-        assert len(objects) == distinct
+    # each applicant's table lists its distinct sets once, in order of first
+    # use; STAR6 holds 309 distinct sets in 439 (applicant, set) entries
+    for tree, distinct, entries in ((taa3_tree, 14, 20), (star6_tree, 309, 439)):
+        assert_first_use_tables(tree)
+        assert len(set().union(*tree.type_sets)) == distinct
+        assert sum(map(len, tree.type_sets)) == entries

@@ -17,7 +17,7 @@ from ospmatch.witness import (
     Subdomain,
     WitnessReport,
     _doomed,
-    _sample_subdomain,
+    _draw_lists,
     _transport,
     check_witness,
     find_witness,
@@ -28,6 +28,11 @@ from ospmatch.witness import (
 
 def _pref(*cols: int) -> tuple[int, ...]:
     return tuple(c - 1 for c in cols)
+
+
+def _sample_subdomain(rng: random.Random, n: int) -> Subdomain:
+    """A subdomain from the sampler find_witness draws from, drawn whole."""
+    return Subdomain(tuple(_draw_lists(rng, n)))
 
 
 def test_subdomain_validation():
@@ -270,10 +275,6 @@ def test_find_witness_smoke_on_star():
 def test_no_witness_ever_passes_on_implementable_tables():
     # a passing subdomain certifies non-implementability, so implementable
     # markets must reject every candidate
-    import random
-
-    from ospmatch.witness import _sample_subdomain
-
     for q in (TAA3, q_of("abc", "abc", "abc"), q_of("abc", "abc", "acb"),
               q_of("abc", "abc", "bac")):
         for i in range(300):
