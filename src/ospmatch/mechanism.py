@@ -26,15 +26,19 @@ inherited set index, child set indices) once, and :func:`check_osp` and
 :func:`check_implements` make each set's index array once per call.
 
 The checkers work on tables and batches rather than per node or per
-profile.  :func:`check_osp` carries, per node and applicant, the bitmask
-of positions still reachable (Li's condition, "Obviously Strategy-Proof
-Mechanisms", AER 2017, compares only the worst truthful and the best
-deviating position), and reads the best and worst spot of each type from
-:func:`ospmatch.core.spot_tables`.  :func:`check_implements` reads one
-stream of profiles, all of them in product order or seeded samples, in
-slices: each slice is routed down the preorder as a whole, the rows that
-reach a node split by their type there, and is compared with the batched
-DA kernel :func:`ospmatch.da.da_match_batch`.  The scalar walk
+profile.  :func:`check_osp` works on bitmasks of reachable positions
+(Li's condition, "Obviously Strategy-Proof Mechanisms", AER 2017,
+compares only the worst truthful and the best deviating position), and
+reads the best and worst spot of each type from
+:func:`ospmatch.core.spot_tables`.  Each node's record holds every
+applicant's mask over all leaves below (``masks``), and a mask per type
+only for the applicants who act below (``acted``): for everyone else
+every type reaches every leaf below, so the mask is the reach.
+:func:`check_implements` reads one stream of profiles, all of them in
+product order or seeded samples, in slices: each slice is routed down
+the preorder as a whole, the rows that reach a node split by their type
+there, and is compared with the batched DA kernel
+:func:`ospmatch.da.da_match_batch`.  The scalar walk
 :func:`execute_ids` and the scalar :func:`ospmatch.da.da_match` stay the
 oracles the tests hold it to.  numpy is imported only inside the
 functions that build arrays (:func:`check_implements`, its helpers and
@@ -90,9 +94,9 @@ class MechanismTree:
     ``type_sets[i]`` lists applicant i's edge sets, which a child of a node
     where i acts names by index.  ``nodes`` lists the nodes in preorder, so
     node 0 is the root and a node's id is its index; node i's subtree is ids
-    ``i..end[i]-1``.  The constructor refuses, with ``ValueError``, a table
-    count other than n, child ids that are out of range, referenced twice
-    or out of preorder, and unreachable nodes."""
+    ``i..end[i]-1``.  The constructor refuses, with ``ValueError``, a
+    universe or table count other than n, child ids that are out of range,
+    referenced twice or out of preorder, and unreachable nodes."""
 
     n: int
     universes: tuple[IdSet, ...]
@@ -102,6 +106,8 @@ class MechanismTree:
 
     def __post_init__(self) -> None:
         self.type_sets = tuple(map(tuple, self.type_sets))
+        if len(self.universes) != self.n:
+            raise ValueError(f"expected {self.n} universes, got {len(self.universes)}")
         if len(self.type_sets) != self.n:
             raise ValueError(f"expected {self.n} type-set tables, got {len(self.type_sets)}")
         nodes = self.nodes = tuple(self.nodes)
@@ -411,12 +417,12 @@ def check_osp(tree: MechanismTree) -> OspReport:
 
     Both sides depend only on which positions can still be reached, so the
     walk carries position bitmasks and reads the two spots from
-    :func:`ospmatch.core.spot_tables`.  Per node and applicant it keeps
-    the positions reachable under truthful play: one int while the
-    applicant has not acted below the node (then every type reaches every
-    leaf below), else an array of masks indexed by type id (0 for types
-    that cannot reach the node).  Alongside, one int per applicant holds
-    the positions of all leaves below, the deviating side's reach.
+    :func:`ospmatch.core.spot_tables`.  Each node keeps one record:
+    ``masks``, per applicant the positions of all leaves below (the
+    deviating side's reach, and the truthful reach of every type of an
+    applicant who does not act below), and ``acted``, for each applicant
+    who acts below, the truthful reach as an array of masks indexed by type
+    id (0 for types that cannot reach the node).
     """
     import numpy as np
 
@@ -426,58 +432,45 @@ def check_osp(tree: MechanismTree) -> OspReport:
     nodes, end = tree.nodes, tree.end
     raw_violations: list[tuple[int, int, int, int, int, int]] = []
     arrays = _set_arrays(tree)
-    # per node (truthful reach, reach of all leaves), held until the
-    # parent merges them
-    results: dict[int, tuple[list, list[int]]] = {}
+    # per node (masks, acted), held until the parent merges them
+    results: dict[int, tuple[list[int], dict]] = {}
     for nid in range(len(nodes) - 1, -1, -1):
         node = nodes[nid]
         if isinstance(node, Leaf):
-            masks = [1 << pos for pos in node.matching]
-            results[nid] = (masks, masks)
+            results[nid] = ([1 << pos for pos in node.matching], {})
             continue
         pl = node.player
-        child_results = [results.pop(child) for _, child in node.children]
-        child_types = [arrays[pl][k] for k, _ in node.children]
+        kids = [(arrays[pl][k], child, *results.pop(child)) for k, child in node.children]
+        masks = [0] * n
+        shared = 0  # the mover's positions under two or more children
+        for *_, child_masks, _ in kids:
+            shared |= masks[pl] & child_masks[pl]
+            masks = [a | m for a, m in zip(masks, child_masks)]
         # OSP condition at this node, one child (truthful branch) at a time;
-        # the deviation reaches everything under the other children
-        after = [0]
-        for _, masks in reversed(child_results):
-            after.append(after[-1] | masks[pl])
-        after.reverse()
-        before = 0
-        for k, (types, (reach, masks)) in enumerate(zip(child_types, child_results)):
-            dev_mask = before | after[k + 1]
-            before |= masks[pl]
+        # the deviation reaches everything under the other children: the
+        # positions under two or more children and those this child lacks
+        mover = np.zeros(len(tables.positions), dtype=mask_type)
+        for types, child, child_masks, acted in kids:
+            truth = acted[pl][types] if pl in acted else child_masks[pl]
+            mover[types] = truth
+            dev_mask = shared | (masks[pl] ^ child_masks[pl])
             if not dev_mask:
                 continue
-            truth = reach[pl]
-            worst = tables.worst[types, truth if isinstance(truth, int) else truth[types]]
+            worst = tables.worst[types, truth]
             best = tables.best[types, dev_mask]
             for b in np.nonzero(worst > best)[0].tolist():
                 t = int(types[b])
-                raw_violations.append((nid, pl, t, node.children[k][1],
+                raw_violations.append((nid, pl, t, child,
                                        int(tables.positions[t, worst[b]]),
                                        int(tables.positions[t, best[b]])))
-        # merge children upward
-        merged: list = []
-        for i in range(n):
-            if i == pl:
-                arr = np.zeros(len(tables.positions), dtype=mask_type)
-                for types, (reach, _) in zip(child_types, child_results):
-                    arr[types] = reach[i] if isinstance(reach[i], int) else reach[i][types]
-                merged.append(arr)
-                continue
-            ints, arr = 0, None
-            for reach, _ in child_results:
-                if isinstance(reach[i], int):
-                    ints |= reach[i]
-                else:
-                    arr = reach[i] if arr is None else arr | reach[i]
-            merged.append(ints if arr is None else arr | ints)
-        all_masks = [0] * n
-        for _, masks in child_results:
-            all_masks = [a | m for a, m in zip(all_masks, masks)]
-        results[nid] = (merged, all_masks)
+        # the other applicants' truthful reach is the union over the children
+        merged = {pl: mover}
+        for i in {i for *_, acted in kids for i in acted} - {pl}:
+            reach = 0
+            for *_, child_masks, acted in kids:
+                reach = reach | (acted[i] if i in acted else child_masks[i])
+            merged[i] = reach
+        results[nid] = (masks, merged)
 
     violations = tuple(
         Violation(

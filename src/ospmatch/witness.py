@@ -349,13 +349,16 @@ def lift_witness(q: PrioritySet, r: Restriction) -> Subdomain:
     A proposes outside P.  The applicants outside A are as many as the
     positions outside P, which they rank first, so none of them proposes into
     P.  Every truth and every lie thus gives A the positions it gets on the
-    restriction, and the fixture's improvements carry over.
+    restriction, and the fixture's improvements carry over.  A restriction
+    that is not a forbidden pattern raises ``ValueError``.
     """
     small = restrict(q, r)
-    local = next(
+    local = next((
         found for f in fixtures()
         if (found := _transport(f.priorities, f.subdomain, small)) is not None
-    )
+    ), None)
+    if local is None:
+        raise ValueError(f"{r} is not a forbidden pattern of the table")
     inside = r.positions
     outside = tuple(x for x in range(q.n) if x not in inside)
     type_lists = [(outside + inside,)] * q.n

@@ -110,6 +110,15 @@ def test_check_osp_subcommand(files, capsys):
     assert "obviously strategyproof" in capsys.readouterr().out
 
 
+def test_check_osp_output_is_pinned(files, capsys):
+    # the CI smoke step compares the console script's output with this file too
+    tree_path = write(files["tmp"] / "fig_a_reveal.json", tree_to_doc(reveal_tree(FIG_A)))
+    assert main(["--json", "check-osp", tree_path]) == 1
+    golden = os.path.join(os.path.dirname(__file__), "data", "fig_a_reveal_check_osp.json")
+    with open(golden) as f:
+        assert capsys.readouterr().out == f.read()
+
+
 def test_witness_on_limited_cyclic_input(files, capsys):
     assert main(["witness", files["taa3"]]) == 3
     assert "no witness" in capsys.readouterr().out

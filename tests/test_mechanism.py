@@ -1,6 +1,7 @@
 """Tree validation, execution, and the implements/OSP checkers."""
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from itertools import product
@@ -187,6 +188,15 @@ def test_tree_constructor_refuses_nodes_out_of_preorder(nodes, message):
 def test_tree_constructor_refuses_a_table_count_other_than_n():
     with pytest.raises(ValueError, match="expected 2 type-set tables, got 1"):
         MechanismTree(2, (full_universe(2),) * 2, ((),), (Leaf((0, 1)),))
+
+
+def test_tree_constructor_refuses_a_universe_count_other_than_n():
+    # validate alone would pass such a tree, and check_implements would
+    # index past the universes
+    with pytest.raises(ValueError, match="expected 2 universes, got 3"):
+        MechanismTree(2, (full_universe(2),) * 3, ((), ()), (Leaf((0, 1)),))
+    with pytest.raises(ValueError, match="expected 2 universes, got 1"):
+        MechanismTree(2, (full_universe(2),), ((), ()), (Leaf((0, 1)),))
 
 
 def test_tree_constructor_records_subtree_ends():
@@ -551,7 +561,8 @@ def _reveal_top_first(q):
     return flat_tree(tree.n, tree.universes, root)
 
 
-def test_check_osp_matches_brute_force_everywhere():
+def _brute_force_trees():
+    """Synthesized, reveal and restricted trees at n = 3 and 4."""
     rankings = all_rankings(3)
     rng = random.Random(31)
     from ospmatch.classify import classify
@@ -576,7 +587,11 @@ def test_check_osp_matches_brute_force_everywhere():
     trees.append(four)
     trees.append(reveal_tree(q_of("abcd", "abdc", "acbd", "bacd"),
                              ((0, 5, 11, 17), (3, 9), (2, 21, 22), (7,))))
-    for tree in trees:
+    return trees
+
+
+def test_check_osp_matches_brute_force_everywhere():
+    for tree in _brute_force_trees():
         report = check_osp(tree)
         fast = {(v.node, v.player, v.type_id) for v in report.violations}
         slow = _brute_osp_violations(tree)
@@ -633,9 +648,9 @@ def _random_tree(rng, depth):
     return flat_tree(3, universes, build(universes, depth))
 
 
-def test_check_osp_matches_brute_force_when_players_act_again():
-    # a player's truthful reach is merged over their own later moves
-    # (three moves on a path) and over other players' moves in between
+def _act_again_trees():
+    """Trees where a player acts again below their own move: staged reveal
+    trees (three moves on a path) and seeded random trees."""
     small = ((0, 7), (3, 17), (11,))
     trees = [
         _reveal_in_stages(q, (full_universe(4),) + small)
@@ -643,8 +658,13 @@ def test_check_osp_matches_brute_force_when_players_act_again():
                   q_of("abcd", "bcda", "cdab", "dabc"))
     ]
     rng = random.Random(41)
-    trees += [_random_tree(rng, 6) for _ in range(60)]
-    for tree in trees:
+    return trees + [_random_tree(rng, 6) for _ in range(60)]
+
+
+def test_check_osp_matches_brute_force_when_players_act_again():
+    # a player's truthful reach is merged over their own later moves
+    # and over other players' moves in between
+    for tree in _act_again_trees():
         assert validate(tree).ok
         report = check_osp(tree)
         slow = _brute_osp_violations(tree)
@@ -653,6 +673,26 @@ def test_check_osp_matches_brute_force_when_players_act_again():
             truthful, deviating = slow[v.node, v.player, v.type_id]
             assert v.truthful_leaf in truthful
             assert v.deviating_leaf in deviating
+
+
+def test_check_osp_reports_are_pinned(star6_tree):
+    # whole reports: both leaves of each violation, in order, plus ok
+    uni = full_universe(3)
+    chain = [Internal(0, ((0, nid + 1),)) for nid in range(5_000)] + [Leaf((0, 1, 2))]
+    trees = _brute_force_trees() + _act_again_trees() + [
+        _swapped_leaf(star6_tree, 780),
+        MechanismTree(3, (uni,) * 3, ((uni,), (), ()), chain),
+        MechanismTree(2, (full_universe(2),) * 2, ((), ()), (Internal(0, ()),)),
+    ]
+    reports = [check_osp(tree) for tree in trees]
+    assert sum(len(r.violations) for r in reports) == 765
+    text = "\n".join(
+        f"{r.ok} " + " ".join(
+            f"{v.node},{v.player},{v.type_id},{v.truthful_leaf},{v.deviating_leaf}"
+            for v in r.violations)
+        for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b7345562d4824d4dcaba1366c5ef985a015a74d74271de3a8a923b837631af51")
 
 
 def test_restricted_tree_still_implements_da():

@@ -205,6 +205,15 @@ def test_lift_onto_relabeled_fixture_table():
         assert check_witness(target, lifted).ok
 
 
+def test_lift_refuses_a_restriction_that_is_not_forbidden():
+    # not a bare StopIteration, which a generator would turn into RuntimeError
+    r = Restriction((0, 1, 2), (0, 1, 2))
+    with pytest.raises(ValueError, match=re.escape(f"{r} is not a forbidden pattern")):
+        lift_witness(TAA3, r)
+    with pytest.raises(ValueError, match="not a forbidden pattern"):
+        list(lift_witness(TAA3, r) for _ in range(1))
+
+
 def test_star_has_no_scan_hit():
     # STAR6 is limited cyclic, so there is nothing to lift
     assert scan_forbidden(STAR6) is None
