@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -251,11 +252,9 @@ def _cmd_verify_tree(args: argparse.Namespace) -> int:
     checks["validate"] = {"ok": valid.ok, "problems": list(valid.problems)}
     ok = valid.ok
     if valid.ok:
-        samples = None if args.exhaustive or args.samples is None else args.samples
+        samples = args.samples
         if samples is None and not args.exhaustive:
-            profile_count = 1
-            for universe in tree.universes:
-                profile_count *= len(universe)
+            profile_count = math.prod(map(len, tree.universes))
             if profile_count > 2_000_000:
                 raise FormatError(
                     f"environment has {profile_count} profiles; pass "

@@ -1,12 +1,12 @@
 """Applicant-proposing deferred acceptance and its correctness oracles.
 
 Three kernels compute the same applicant-optimal stable matching.
-:func:`da_match` runs one profile in plain Python; it is the oracle, and
-the callers that need one profile at a time (``run_da``, the leaves of
-``reveal_tree``) use it.  :func:`da_match_product` runs every profile of
-a product of per-applicant type lists in one depth-first pass, so
-profiles that share their first k types share those k applicants' DA
-work; ``check_witness`` reads a subdomain's outcomes from it.
+:func:`da_match` runs one profile in plain Python; ``run_da`` uses it,
+and it is the oracle of the other two.  :func:`da_match_product` runs
+every profile of a product of per-applicant type lists in one
+depth-first pass, so profiles that share their first k types share those
+k applicants' DA work; ``check_witness`` reads a subdomain's outcomes
+from it, and ``reveal_tree`` its leaves in preorder.
 :func:`da_match_batch` runs a whole (M, n) array of type ids in numpy,
 one proposal per profile per step, for the exhaustive and sampled checks
 of a mechanism tree.  All follow McVitie and Wilson ("The stable
@@ -76,6 +76,8 @@ def da_match_product(rank_by_pos: Sequence[Sequence[int]],
     ``sum_k prod_{j<=k} |T_j|`` entries instead of ``n * prod_j |T_j|``.
     """
     n = len(type_lists)
+    if not n:
+        return [()]
     prefs: list[Ranking] = [()] * n
     out: list[Ranking] = []
 
@@ -104,9 +106,8 @@ def da_match_product(rank_by_pos: Sequence[Sequence[int]],
             else:
                 out.append(inverse(h))
 
-    if not n:
-        return [()]
     enter(0, [-1] * n, [0] * n)
+    del enter  # the closure refers to itself; unbinding frees it now
     return out
 
 

@@ -252,14 +252,12 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         raise FormatError(f"tree: n = {n} is above the supported {MAX_TREE_N}")
     applicants = doc.get("applicants")
     positions = doc.get("positions")
-    if (
-        not isinstance(applicants, Sequence)
-        or not isinstance(positions, Sequence)
-        or len(applicants) != n
-        or len(positions) != n
-        or not all(isinstance(name, str) for name in (*applicants, *positions))
+    if not all(
+        isinstance(entries, Sequence) and not isinstance(entries, str) and len(entries) == n
+        and all(isinstance(name, str) for name in entries) and len(set(entries)) == n
+        for entries in (applicants, positions)
     ):
-        raise FormatError("tree: 'applicants' and 'positions' must name n entries each")
+        raise FormatError("tree: 'applicants' and 'positions' must name n distinct entries each")
     names = Names(tuple(applicants), tuple(positions))
     pos_index = names.position_index()
     raw_universes = doc.get("universes")

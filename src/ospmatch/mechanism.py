@@ -5,7 +5,8 @@ in; leaves carry full matchings.  Type ids are lexicographic ranking ids
 (see :func:`ospmatch.core.all_rankings`), and each applicant's type set
 along a path only refines at nodes where that applicant acts, so the
 partition axioms hold by construction for synthesized trees and are
-re-checked from scratch by :func:`validate` for arbitrary ones.
+re-checked from scratch by :func:`validate` for arbitrary ones.  The
+constructor refuses a universe that is not an increasing list of type ids.
 
 A tree stores its nodes in preorder, and an internal node names its
 children by id, so a node's id is its place in preorder (the record order
@@ -13,7 +14,8 @@ children by id, so a node's id is its place in preorder (the record order
 Tree walks are loops, so trees of any depth run under the default
 recursion limit: top-down walks run forward with per-node state keyed by
 id, bottom-up walks run backward and pop each child's result when the
-parent merges it.
+parent merges it.  :func:`reveal_tree` lists its nodes in one loop too,
+its leaves read in order from one product DA pass.
 
 A tree holds each applicant's distinct edge sets once, in its
 ``type_sets`` table, and an edge names its set by index in the acting
@@ -50,6 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
 from .core import (
@@ -62,7 +65,7 @@ from .core import (
     ranking_id,
     spot_tables,
 )
-from .da import da_match, da_match_batch
+from .da import da_match_batch, da_match_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,8 +98,10 @@ class MechanismTree:
     where i acts names by index.  ``nodes`` lists the nodes in preorder, so
     node 0 is the root and a node's id is its index; node i's subtree is ids
     ``i..end[i]-1``.  The constructor refuses, with ``ValueError``, a
-    universe or table count other than n, child ids that are out of range,
-    referenced twice or out of preorder, and unreachable nodes."""
+    universe or table count other than n, a universe that is empty, not
+    strictly increasing or holds an id outside ``0..n!-1``, child ids that
+    are out of range, referenced twice or out of preorder, and unreachable
+    nodes."""
 
     n: int
     universes: tuple[IdSet, ...]
@@ -106,8 +111,7 @@ class MechanismTree:
 
     def __post_init__(self) -> None:
         self.type_sets = tuple(map(tuple, self.type_sets))
-        if len(self.universes) != self.n:
-            raise ValueError(f"expected {self.n} universes, got {len(self.universes)}")
+        _check_universes(self.n, self.universes)
         if len(self.type_sets) != self.n:
             raise ValueError(f"expected {self.n} type-set tables, got {len(self.type_sets)}")
         nodes = self.nodes = tuple(self.nodes)
@@ -141,6 +145,20 @@ class MechanismTree:
         return sum(isinstance(node, Leaf) for node in self.nodes)
 
 
+def _check_universes(n: int, universes: Sequence[IdSet]) -> None:
+    """Refuse, with ``ValueError``, a universe count other than n and a
+    universe that is empty, not strictly increasing or holds an id outside
+    ``0..n!-1``."""
+    if len(universes) != n:
+        raise ValueError(f"expected {n} universes, got {len(universes)}")
+    top = math.factorial(n) - 1
+    for i, u in enumerate(universes):
+        if not (u and 0 <= u[0] and u[-1] <= top and all(a < b for a, b in zip(u, u[1:]))):
+            raise ValueError(
+                f"universe of applicant {i} is not a nonempty increasing list of ids in 0..{top}"
+            )
+
+
 def full_universe(n: int) -> IdSet:
     return tuple(range(math.factorial(n)))
 
@@ -165,9 +183,6 @@ def validate(tree: MechanismTree) -> ValidationReport:
     repeats a type fails, as it does in :func:`ospmatch.jsonio.parse_tree`.
     """
     problems: list[str] = []
-    for i, u in enumerate(tree.universes):
-        if not u or list(u) != sorted(set(u)):
-            problems.append(f"universe of applicant {i} is empty or unsorted")
     full = set(range(tree.n))
     # per node whose parent was entered: each applicant's inherited set, as
     # an index into its table or -1 for its universe; each distinct question
@@ -558,40 +573,38 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
     turn and the leaf plays deferred acceptance on the revealed profile.
 
     Implements DA by construction but is generally not OSP; used as a
-    checker fixture.
+    checker fixture.  An applicant with one type never acts.  The leaves in
+    preorder are the universes' profiles in product order, so one
+    :func:`ospmatch.da.da_match_product` pass matches them all.
     """
     n = q.n
-    rankings = all_rankings(n)
-    ranks = q.rank_table()
     unis = (
         tuple(tuple(sorted(set(u))) for u in universes)
         if universes is not None
         else tuple(full_universe(n) for _ in range(n))
     )
-
-    nodes: list = []
+    _check_universes(n, unis)
+    rankings = all_rankings(n)
+    matchings = iter(da_match_product(q.rank_table(), [[rankings[t] for t in u] for u in unis]))
+    movers = [i for i, u in enumerate(unis) if len(u) > 1]  # depth d asks movers[d]
+    # size[d]: the nodes of a subtree whose root is at depth d, so such a
+    # root's children lie size[d + 1] ids apart
+    size = [*accumulate([len(unis[i]) for i in reversed(movers)],
+                        lambda below, k: 1 + k * below, initial=1)][::-1]
     singles = {t: (t,) for u in unis for t in u}  # one shared set per type
     # type j of applicant i's universe is set j of its table (none if it never acts)
     type_sets = tuple(tuple(singles[t] for t in u) if len(u) > 1 else () for u in unis)
-
-    def build(i: int, chosen: tuple[int, ...]) -> None:
-        if i == n:
-            nodes.append(Leaf(da_match(ranks, tuple(rankings[t] for t in chosen))))
-        elif len(unis[i]) == 1:
-            build(i + 1, chosen + (unis[i][0],))
-        else:
-            slot = len(nodes)
-            nodes.append(None)
-            children = []
-            for j, t in enumerate(unis[i]):
-                children.append((j, len(nodes)))
-                build(i + 1, chosen + (t,))
-            nodes[slot] = Internal(i, tuple(children))
-
-    build(0, ())
-    tree = MechanismTree(n, unis, type_sets, nodes)
-    nodes.clear()  # the recursive closure keeps the list alive until a gc pass
-    return tree
+    nodes: list[Node] = []
+    depths = [0]  # the depths of the nodes still to list, the next one last
+    while depths:
+        d = depths.pop()
+        if d == len(movers):
+            nodes.append(Leaf(next(matchings)))
+            continue
+        nid, k = len(nodes), len(unis[movers[d]])
+        nodes.append(Internal(movers[d], tuple((j, nid + 1 + j * size[d + 1]) for j in range(k))))
+        depths += [d + 1] * k
+    return MechanismTree(n, unis, type_sets, nodes)
 
 
 def player_move_bound(tree: MechanismTree) -> int:

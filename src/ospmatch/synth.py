@@ -19,9 +19,10 @@ player's table, before the subtrees ``then`` appends, so the nodes come in
 preorder and each table lists its sets in order of first use.  Within one
 call of :func:`synthesize`, ``ask`` groups each distinct question (player,
 set index, ``offered`` and ``last``) once, and equal sets are one tuple
-across applicants.  ``fix`` pins
-(applicant, position) pairs and recurses on the rest.  The trade asks its
-lead applicant once: one edge per favorite in its half U, where it
+across applicants.  ``fix`` pins (applicant, position) pairs and recurses
+on the rest; :func:`synthesize` unbinds its self-calling ``build`` on
+return, so reference counting frees the working tables.  The trade asks
+its lead applicant once: one edge per favorite in its half U, where it
 clinches, and the pass edge (favorites outside U) last.  The lurker
 gadget on applicants a1, a2, a3 and positions u, v is one ask per step:
 
@@ -174,10 +175,5 @@ def synthesize(q: PrioritySet) -> MechanismTree:
             a2_node(a1_types) if w is None else fix((a1, w))), last={v})
 
     build(frozenset(range(n)), frozenset(range(n)), {})
-    tree = MechanismTree(n, (universe,) * n, tables, nodes)
-    # the recursive closures keep these alive until a gc pass
-    nodes.clear()
-    questions.clear()
-    index.clear()
-    shared.clear()
-    return tree
+    del build  # the closure refers to itself; unbinding frees it now
+    return MechanismTree(n, (universe,) * n, tables, nodes)

@@ -432,7 +432,8 @@ def test_priorities_reject_bool_size(tmp_path, capsys):
     _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("field", ["node", "player", "applicants", "positions", "universes", "record"])
+@pytest.mark.parametrize("field", ["node", "player", "applicants", "positions", "universes", "record",
+                                   "applicants_string", "applicants_repeated", "positions_repeated"])
 def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
     tree_path = tmp_path / "t.json"
     assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
@@ -447,12 +448,21 @@ def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
         doc["universes"][1] = True
     elif field == "record":
         doc["nodes"][1] = 5
+    elif field == "applicants_string":
+        doc["applicants"] = "abc"
+    elif field == "applicants_repeated":
+        doc["applicants"] = ["a", "a", "c"]
+    elif field == "positions_repeated":
+        doc["positions"] = ["1", "1", "3"]
     else:
         doc[field][0] = [doc[field][0]]
     mutated = write(tmp_path / "mutated.json", doc)
     capsys.readouterr()
     assert main(["verify-tree", mutated, files["taa3"]]) == 2
-    _one_error_line(capsys)
+    if field.endswith(("_string", "_repeated")):
+        _one_error_line(capsys, "must name n distinct entries each")
+    else:
+        _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     LAYOUTS,
+    FIG_A,
     TAA3,
     assert_first_use_tables,
     child_type_list,
@@ -37,6 +38,7 @@ from ospmatch.mechanism import (
     execute_ids,
     full_universe,
     restrict_environment,
+    reveal_tree,
     validate,
 )
 from ospmatch.witness import fixtures
@@ -284,6 +286,11 @@ def test_tree_reads_the_inline_file_synthesize_used_to_write(taa3_tree):
     assert (from_v1.n, from_v1.universes, from_v1.nodes) == (
         from_v2.n, from_v2.universes, from_v2.nodes)
     assert tree_to_doc(from_v1) == tree_to_doc(taa3_tree)
+
+
+def test_fig_a_reveal_tree_file_is_pinned():
+    # the CI smoke step writes this tree with json.dump and cmp-s it with the file
+    assert json.dumps(tree_to_doc(reveal_tree(FIG_A))) == (DATA / "fig_a_reveal_tree.json").read_text()
 
 
 def test_tree_rejects_bad_matching(taa3_tree):

@@ -10,6 +10,8 @@ import pytest
 
 from conftest import (
     FIG_A,
+    FIG_C,
+    FIG_E,
     LAYOUTS,
     STAR6,
     TAA3,
@@ -197,6 +199,24 @@ def test_tree_constructor_refuses_a_universe_count_other_than_n():
         MechanismTree(2, (full_universe(2),) * 3, ((), ()), (Leaf((0, 1)),))
     with pytest.raises(ValueError, match="expected 2 universes, got 1"):
         MechanismTree(2, (full_universe(2),), ((), ()), (Leaf((0, 1)),))
+
+
+@pytest.mark.parametrize("universe", [(-1, 1), (0, 2), (1, 0), (0, 0, 1), ()],
+                         ids=["negative", "n_factorial", "unsorted", "repeated", "empty"])
+def test_tree_constructor_refuses_a_universe_outside_the_type_ids(universe):
+    # with id -1 check_implements read id 1 in its place, and with id n!
+    # the checkers indexed past their tables
+    with pytest.raises(ValueError, match=r"universe of applicant 1 is not a nonempty "
+                                         r"increasing list of ids in 0\.\.1$"):
+        MechanismTree(2, (full_universe(2), universe), ((), ()), (Leaf((0, 1)),))
+
+
+def test_reveal_tree_refuses_a_universe_outside_the_type_ids():
+    # id -1 would read the last ranking, and id n! none, before the tree is made
+    with pytest.raises(ValueError, match="universe of applicant 0 is not"):
+        reveal_tree(q_of("ab", "ba"), ((-1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="universe of applicant 1 is not"):
+        reveal_tree(q_of("ab", "ba"), ((0, 1), (0, 2)))
 
 
 def test_tree_constructor_records_subtree_ends():
@@ -392,6 +412,59 @@ def test_check_osp_accepts_serial_tree():
     tree = synthesize(q)
     assert check_osp(tree).ok
     assert player_move_bound(tree) == 1
+
+
+def _recursive_reveal_tree(q, universes=None):
+    """The reveal tree built by recursion, each leaf by its own
+    :func:`da_match` call: the oracle that ``reveal_tree`` is held to."""
+    n = q.n
+    rankings, ranks = all_rankings(n), q.rank_table()
+    unis = (tuple(tuple(sorted(set(u))) for u in universes) if universes is not None
+            else (full_universe(n),) * n)
+    nodes = []
+
+    def build(i, chosen):
+        if i == n:
+            nodes.append(Leaf(da_match(ranks, tuple(rankings[t] for t in chosen))))
+        elif len(unis[i]) == 1:
+            build(i + 1, chosen + (unis[i][0],))
+        else:
+            slot = len(nodes)
+            nodes.append(None)
+            children = []
+            for j, t in enumerate(unis[i]):
+                children.append((j, len(nodes)))
+                build(i + 1, chosen + (t,))
+            nodes[slot] = Internal(i, tuple(children))
+
+    build(0, ())
+    type_sets = tuple(tuple((t,) for t in u) if len(u) > 1 else () for u in unis)
+    return MechanismTree(n, unis, type_sets, nodes)
+
+
+def _restricted_reveal_cases():
+    """Seeded universes of one to four types, one applicant each with a
+    single type, then universes where every applicant has one type."""
+    rng = random.Random(23)
+    cases = []
+    for q in (FIG_A, FIG_C, TAA3, FIG_E):
+        for _ in range(4):
+            sizes = [rng.randrange(1, 5) for _ in range(q.n)]
+            sizes[rng.randrange(q.n)] = 1
+            cases.append((q, tuple(rng.sample(range(len(all_rankings(q.n))), k) for k in sizes)))
+    return cases + [(FIG_A, ((5,), (0,), (2,))), (FIG_E, ((3,), (17,), (0,), (23,)))]
+
+
+@pytest.mark.parametrize("q, universes", [(FIG_A, None), (TAA3, None), (FIG_E, None),
+                                          *_restricted_reveal_cases()])
+def test_reveal_tree_matches_the_recursive_oracle(q, universes):
+    tree, oracle = reveal_tree(q, universes), _recursive_reveal_tree(q, universes)
+    assert tree.nodes == oracle.nodes
+    assert tree.type_sets == oracle.type_sets
+    assert tree.universes == oracle.universes
+    assert tree.end == oracle.end
+    if universes is not None and all(len(u) == 1 for u in universes):
+        assert len(tree.nodes) == 1
 
 
 def test_reveal_tree_with_pinned_opponents_is_clean():
