@@ -26,7 +26,7 @@ from .core import (
     Ranking,
     Restriction,
     canonical_table,
-    inverse,
+    checked_ranks,
     relabelings,
     restricted_rankings,
 )
@@ -121,9 +121,6 @@ def taa_patterns(base: Sequence[int]) -> tuple[Ranking, Ranking, Ranking]:
 
 Table = tuple[Ranking, ...]
 
-# ranking -> the rank of each item in it
-_ranks = Memo(inverse)
-
 # base list x -> its u and v lists
 _uv = Memo(lambda x: taa_patterns(x)[1:])
 
@@ -156,7 +153,7 @@ def dominance_blocks(table: Table) -> list[tuple[int, ...]]:
     a block, and the result does not depend on which list anchors the order.
     """
     order = table[0]
-    rank_rows = [_ranks[ranking] for ranking in table]
+    rank_rows = [checked_ranks[ranking] for ranking in table]
     blocks: list[tuple[int, ...]] = []
     start = worst = 0
     for end, item in enumerate(order, 1):

@@ -7,8 +7,9 @@ are applied only at the I/O boundary (see :mod:`ospmatch.jsonio`).
 A market is two tables of strict rankings: a :class:`PrioritySet` holds
 each position's ranking of the applicants and a :class:`PreferenceProfile`
 each applicant's ranking of the positions.  Both hold the ranking tuples
-themselves as ``rankings`` and build the inverse ``rank_table()`` once.
-The predicates and the sweeps read such tables of ranking tuples as they
+themselves as ``rankings`` and build the inverse ``rank_table()`` once,
+from :data:`checked_ranks`, which checks and inverts each distinct
+ranking once per process.  The predicates and the sweeps read such tables of ranking tuples as they
 are.  A ranking's lexicographic index (:func:`ranking_id`) is used only
 where something is indexed by it: the rows of :func:`spot_tables`, and
 so the type ids of mechanism trees.
@@ -135,11 +136,15 @@ class _Table:
         n = len(rankings)
         if n == 0:
             raise ValueError(f"{type(self).__name__} needs at least one ranking")
-        full = set(range(n))
+        rank_table = []
         for ranking in rankings:
-            _check_permutation(ranking, full)
+            # checked_ranks checks a ranking on its first sight; later
+            # sights need only its length
+            if len(ranking) != n:
+                raise ValueError(f"not a permutation of 0..{n - 1}: {ranking!r}")
+            rank_table.append(checked_ranks[ranking])
         object.__setattr__(self, "rankings", rankings)
-        object.__setattr__(self, "_rank_table", tuple(map(inverse, rankings)))
+        object.__setattr__(self, "_rank_table", tuple(rank_table))
 
     @classmethod
     def from_rankings(cls: type[_T], rankings: Iterable[Sequence[int]]) -> _T:
@@ -228,6 +233,17 @@ class Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+def _checked_inverse(ranking: Ranking) -> Ranking:
+    _check_permutation(ranking, set(range(len(ranking))))
+    return inverse(ranking)
+
+
+# ranking -> the spot of each item in it, filled on the ranking's first
+# sight once it is checked to be a permutation.  Every table and the
+# predicates share it, so each ranking is checked and inverted once.
+checked_ranks = Memo(_checked_inverse)
 
 
 def restrict_ranking(ranking: Ranking, keep: Sequence[int]) -> Ranking:

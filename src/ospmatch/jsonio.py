@@ -5,16 +5,18 @@ positions by the numerals ``1..n``; everything internal is a 0-based
 index, so name mapping happens only here.  Parsing validates permutation
 structure and raises :class:`FormatError` with a pointered message.
 Tree documents list each applicant's distinct edge type sets once and
-name them by index (format 2, see the comment above :func:`tree_to_doc`),
-the layout a :class:`ospmatch.mechanism.MechanismTree` holds in memory;
-files in the older inline layout are still read.
+name them by index, the layout a :class:`ospmatch.mechanism.MechanismTree`
+holds in memory.  Format 3, the one written, spells sets as hex bitmasks
+and nodes as arrays of numbers (see the comment above :func:`tree_to_doc`);
+files in format 2 and in the older inline layout are still read.
 """
 from __future__ import annotations
 
 import re
 import string
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any
 
 from .core import (
@@ -191,57 +193,72 @@ def improvement_to_doc(imp: Improvement, names: Names) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Mechanism trees.  Format 2, the one tree_to_doc writes, lists the nodes in
-# preorder and each applicant's distinct child type sets once, in
-# "type_sets": a child is {"set": k, "node": c}, where k indexes the acting
-# applicant's table.  A type set is a list of type indices into that
-# applicant's universe list as given.  The tables are the tree's own
-# type_sets: tree_to_doc writes them as they are, and parse_tree keeps a
-# file's tables as listed.  A file without "format" carries each child's
-# list inline, as {"types": [...], "node": c}, and is still read; its
-# tables list each distinct set in order of first use.  Either way equal
+# Mechanism trees.  Format 3, the one tree_to_doc writes, holds a tree's own
+# tables.  "universes" has one lowercase hex bitmask per applicant, bit t
+# set iff ranking id t is in the universe; "type_sets" lists each table as
+# the tree holds it, a set being a hex bitmask over its applicant's
+# universe in increasing id order; "nodes" lists the nodes in preorder, a
+# leaf as its n position indices and an internal node as [player, [set
+# index, ...]].  Child ids are not written: preorder and arities imply them.
+# Format 2 is still read: its universes list position-name orders, a set
+# lists indices into its universe list as given, and a node is an object,
+# {"matching": {...}} or {"player": name, "children": [{"set": k, "node":
+# c}, ...]}.  A file without "format" carries each child's list inline, as
+# {"types": [...], "node": c}; its tables list each distinct set in order
+# of first use.  Every layout keeps a file's tables as listed, and equal
 # sets become one tuple across applicants.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT = 2
+TREE_FORMAT = 3
+_HEX_RE = re.compile(r"[0-9a-f]+\Z")
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _hex_mask(bits: Iterable[int], size: int) -> str:
+    """The hex bitmask with bit j set for each j in ``bits`` (all below ``size``)."""
+    flags = bytearray(b"0") * size
+    for j in bits:
+        flags[j] = 49  # "1"
+    return format(int(flags[::-1], 2), "x")
+
+
+def _mask_items(text: Any, items: Sequence[int], where: str, what: str, empty: str) -> tuple[int, ...]:
+    """The items whose bits are set in the hex bitmask ``text``, bit j
+    standing for ``items[j]``.  The digits are checked before ``int`` reads
+    them, which alone would take "0x1f", "1_f", " 1f" or "-1f"."""
+    if type(text) is not str or not _HEX_RE.match(text):
+        raise FormatError(f"{where}: expected a lowercase hex bitmask")
+    digits = -(-len(items) // 4)
+    if len(text) > digits:
+        raise FormatError(f"{where}: bitmask longer than {digits} hex digits")
+    mask = int(text, 16)
+    if not mask:
+        raise FormatError(f"{where}: {empty}")
+    if mask >> len(items):
+        raise FormatError(f"{where}: {what} outside 0..{len(items) - 1}")
+    # one flag byte per bit, lowest first, so compress picks the set items
+    return tuple(compress(items, format(mask, "b")[::-1].encode().translate(_TO_FLAGS)))
 
 
 def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, Any]:
     names = names or default_names(tree.n)
-    rankings = all_rankings(tree.n)
-    universes = [
-        [[names.positions[x] for x in rankings[t]] for t in universe]
-        for universe in tree.universes
-    ]
-    local = [
-        {t: j for j, t in enumerate(universe)} for universe in tree.universes
-    ]
-    type_sets = [
-        [[local[i][t] for t in types] for types in table]
-        for i, table in enumerate(tree.type_sets)
-    ]
-    nodes: list[dict[str, Any]] = []
-    for node in tree.nodes:
-        if isinstance(node, Leaf):
-            nodes.append({
-                "matching": {
-                    names.applicants[a]: names.positions[x]
-                    for a, x in enumerate(node.matching)
-                }
-            })
-        else:
-            nodes.append({
-                "player": names.applicants[node.player],
-                "children": [{"set": k, "node": child} for k, child in node.children],
-            })
+    size = len(all_rankings(tree.n))
+    type_sets = []
+    for universe, table in zip(tree.universes, tree.type_sets):
+        local = {t: j for j, t in enumerate(universe)}
+        type_sets.append([_hex_mask(map(local.__getitem__, types), len(universe)) for types in table])
     return {
         "format": TREE_FORMAT,
         "n": tree.n,
         "applicants": list(names.applicants),
         "positions": list(names.positions),
-        "universes": universes,
+        "universes": [_hex_mask(universe, size) for universe in tree.universes],
         "type_sets": type_sets,
-        "nodes": nodes,
+        "nodes": [
+            list(node.matching) if isinstance(node, Leaf)
+            else [node.player, [k for k, _ in node.children]]
+            for node in tree.nodes
+        ],
     }
 
 
@@ -259,29 +276,36 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     ):
         raise FormatError("tree: 'applicants' and 'positions' must name n distinct entries each")
     names = Names(tuple(applicants), tuple(positions))
-    pos_index = names.position_index()
-    raw_universes = doc.get("universes")
-    if not isinstance(raw_universes, Sequence) or len(raw_universes) != n:
-        raise FormatError("tree: 'universes' must list one type list per applicant")
-    # type indices point into the universe lists as given; the in-memory
-    # tree keeps universes sorted by lexicographic ranking id.
-    given: list[tuple[int, ...]] = []
-    universes: list[tuple[int, ...]] = []
-    for i, universe in enumerate(raw_universes):
-        if not isinstance(universe, Sequence) or isinstance(universe, str):
-            raise FormatError(f"universes[{i}]: expected a list of orders")
-        ids = [
-            ranking_id(_ranking_from_names(row, pos_index, f"universes[{i}][{j}]"))
-            for j, row in enumerate(universe)
-        ]
-        if len(set(ids)) != len(ids) or not ids:
-            raise FormatError(f"universes[{i}]: empty or repeats an order")
-        given.append(tuple(ids))
-        universes.append(tuple(sorted(ids)))
     inline = "format" not in doc
+    if not inline and (type(doc["format"]) is not int or doc["format"] not in (2, TREE_FORMAT)):
+        raise FormatError(f"tree: 'format' must be 2, {TREE_FORMAT} or absent")
+    arrays = not inline and doc["format"] == TREE_FORMAT
+    raw_universes = doc.get("universes")
+    if (
+        not isinstance(raw_universes, Sequence) or len(raw_universes) != n
+        or arrays and isinstance(raw_universes, str)  # each digit would read as a mask
+    ):
+        raise FormatError("tree: 'universes' must list one type list per applicant")
+    if arrays:
+        ids = range(len(all_rankings(n)))
+        given = [
+            _mask_items(text, ids, f"universes[{i}]", "ranking id", "empty or repeats an order")
+            for i, text in enumerate(raw_universes)
+        ]
+    else:  # type indices point into the universe lists as given
+        pos_index = names.position_index()
+        given = []
+        for i, universe in enumerate(raw_universes):
+            if not isinstance(universe, Sequence) or isinstance(universe, str):
+                raise FormatError(f"universes[{i}]: expected a list of orders")
+            ids = [
+                ranking_id(_ranking_from_names(row, pos_index, f"universes[{i}][{j}]"))
+                for j, row in enumerate(universe)
+            ]
+            if len(set(ids)) != len(ids) or not ids:
+                raise FormatError(f"universes[{i}]: empty or repeats an order")
+            given.append(tuple(ids))
     if not inline:
-        if type(doc["format"]) is not int or doc["format"] != TREE_FORMAT:
-            raise FormatError(f"tree: 'format' must be {TREE_FORMAT} or absent")
         raw_sets = doc.get("type_sets")
         if (
             not isinstance(raw_sets, Sequence)
@@ -292,6 +316,81 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     records = doc.get("nodes")
     if not isinstance(records, Sequence) or not records:
         raise FormatError("tree: 'nodes' must be a nonempty list")
+    if arrays:
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct set
+        tables = [
+            [shared.setdefault(types, types) for types in [
+                _mask_items(text, given[i], f"type_sets[{i}][{k}]", "type index", "child needs a type list")
+                for k, text in enumerate(row)
+            ]]
+            for i, row in enumerate(raw_sets)
+        ]
+        universes, nodes = given, _array_nodes(records, n, tables)
+    else:
+        universes = [tuple(sorted(ids)) for ids in given]
+        tables, nodes = _named_nodes(doc, records, names, given, inline)
+    try:
+        # the constructor makes each table a tuple, of its keys for a dict
+        return MechanismTree(n, tuple(universes), tables, nodes), names
+    except ValueError as exc:
+        raise FormatError(f"tree: {exc}") from exc
+
+
+def _array_nodes(records: Sequence[Any], n: int, tables: list[list[tuple[int, ...]]]) -> list[Node]:
+    """The nodes of format-3 records.  One stack holds the internal nodes
+    still missing children: each record is the next child of the top one,
+    so its child ids follow from preorder and the arities."""
+    full = list(range(n))
+    leaves: dict[tuple[int, ...], Leaf] = {}  # one Leaf per distinct matching
+    nodes: list[Node | None] = [None] * len(records)
+    waiting: list[tuple[int, int, list[int], list[int]]] = []  # (id, player, sets, child ids)
+    for idx, record in enumerate(records):
+        if waiting:
+            nid, player, sets, children = waiting[-1]
+            children.append(idx)
+            if len(children) == len(sets):
+                waiting.pop()
+                nodes[nid] = Internal(player, tuple(zip(sets, children)))
+        elif idx:
+            raise FormatError(f"nodes[{idx}]: record after the root's subtree ends")
+        if type(record) is not list:
+            raise FormatError(f"nodes[{idx}]: expected an array")
+        if len(record) == 2 and type(record[1]) is list:
+            player, sets = record
+            if type(player) is not int or not 0 <= player < n:
+                raise FormatError(f"nodes[{idx}]: unknown player {player!r}")
+            if not sets:
+                raise FormatError(f"nodes[{idx}]: internal node needs children")
+            count = len(tables[player])
+            for k in sets:
+                # the exact type test rules out bools
+                if type(k) is not int or not 0 <= k < count:
+                    raise FormatError(
+                        f"nodes[{idx}]: set {k!r} is not in type_sets[{player}] ({count} sets)"
+                    )
+            waiting.append((idx, player, sets, []))
+            continue
+        if len(record) != n or set(map(type, record)) != {int}:
+            raise FormatError(f"nodes[{idx}]: matching is not a bijection")
+        matching = tuple(record)
+        leaf = leaves.get(matching)
+        if leaf is None:
+            if sorted(matching) != full:
+                raise FormatError(f"nodes[{idx}]: matching is not a bijection")
+            leaf = leaves[matching] = Leaf(matching)
+        nodes[idx] = leaf
+    if waiting:
+        raise FormatError(f"nodes: the list ends while nodes[{waiting[-1][0]}] waits for a child")
+    return nodes
+
+
+def _named_nodes(
+    doc: Mapping[str, Any], records: Sequence[Any], names: Names,
+    given: list[tuple[int, ...]], inline: bool,
+) -> tuple[list, list[Node]]:
+    """The tables and nodes of format-2 and inline records."""
+    n = len(given)
+    pos_index = names.position_index()
     app_index = names.applicant_index()
     valid = [frozenset(range(len(ids))) for ids in given]
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct set
@@ -352,7 +451,7 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
                 k = tables[player].setdefault(types, len(tables[player]))
             elif "types" in child:
                 raise FormatError(
-                    f"nodes[{idx}]: a format-{TREE_FORMAT} child names its 'set', not inline types"
+                    f"nodes[{idx}]: a format-2 child names its 'set', not inline types"
                 )
             else:
                 k = child.get("set")
@@ -367,8 +466,4 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             ref = child.get("node")
             children.append((k + 0, ref + 0 if type(ref) is int else ref))
         nodes.append(Internal(player, tuple(children)))
-    try:
-        # the constructor makes each table a tuple, of its keys for a dict
-        return MechanismTree(n, tuple(universes), tables, nodes), names
-    except ValueError as exc:
-        raise FormatError(f"tree: {exc}") from exc
+    return tables, nodes

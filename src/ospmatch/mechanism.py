@@ -19,8 +19,9 @@ its leaves read in order from one product DA pass.
 
 A tree holds each applicant's distinct edge sets once, in its
 ``type_sets`` table, and an edge names its set by index in the acting
-applicant's table: the layout of format-2 tree files
-(:mod:`ospmatch.jsonio`).  The producers (:func:`ospmatch.synth.synthesize`,
+applicant's table: the layout tree files hold (:mod:`ospmatch.jsonio`;
+format 3 writes each set as a bitmask and each node as an array).  The
+producers (:func:`ospmatch.synth.synthesize`,
 :func:`ospmatch.jsonio.parse_tree`, :func:`reveal_tree` and
 :func:`restrict_environment`) fill each table in order of first use in
 preorder.  So :func:`validate` checks each distinct question (player,

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from ospmatch.core import PreferenceProfile, PrioritySet
-from ospmatch.jsonio import Names, default_names
+from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
+from ospmatch.jsonio import Names, default_names, tree_to_doc
 from ospmatch.mechanism import Internal, Leaf, MechanismTree
 
 
@@ -78,10 +78,47 @@ def assert_first_use_tables(tree: MechanismTree) -> None:
         assert list(order) == list(range(len(table)))
 
 
+def format2_tree_doc(tree: MechanismTree, names: Names | None = None) -> dict:
+    """The format-2 document of ``tree``, which ``tree_to_doc`` wrote before
+    format 3 and ``parse_tree`` still reads: universes as lists of
+    position-name orders, each type set as a list of indices into its
+    applicant's universe, and one object per node, with applicant and
+    position names and child ids."""
+    names = names or default_names(tree.n)
+    rankings = all_rankings(tree.n)
+    local = [{t: j for j, t in enumerate(universe)} for universe in tree.universes]
+    nodes = []
+    for node in tree.nodes:
+        if isinstance(node, Leaf):
+            nodes.append({"matching": {
+                names.applicants[a]: names.positions[x] for a, x in enumerate(node.matching)
+            }})
+        else:
+            nodes.append({
+                "player": names.applicants[node.player],
+                "children": [{"set": k, "node": child} for k, child in node.children],
+            })
+    return {
+        "format": 2,
+        "n": tree.n,
+        "applicants": list(names.applicants),
+        "positions": list(names.positions),
+        "universes": [
+            [[names.positions[x] for x in rankings[t]] for t in universe]
+            for universe in tree.universes
+        ],
+        "type_sets": [
+            [[local[i][t] for t in types] for types in table]
+            for i, table in enumerate(tree.type_sets)
+        ],
+        "nodes": nodes,
+    }
+
+
 def inline_tree_doc(doc):
-    """A tree document in the inline layout, the only one before format 2:
-    each child carries its type-index list as ``"types"``, and there is no
-    ``"format"`` or ``"type_sets"``.  Keys keep the order the inline writer
+    """The format-2 document ``doc`` in the inline layout, the only one
+    before format 2: each child carries its type-index list as
+    ``"types"``, and there is no ``"format"`` or ``"type_sets"``.  Keys keep the order the inline writer
     used, so ``json.dumps`` of the result is that writer's output."""
     doc = dict(doc)
     tables = doc.pop("type_sets")
@@ -97,25 +134,83 @@ def inline_tree_doc(doc):
     return doc
 
 
-LAYOUTS = ("format2", "inline")
+# every layout parse_tree reads; the named ones spell universes and type
+# sets as lists, so a test can edit one type index in them
+LAYOUTS = ("format3", "format2", "inline")
+NAMED_LAYOUTS = ("format2", "inline")
 
 
 def tree_doc(tree, layout):
-    """``tree_to_doc(tree)`` in the named layout."""
-    from ospmatch.jsonio import tree_to_doc
-
-    doc = tree_to_doc(tree)
+    """The document of ``tree`` in the named layout."""
+    if layout == "format3":
+        return tree_to_doc(tree)
+    doc = format2_tree_doc(tree)
     return doc if layout == "format2" else inline_tree_doc(doc)
 
 
 def child_type_list(doc, nid, k):
-    """The type-index list of child ``k`` of record ``nid``, as a list in the
-    document: inline in the record, or the shared ``type_sets`` entry."""
+    """The type-index list of child ``k`` of record ``nid`` of a document in
+    a named layout, as a list in the document: inline in the record, or the
+    shared ``type_sets`` entry."""
     record = doc["nodes"][nid]
     child = record["children"][k]
     if "types" in child:
         return child["types"]
     return doc["type_sets"][doc["applicants"].index(record["player"])][child["set"]]
+
+
+# each rewrite of a format-3 document of the TAA3 tree (n = 3, full
+# universes, a leaf last), with the refusal it gets
+BAD_FORMAT3 = {
+    "hex_prefix": (lambda d: d["universes"].__setitem__(0, "0x3f"),
+                   "universes[0]: expected a lowercase hex bitmask"),
+    "hex_underscore": (lambda d: d["universes"].__setitem__(0, "3_f"),
+                       "universes[0]: expected a lowercase hex bitmask"),
+    "hex_space": (lambda d: d["type_sets"][0].__setitem__(0, " 1"),
+                  "type_sets[0][0]: expected a lowercase hex bitmask"),
+    "hex_plus": (lambda d: d["type_sets"][0].__setitem__(0, "+1"),
+                 "type_sets[0][0]: expected a lowercase hex bitmask"),
+    "hex_minus": (lambda d: d["type_sets"][0].__setitem__(0, "-1"),
+                  "type_sets[0][0]: expected a lowercase hex bitmask"),
+    "hex_upper": (lambda d: d["universes"].__setitem__(1, "3F"),
+                  "universes[1]: expected a lowercase hex bitmask"),
+    "hex_empty": (lambda d: d["universes"].__setitem__(1, ""),
+                  "universes[1]: expected a lowercase hex bitmask"),
+    "hex_not_a_string": (lambda d: d["type_sets"][0].__setitem__(0, 1),
+                         "type_sets[0][0]: expected a lowercase hex bitmask"),
+    "hex_too_long": (lambda d: d["type_sets"][0].__setitem__(0, "001"),
+                     "type_sets[0][0]: bitmask longer than 2 hex digits"),
+    "universes_string": (lambda d: d.__setitem__("universes", "fff"),
+                         "tree: 'universes' must list one type list per applicant"),
+    "universe_zero": (lambda d: d["universes"].__setitem__(2, "0"),
+                      "universes[2]: empty or repeats an order"),
+    "set_zero": (lambda d: d["type_sets"][1].__setitem__(0, "00"),
+                 "type_sets[1][0]: child needs a type list"),
+    "universe_beyond_n_factorial": (lambda d: d["universes"].__setitem__(0, "7f"),
+                                    "universes[0]: ranking id outside 0..5"),
+    "set_beyond_universe": (lambda d: d["type_sets"][0].__setitem__(0, "40"),
+                            "type_sets[0][0]: type index outside 0..5"),
+    "nodes_end_early": (lambda d: d["nodes"].pop(),
+                        "nodes: the list ends while nodes["),
+    "record_after_root": (lambda d: d["nodes"].append([0, 1, 2]),
+                          "record after the root's subtree ends"),
+    "leaf_short": (lambda d: d["nodes"].__setitem__(-1, [0, 1]), "matching is not a bijection"),
+    "leaf_repeats": (lambda d: d["nodes"].__setitem__(-1, [0, 0, 1]), "matching is not a bijection"),
+    "leaf_bool": (lambda d: d["nodes"].__setitem__(-1, [True, 0, 2]), "matching is not a bijection"),
+    "leaf_float": (lambda d: d["nodes"].__setitem__(-1, [1.0, 0, 2]), "matching is not a bijection"),
+    "player_bool": (lambda d: d["nodes"][0].__setitem__(0, False), "nodes[0]: unknown player False"),
+    "player_name": (lambda d: d["nodes"][0].__setitem__(0, "a"), "nodes[0]: unknown player 'a'"),
+    "player_out_of_range": (lambda d: d["nodes"][0].__setitem__(0, 3), "nodes[0]: unknown player 3"),
+    "set_bool": (lambda d: d["nodes"][0][1].__setitem__(0, False),
+                 "nodes[0]: set False is not in type_sets[0]"),
+    "set_float": (lambda d: d["nodes"][0][1].__setitem__(0, 0.0),
+                  "nodes[0]: set 0.0 is not in type_sets[0]"),
+    "set_out_of_range": (lambda d: d["nodes"][0][1].__setitem__(0, 99),
+                         "nodes[0]: set 99 is not in type_sets[0]"),
+    "no_children": (lambda d: d["nodes"][0].__setitem__(1, []), "nodes[0]: internal node needs children"),
+    "record_not_an_array": (lambda d: d["nodes"].__setitem__(1, {"matching": {}}),
+                            "nodes[1]: expected an array"),
+}
 
 
 # The irreducible non-implementable tables (letters by subfigure).

@@ -9,10 +9,18 @@ import sys
 
 import pytest
 
-from conftest import FIG_A, LAYOUTS, child_type_list, flat_tree, inline_tree_doc
+from conftest import (
+    BAD_FORMAT3,
+    FIG_A,
+    NAMED_LAYOUTS,
+    child_type_list,
+    flat_tree,
+    format2_tree_doc,
+    tree_doc,
+)
 import ospmatch.cli
 from ospmatch.cli import main
-from ospmatch.jsonio import parse_subdomain, subdomain_to_doc, tree_to_doc
+from ospmatch.jsonio import parse_subdomain, parse_tree, subdomain_to_doc, tree_to_doc
 from ospmatch.mechanism import Leaf, full_universe, reveal_tree, validate
 from ospmatch.witness import Subdomain
 
@@ -111,12 +119,16 @@ def test_check_osp_subcommand(files, capsys):
 
 
 def test_check_osp_output_is_pinned(files, capsys):
-    # the CI smoke step compares the console script's output with this file too
+    # the CI smoke step compares the console script's output with this file
+    # too, on a fresh write and on the format-2 file
+    data = os.path.join(os.path.dirname(__file__), "data")
     tree_path = write(files["tmp"] / "fig_a_reveal.json", tree_to_doc(reveal_tree(FIG_A)))
-    assert main(["--json", "check-osp", tree_path]) == 1
-    golden = os.path.join(os.path.dirname(__file__), "data", "fig_a_reveal_check_osp.json")
-    with open(golden) as f:
-        assert capsys.readouterr().out == f.read()
+    with open(os.path.join(data, "fig_a_reveal_check_osp.json")) as f:
+        golden = f.read()
+    for path in (tree_path, os.path.join(data, "fig_a_reveal_tree_v3.json"),
+                 os.path.join(data, "fig_a_reveal_tree.json")):
+        assert main(["--json", "check-osp", path]) == 1
+        assert capsys.readouterr().out == golden
 
 
 def test_witness_on_limited_cyclic_input(files, capsys):
@@ -361,16 +373,20 @@ def _one_error_line(capsys, contains="error: "):
     assert err.startswith("error: ") and err.count("\n") == 1 and contains in err, err
 
 
-def _mutated_tree(files, tmp_path, mutate, layout):
-    """The TAA3 tree, written by ``synthesize`` and put in ``layout``, with
-    one child's type list rewritten by ``mutate``.  Under plain Python
-    indexing the negative, bool and repeated rewrites still name the same
-    types, so only strict parsing can refuse them."""
+def _synthesized_doc(files, tmp_path, layout):
+    """The TAA3 tree file ``synthesize`` writes, as a document in ``layout``."""
     tree_path = tmp_path / "t.json"
     assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
     doc = json.loads(tree_path.read_text())
-    if layout == "inline":
-        doc = inline_tree_doc(doc)
+    return doc if layout == "format3" else tree_doc(parse_tree(doc)[0], layout)
+
+
+def _mutated_tree(files, tmp_path, mutate, layout):
+    """The TAA3 tree, written by ``synthesize`` and put in a named
+    ``layout``, with one child's type list rewritten by ``mutate``.  Under
+    plain Python indexing the negative, bool and repeated rewrites still
+    name the same types, so only strict parsing can refuse them."""
+    doc = _synthesized_doc(files, tmp_path, layout)
     nid = next(i for i, n in enumerate(doc["nodes"]) if "children" in n)
     universe = doc["universes"][doc["applicants"].index(doc["nodes"][nid]["player"])]
     k = next(k for k in range(len(doc["nodes"][nid]["children"]))
@@ -387,7 +403,7 @@ def _mutated_tree(files, tmp_path, mutate, layout):
     (lambda types, size: types + [[types[0]]], "type indices must be integers"),
 ], ids=["negative", "bool", "repeated", "nested"])
 def test_verify_tree_rejects_bad_type_indices(files, tmp_path, capsys, mutate, message):
-    for layout in LAYOUTS:  # the same refusal whether the list is shared or inline
+    for layout in NAMED_LAYOUTS:  # the same refusal whether the list is shared or inline
         mutated = _mutated_tree(files, tmp_path, mutate, layout)
         capsys.readouterr()
         assert main(["verify-tree", mutated, files["taa3"]]) == 2
@@ -405,13 +421,25 @@ def test_verify_tree_rejects_bad_type_indices(files, tmp_path, capsys, mutate, m
     (lambda child: child.update(types=[0]), "not inline types"),
 ], ids=["missing", "string", "bool", "negative", "out_of_range", "inline_types"])
 def test_verify_tree_rejects_bad_set_references(files, tmp_path, capsys, mutate, message):
-    tree_path = tmp_path / "t.json"
-    assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
-    doc = json.loads(tree_path.read_text())
+    doc = _synthesized_doc(files, tmp_path, "format2")
     mutate(doc["nodes"][0]["children"][0])
     mutated = write(tmp_path / "mutated.json", doc)
     capsys.readouterr()
     for argv in (["verify-tree", mutated, files["taa3"]], ["check-osp", mutated]):
+        assert main(argv) == 2
+        _one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FORMAT3))
+def test_format_three_refusals_exit_two(files, tmp_path, capsys, case):
+    # hostile format-3 input: exit 2 and one line, never a traceback or exit 1
+    rewrite, message = BAD_FORMAT3[case]
+    doc = _synthesized_doc(files, tmp_path, "format3")
+    rewrite(doc)
+    mutated = write(tmp_path / "mutated.json", doc)
+    capsys.readouterr()
+    for argv in (["verify-tree", mutated, files["taa3"]], ["check-osp", mutated],
+                 ["--json", "check-osp", mutated]):
         assert main(argv) == 2
         _one_error_line(capsys, message)
 
@@ -435,9 +463,7 @@ def test_priorities_reject_bool_size(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["node", "player", "applicants", "positions", "universes", "record",
                                    "applicants_string", "applicants_repeated", "positions_repeated"])
 def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
-    tree_path = tmp_path / "t.json"
-    assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
-    doc = json.loads(tree_path.read_text())
+    doc = _synthesized_doc(files, tmp_path, "format2")
     root = doc["nodes"][0]
     if field == "node":
         assert root["children"][0]["node"] == 1
@@ -487,8 +513,8 @@ def test_verify_tree_checks_samples_before_validating(files, capsys, samples):
 
 
 def test_tree_records_out_of_preorder_are_refused(files, capsys):
-    # the FIG_A reveal tree with records 1..258 renumbered to 258..1
-    doc = tree_to_doc(reveal_tree(FIG_A))
+    # the format-2 FIG_A reveal tree with records 1..258 renumbered to 258..1
+    doc = format2_tree_doc(reveal_tree(FIG_A))
     last = len(doc["nodes"]) - 1
     assert last == 258
     renumber = [0] + list(range(last, 0, -1))

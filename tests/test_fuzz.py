@@ -5,8 +5,10 @@ from.  The CLI runs feed ``cli.main`` drawn documents, both arbitrary JSON
 values and valid documents with one field mutated, and hold every run to
 the exit-code contract: 0, 1, 2 or 3, never 4 and never a traceback, and
 an input error (exit 2) is exactly one line on stderr.  Tree documents
-come in both layouts the reader takes: format 2, with its shared
-``type_sets`` table, and the older inline layout.
+come in every layout the reader takes: format 3, with hex-bitmask sets and
+array nodes, format 2, with its shared ``type_sets`` table of index lists,
+and the older inline layout.  A mutated format-3 field may also become a
+malformed hex bitmask.
 """
 from __future__ import annotations
 
@@ -111,7 +113,8 @@ def test_subdomains_round_trip(subdomain):
 def test_trees_round_trip(drawn, layout):
     _, tree = drawn
     parsed, _ = parse_tree(json.loads(json.dumps(tree_doc(tree, layout))))
-    assert (parsed.n, parsed.universes, parsed.nodes) == (tree.n, tree.universes, tree.nodes)
+    assert (parsed.n, parsed.universes, parsed.type_sets, parsed.nodes) == (
+        tree.n, tree.universes, tree.type_sets, tree.nodes)
 
 
 KEYS = st.sampled_from(["n", "priorities", "preferences", "types", "applicants", "positions",
@@ -119,6 +122,11 @@ KEYS = st.sampled_from(["n", "priorities", "preferences", "types", "applicants",
                         "format", "type_sets", "set"])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 30) | st.integers()
            | st.floats() | st.text(max_size=4) | st.sampled_from(list("abcd") + ["1", "2", "3", "4"]))
+# hex bitmasks the format-3 reader must refuse or read strictly: a prefix,
+# a separator, a sign, upper case, zero, surplus digits and digits that
+# set bits past the universe
+HEX = st.sampled_from(["0", "00", "0x1f", "1_f", " 1f", "+1f", "-1f", "1F", "ff", "fff", "f" * 40]) | st.text(
+    "0123456789abcdef", min_size=1, max_size=8)
 JSON = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(KEYS | st.text(max_size=3), inner, max_size=5),
@@ -165,7 +173,7 @@ def _document(data, valid):
     elif action == "repeat" and isinstance(parent, list):
         parent.insert(key, copy.deepcopy(parent[key]))
     else:
-        parent[key] = data.draw(SCALARS | JSON)
+        parent[key] = data.draw(SCALARS | JSON | HEX if valid.get("format") == 3 else SCALARS | JSON)
     return doc
 
 

@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    BAD_FORMAT3,
     LAYOUTS,
+    NAMED_LAYOUTS,
     FIG_A,
     TAA3,
     assert_first_use_tables,
     child_type_list,
     flat_tree,
+    format2_tree_doc,
     inline_tree_doc,
     p_of,
     priorities_to_doc,
@@ -138,7 +141,8 @@ def test_restricted_tree_round_trip(taa3_tree):
 
 
 def test_tree_rejects_cycles_and_double_references(taa3_tree):
-    doc = tree_to_doc(taa3_tree)
+    # only format 2 and the inline layout write child ids
+    doc = format2_tree_doc(taa3_tree)
     bad = {**doc, "nodes": [dict(n) for n in doc["nodes"]]}
     for record in bad["nodes"]:
         if "children" in record:
@@ -151,7 +155,7 @@ def test_tree_rejects_cycles_and_double_references(taa3_tree):
 
 
 def test_tree_rejects_out_of_range_type_index(taa3_tree):
-    for layout in LAYOUTS:
+    for layout in NAMED_LAYOUTS:
         doc = tree_doc(taa3_tree, layout)
         nid = next(i for i, record in enumerate(doc["nodes"]) if "children" in record)
         for k in range(len(doc["nodes"][nid]["children"])):
@@ -189,10 +193,10 @@ def test_tree_type_list_refusals_match_across_layouts(taa3_tree, case):
         assert str(caught.value) == f"{where}: {message}"
 
 
-@pytest.mark.parametrize("value", [1, 3, "2", True, 2.0, None])
+@pytest.mark.parametrize("value", [1, 4, "2", "3", True, 2.0, 3.0, None])
 def test_tree_rejects_unknown_format(taa3_tree, value):
     doc = {**tree_to_doc(taa3_tree), "format": value}
-    with pytest.raises(FormatError, match="'format' must be 2 or absent"):
+    with pytest.raises(FormatError, match="'format' must be 2, 3 or absent"):
         parse_tree(doc)
 
 
@@ -206,15 +210,16 @@ def test_tree_rejects_unknown_format(taa3_tree, value):
     lambda sets: [sets[0], "xy", sets[2]],
 ], ids=["missing", "string", "object", "short", "long", "row_not_a_list", "row_string"])
 def test_tree_rejects_bad_type_set_table(taa3_tree, rewrite):
-    doc = tree_to_doc(taa3_tree)
-    doc["type_sets"] = rewrite(doc["type_sets"])
-    with pytest.raises(FormatError, match="'type_sets' must list one list of type sets per applicant"):
-        parse_tree(doc)
+    for layout in ("format3", "format2"):
+        doc = tree_doc(taa3_tree, layout)
+        doc["type_sets"] = rewrite(doc["type_sets"])
+        with pytest.raises(FormatError, match="'type_sets' must list one list of type sets per applicant"):
+            parse_tree(doc)
 
 
 def test_tree_document_lists_each_set_once(star6_tree):
     doc = tree_to_doc(star6_tree)
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     distinct = [set() for _ in range(star6_tree.n)]
     edges = 0
     for node in star6_tree.nodes:
@@ -226,9 +231,10 @@ def test_tree_document_lists_each_set_once(star6_tree):
     # 309 distinct sets on 4,253 edges; 439 (applicant, set) table entries
     assert len(set().union(*distinct)) == 309 and edges == 4_253
     assert sum(map(len, doc["type_sets"])) == 439
-    for record in doc["nodes"]:
-        for child in record.get("children", ()):
-            assert set(child) == {"set", "node"}
+    # an internal node is [player, set indices], with no child ids
+    internal = [record for record in doc["nodes"] if isinstance(record[1], list)]
+    assert len(internal) == sum(isinstance(node, Internal) for node in star6_tree.nodes)
+    assert sum(len(record[1]) for record in internal) == 4_253
 
 
 def test_tree_document_keeps_a_table_per_applicant():
@@ -241,6 +247,10 @@ def test_tree_document_keeps_a_table_per_applicant():
         (second, Leaf((1, 0))),
     )))
     doc = tree_to_doc(tree)
+    assert doc["type_sets"] == [["1", "2"], ["2", "1"]]
+    assert doc["nodes"][1] == [1, [0, 1]]
+    assert parse_tree(doc)[0].nodes == tree.nodes
+    doc = format2_tree_doc(tree)
     assert doc["type_sets"] == [[[0], [1]], [[1], [0]]]
     assert doc["nodes"][1]["children"] == [{"set": 0, "node": 2}, {"set": 1, "node": 3}]
     assert parse_tree(doc)[0].nodes == tree.nodes
@@ -261,7 +271,7 @@ def test_parsed_tree_shares_equal_sets(star6_tree, layout):
 def test_format_two_tables_round_trip_as_listed(taa3_tree):
     # a file may list its sets in any order and hold sets no edge names;
     # the tree keeps its tables as listed and writes them back unchanged
-    doc = tree_to_doc(taa3_tree)
+    doc = format2_tree_doc(taa3_tree)
     order = list(range(len(doc["type_sets"][0])))[::-1]
     renamed = {old: new for new, old in enumerate(order)}
     doc["type_sets"][0] = [doc["type_sets"][0][old] for old in order] + [[0, 5]]
@@ -271,15 +281,19 @@ def test_format_two_tables_round_trip_as_listed(taa3_tree):
                 child["set"] = renamed[child["set"]]
     tree, _ = parse_tree(doc)
     assert validate(tree).ok
-    assert tree_to_doc(tree) == doc
+    assert format2_tree_doc(tree) == doc
     assert len(tree.type_sets[0]) == len(order) + 1
-    assert tree_to_doc(parse_tree(json.loads(json.dumps(doc)))[0]) == doc
+    assert format2_tree_doc(parse_tree(json.loads(json.dumps(doc)))[0]) == doc
+    # format 3 writes the same tables, the unused set included
+    v3 = tree_to_doc(tree)
+    assert len(v3["type_sets"][0]) == len(order) + 1
+    assert parse_tree(json.loads(json.dumps(v3)))[0].type_sets == tree.type_sets
 
 
 def test_tree_reads_the_inline_file_synthesize_used_to_write(taa3_tree):
     # written by `ospmatch synthesize` before format 2, from the TAA3 market
     v1 = DATA / "taa3_tree_v1.json"
-    assert v1.read_text() == json.dumps(inline_tree_doc(tree_to_doc(taa3_tree))) + "\n"
+    assert v1.read_text() == json.dumps(inline_tree_doc(format2_tree_doc(taa3_tree))) + "\n"
     from_v1, names = parse_tree(json.loads(v1.read_text()))
     from_v2, _ = parse_tree(json.loads(json.dumps(tree_to_doc(taa3_tree))))
     assert names == default_names(3)
@@ -289,12 +303,42 @@ def test_tree_reads_the_inline_file_synthesize_used_to_write(taa3_tree):
 
 
 def test_fig_a_reveal_tree_file_is_pinned():
-    # the CI smoke step writes this tree with json.dump and cmp-s it with the file
-    assert json.dumps(tree_to_doc(reveal_tree(FIG_A))) == (DATA / "fig_a_reveal_tree.json").read_text()
+    # the CI smoke step writes this tree with json.dump and cmp-s it with the
+    # v3 file; the format-2 file is what the same step wrote before format 3
+    tree = reveal_tree(FIG_A)
+    assert json.dumps(tree_to_doc(tree)) == (DATA / "fig_a_reveal_tree_v3.json").read_text()
+    assert json.dumps(format2_tree_doc(tree)) == (DATA / "fig_a_reveal_tree.json").read_text()
+
+
+def _tables(tree):
+    return tree.n, tree.universes, tree.type_sets, tree.nodes
+
+
+def test_every_layout_gives_the_same_tree(taa3_tree):
+    # the format-2 and v3 files of FIG_A's reveal tree, and the inline file
+    # and a format-3 write of TAA3's tree, each pair one tree
+    fig_a_v2, names = parse_tree(json.loads((DATA / "fig_a_reveal_tree.json").read_text()))
+    fig_a_v3, names_v3 = parse_tree(json.loads((DATA / "fig_a_reveal_tree_v3.json").read_text()))
+    assert _tables(fig_a_v2) == _tables(fig_a_v3) == _tables(reveal_tree(FIG_A))
+    assert names == names_v3 == default_names(3)
+    taa3_v1, _ = parse_tree(json.loads((DATA / "taa3_tree_v1.json").read_text()))
+    taa3_v3, _ = parse_tree(json.loads(json.dumps(tree_to_doc(taa3_tree))))
+    assert _tables(taa3_v1) == _tables(taa3_v3)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FORMAT3))
+def test_format_three_refusals(taa3_tree, case):
+    rewrite, message = BAD_FORMAT3[case]
+    doc = json.loads(json.dumps(tree_to_doc(taa3_tree)))
+    assert doc["nodes"][0][0] == 0 and not isinstance(doc["nodes"][-1][1], list)
+    rewrite(doc)
+    with pytest.raises(FormatError) as caught:
+        parse_tree(doc)
+    assert message in str(caught.value)
 
 
 def test_tree_rejects_bad_matching(taa3_tree):
-    doc = tree_to_doc(taa3_tree)
+    doc = format2_tree_doc(taa3_tree)
     bad_nodes = [dict(n) for n in doc["nodes"]]
     for record in bad_nodes:
         if "matching" in record:

@@ -8,9 +8,8 @@ from itertools import product
 
 import pytest
 
-from conftest import FIG_A, STAR6, TAA3, assert_first_use_tables, inline_tree_doc, q_of
+from conftest import FIG_A, STAR6, TAA3, assert_first_use_tables, format2_tree_doc, inline_tree_doc, q_of
 from ospmatch.core import PrioritySet, all_rankings
-from ospmatch.jsonio import tree_to_doc
 from ospmatch.mechanism import (
     Internal,
     check_implements,
@@ -229,7 +228,7 @@ def test_sampled_limited_cyclic_four_members():
 
 
 def _tree_digest(tree, expand=True) -> str:
-    doc = tree_to_doc(tree)
+    doc = format2_tree_doc(tree)
     text = json.dumps(inline_tree_doc(doc) if expand else doc, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
