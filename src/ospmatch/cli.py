@@ -254,7 +254,7 @@ def _cmd_verify_tree(args: argparse.Namespace) -> int:
     if valid.ok:
         samples = args.samples
         if samples is None and not args.exhaustive:
-            profile_count = math.prod(map(len, tree.universes))
+            profile_count = math.prod(u.bit_count() for u in tree.universes)
             if profile_count > 2_000_000:
                 raise FormatError(
                     f"environment has {profile_count} profiles; pass "

@@ -12,7 +12,8 @@ from :data:`checked_ranks`, which checks and inverts each distinct
 ranking once per process.  The predicates and the sweeps read such tables of ranking tuples as they
 are.  A ranking's lexicographic index (:func:`ranking_id`) is used only
 where something is indexed by it: the rows of :func:`spot_tables`, and
-so the type ids of mechanism trees.
+so the type ids of mechanism trees, whose sets of type ids are int
+bitmasks, bit t for id t (:func:`favorites`, :func:`ids_mask`, :func:`mask_ids`).
 
 All types here are immutable and hashable, and every operation is a pure
 function.  numpy is imported only where an array is built
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, count, permutations, product
 from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 if TYPE_CHECKING:
@@ -101,13 +102,35 @@ def spot_tables(n: int) -> SpotTables:
 
 @lru_cache(maxsize=None)
 def favorites(n: int, mask: int) -> tuple[int, ...]:
-    """``favorites(n, mask)[t]``: the position ranking t likes best among
-    the positions in the (nonempty) bitmask."""
+    """``favorites(n, mask)[w]``: the bitmask of the type ids whose ranking
+    likes position w best among the positions in the (nonempty) bitmask
+    ``mask`` (0 for a position outside it)."""
     import numpy as np
 
     tables = spot_tables(n)
-    rows = np.arange(len(tables.positions))
-    return tuple(tables.positions[rows, tables.best[:, mask]].tolist())
+    best = tables.positions[np.arange(len(tables.positions)), tables.best[:, mask]]
+    return tuple(int.from_bytes(np.packbits(best == w, bitorder="little").tobytes(), "little")
+                 for w in range(n))
+
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def ids_mask(ids: Iterable[int], size: int, where: str = "type set") -> int:
+    """The bitmask of some type ids; ``ValueError``, starting with ``where``,
+    for an id that is a bool, not an int or outside ``0..size-1``."""
+    flags = bytearray(b"0") * size
+    for t in ids:
+        if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < size:
+            raise ValueError(f"{where} is not a list of type ids in 0..{size - 1}: {t!r}")
+        flags[t] = 49  # "1"
+    return int(flags[::-1], 2)
+
+
+def mask_ids(mask: int) -> tuple[int, ...]:
+    """The ids whose bits are set in a nonnegative bitmask, ascending."""
+    # one flag byte per bit, lowest first, so compress picks the set ids
+    return tuple(compress(count(), format(mask, "b")[::-1].encode().translate(_TO_FLAGS)))
 
 
 def inverse(ranking: Sequence[int]) -> Ranking:

@@ -8,15 +8,17 @@ Tree documents list each applicant's distinct edge type sets once and
 name them by index, the layout a :class:`ospmatch.mechanism.MechanismTree`
 holds in memory.  Format 3, the one written, spells sets as hex bitmasks
 and nodes as arrays of numbers (see the comment above :func:`tree_to_doc`);
-files in format 2 and in the older inline layout are still read.
+files in format 2 and in the older inline layout are still read.  A tree
+holds its universes and sets as bitmasks over the type ids themselves, so
+a format-3 set is read and written as it stands unless its universe is
+not full, where its bit j stands for the universe's j-th id.
 """
 from __future__ import annotations
 
 import re
 import string
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from typing import Any
 
 from .core import (
@@ -25,6 +27,8 @@ from .core import (
     PrioritySet,
     Ranking,
     all_rankings,
+    ids_mask,
+    mask_ids,
     ranking_id,
 )
 from .mechanism import Internal, Leaf, MechanismTree, Node
@@ -205,54 +209,45 @@ def improvement_to_doc(imp: Improvement, names: Names) -> dict[str, Any]:
 # {"matching": {...}} or {"player": name, "children": [{"set": k, "node":
 # c}, ...]}.  A file without "format" carries each child's list inline, as
 # {"types": [...], "node": c}; its tables list each distinct set in order
-# of first use.  Every layout keeps a file's tables as listed, and equal
-# sets become one tuple across applicants.
+# of first use.  Every layout keeps a file's tables as listed.
 # ---------------------------------------------------------------------------
 
 TREE_FORMAT = 3
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
-_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _hex_mask(bits: Iterable[int], size: int) -> str:
-    """The hex bitmask with bit j set for each j in ``bits`` (all below ``size``)."""
-    flags = bytearray(b"0") * size
-    for j in bits:
-        flags[j] = 49  # "1"
-    return format(int(flags[::-1], 2), "x")
-
-
-def _mask_items(text: Any, items: Sequence[int], where: str, what: str, empty: str) -> tuple[int, ...]:
-    """The items whose bits are set in the hex bitmask ``text``, bit j
-    standing for ``items[j]``.  The digits are checked before ``int`` reads
-    them, which alone would take "0x1f", "1_f", " 1f" or "-1f"."""
+def _hex_mask(text: Any, bits: int, where: str, what: str, empty: str) -> int:
+    """The hex bitmask ``text`` of at most ``bits`` bits.  The digits are
+    checked before ``int`` reads them, which alone would take "0x1f",
+    "1_f", " 1f" or "-1f"."""
     if type(text) is not str or not _HEX_RE.match(text):
         raise FormatError(f"{where}: expected a lowercase hex bitmask")
-    digits = -(-len(items) // 4)
+    digits = -(-bits // 4)
     if len(text) > digits:
         raise FormatError(f"{where}: bitmask longer than {digits} hex digits")
     mask = int(text, 16)
     if not mask:
         raise FormatError(f"{where}: {empty}")
-    if mask >> len(items):
-        raise FormatError(f"{where}: {what} outside 0..{len(items) - 1}")
-    # one flag byte per bit, lowest first, so compress picks the set items
-    return tuple(compress(items, format(mask, "b")[::-1].encode().translate(_TO_FLAGS)))
+    if mask >> bits:
+        raise FormatError(f"{where}: {what} outside 0..{bits - 1}")
+    return mask
 
 
 def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, Any]:
     names = names or default_names(tree.n)
-    size = len(all_rankings(tree.n))
+    full = (1 << len(all_rankings(tree.n))) - 1
     type_sets = []
     for universe, table in zip(tree.universes, tree.type_sets):
-        local = {t: j for j, t in enumerate(universe)}
-        type_sets.append([_hex_mask(map(local.__getitem__, types), len(universe)) for types in table])
+        if universe != full:  # renumber each set's ids by their place in the universe
+            local = {t: j for j, t in enumerate(mask_ids(universe))}
+            table = [ids_mask(map(local.__getitem__, mask_ids(m)), len(local)) for m in table]
+        type_sets.append([format(m, "x") for m in table])
     return {
         "format": TREE_FORMAT,
         "n": tree.n,
         "applicants": list(names.applicants),
         "positions": list(names.positions),
-        "universes": [_hex_mask(universe, size) for universe in tree.universes],
+        "universes": [format(universe, "x") for universe in tree.universes],
         "type_sets": type_sets,
         "nodes": [
             list(node.matching) if isinstance(node, Leaf)
@@ -286,10 +281,10 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         or arrays and isinstance(raw_universes, str)  # each digit would read as a mask
     ):
         raise FormatError("tree: 'universes' must list one type list per applicant")
+    size = len(all_rankings(n))
     if arrays:
-        ids = range(len(all_rankings(n)))
-        given = [
-            _mask_items(text, ids, f"universes[{i}]", "ranking id", "empty or repeats an order")
+        universes = [
+            _hex_mask(text, size, f"universes[{i}]", "ranking id", "empty or repeats an order")
             for i, text in enumerate(raw_universes)
         ]
     else:  # type indices point into the universe lists as given
@@ -304,7 +299,7 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             ]
             if len(set(ids)) != len(ids) or not ids:
                 raise FormatError(f"universes[{i}]: empty or repeats an order")
-            given.append(tuple(ids))
+            given.append(ids)
     if not inline:
         raw_sets = doc.get("type_sets")
         if (
@@ -317,17 +312,18 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     if not isinstance(records, Sequence) or not records:
         raise FormatError("tree: 'nodes' must be a nonempty list")
     if arrays:
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct set
-        tables = [
-            [shared.setdefault(types, types) for types in [
-                _mask_items(text, given[i], f"type_sets[{i}][{k}]", "type index", "child needs a type list")
-                for k, text in enumerate(row)
-            ]]
-            for i, row in enumerate(raw_sets)
-        ]
-        universes, nodes = given, _array_nodes(records, n, tables)
+        tables = []
+        for i, row in enumerate(raw_sets):
+            bits = universes[i].bit_count()
+            table = [_hex_mask(text, bits, f"type_sets[{i}][{k}]", "type index", "child needs a type list")
+                     for k, text in enumerate(row)]
+            if bits < size:  # bit j stands for the universe's j-th id
+                ids = mask_ids(universes[i])
+                table = [ids_mask(map(ids.__getitem__, mask_ids(m)), size) for m in table]
+            tables.append(table)
+        nodes = _array_nodes(records, n, tables)
     else:
-        universes = [tuple(sorted(ids)) for ids in given]
+        universes = [ids_mask(ids, size) for ids in given]
         tables, nodes = _named_nodes(doc, records, names, given, inline)
     try:
         # the constructor makes each table a tuple, of its keys for a dict
@@ -336,7 +332,7 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
         raise FormatError(f"tree: {exc}") from exc
 
 
-def _array_nodes(records: Sequence[Any], n: int, tables: list[list[tuple[int, ...]]]) -> list[Node]:
+def _array_nodes(records: Sequence[Any], n: int, tables: list[list[int]]) -> list[Node]:
     """The nodes of format-3 records.  One stack holds the internal nodes
     still missing children: each record is the next child of the top one,
     so its child ids follow from preorder and the arities."""
@@ -386,16 +382,16 @@ def _array_nodes(records: Sequence[Any], n: int, tables: list[list[tuple[int, ..
 
 def _named_nodes(
     doc: Mapping[str, Any], records: Sequence[Any], names: Names,
-    given: list[tuple[int, ...]], inline: bool,
+    given: list[list[int]], inline: bool,
 ) -> tuple[list, list[Node]]:
     """The tables and nodes of format-2 and inline records."""
     n = len(given)
+    size = len(all_rankings(n))
     pos_index = names.position_index()
     app_index = names.applicant_index()
     valid = [frozenset(range(len(ids))) for ids in given]
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct set
 
-    def type_set(local_ids: Any, player: int, where: str) -> tuple[int, ...]:
+    def type_set(local_ids: Any, player: int, where: str) -> int:
         if not isinstance(local_ids, Sequence) or not local_ids:
             raise FormatError(f"{where}: child needs a type list")
         # whole-list set operations keep these checks cheap on lists of
@@ -407,8 +403,7 @@ def _named_nodes(
             raise FormatError(f"{where}: type index outside 0..{len(given[player]) - 1}")
         if len(distinct) != len(local_ids):
             raise FormatError(f"{where}: child repeats a type index")
-        types = tuple(sorted([given[player][j] for j in local_ids]))
-        return shared.setdefault(types, types)
+        return ids_mask(map(given[player].__getitem__, local_ids), size)
 
     if inline:  # each distinct set enters its table, a dict set -> index, at first use
         tables = [{} for _ in range(n)]

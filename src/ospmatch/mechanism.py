@@ -2,11 +2,12 @@
 
 A tree asks one applicant at a time which set their preference order lies
 in; leaves carry full matchings.  Type ids are lexicographic ranking ids
-(see :func:`ospmatch.core.all_rankings`), and each applicant's type set
-along a path only refines at nodes where that applicant acts, so the
-partition axioms hold by construction for synthesized trees and are
-re-checked from scratch by :func:`validate` for arbitrary ones.  The
-constructor refuses a universe that is not an increasing list of type ids.
+(see :func:`ospmatch.core.all_rankings`), and a universe or type set is
+an int bitmask over them, bit t set iff id t is in the set: membership is
+a shift and restriction is ``&``.  Each applicant's type set along a path
+only refines at nodes where that applicant acts, so the partition axioms
+hold by construction for synthesized trees and are re-checked from
+scratch by :func:`validate` for arbitrary ones.
 
 A tree stores its nodes in preorder, and an internal node names its
 children by id, so a node's id is its place in preorder (the record order
@@ -26,7 +27,8 @@ producers (:func:`ospmatch.synth.synthesize`,
 :func:`restrict_environment`) fill each table in order of first use in
 preorder.  So :func:`validate` checks each distinct question (player,
 inherited set index, child set indices) once, and :func:`check_osp` and
-:func:`check_implements` make each set's index array once per call.
+:func:`check_implements` unpack each table's masks into index arrays
+once per call.
 
 The checkers work on tables and batches rather than per node or per
 profile.  :func:`check_osp` works on bitmasks of reachable positions
@@ -62,7 +64,9 @@ from .core import (
     PrioritySet,
     Ranking,
     all_rankings,
+    ids_mask,
     is_permutation,
+    mask_ids,
     ranking_id,
     spot_tables,
 )
@@ -70,8 +74,6 @@ from .da import da_match_batch, da_match_product
 
 if TYPE_CHECKING:
     import numpy as np
-
-IdSet = tuple[int, ...]  # sorted type ids
 
 # Most profiles handed to one batched DA call by check_implements.
 SLICE = 65_536
@@ -95,18 +97,18 @@ Node = Leaf | Internal
 class MechanismTree:
     """Rooted tree plus the per-applicant type universes it is played over.
 
-    ``type_sets[i]`` lists applicant i's edge sets, which a child of a node
-    where i acts names by index.  ``nodes`` lists the nodes in preorder, so
-    node 0 is the root and a node's id is its index; node i's subtree is ids
-    ``i..end[i]-1``.  The constructor refuses, with ``ValueError``, a
-    universe or table count other than n, a universe that is empty, not
-    strictly increasing or holds an id outside ``0..n!-1``, child ids that
-    are out of range, referenced twice or out of preorder, and unreachable
-    nodes."""
+    ``universes[i]`` is applicant i's universe and ``type_sets[i]`` lists
+    applicant i's edge sets, which a child of a node where i acts names by
+    index; each is an int bitmask over the type ids.  ``nodes`` lists the
+    nodes in preorder, so node 0 is the root and a node's id is its index;
+    node i's subtree is ids ``i..end[i]-1``.  The constructor refuses, with
+    ``ValueError``, a universe or table count other than n, a universe that
+    is not an int in ``1..(1 << n!) - 1``, child ids that are out of range,
+    referenced twice or out of preorder, and unreachable nodes."""
 
     n: int
-    universes: tuple[IdSet, ...]
-    type_sets: tuple[tuple[IdSet, ...], ...]
+    universes: tuple[int, ...]
+    type_sets: tuple[tuple[int, ...], ...]
     nodes: tuple[Node, ...]
     end: list[int] = field(init=False, repr=False)
 
@@ -146,22 +148,18 @@ class MechanismTree:
         return sum(isinstance(node, Leaf) for node in self.nodes)
 
 
-def _check_universes(n: int, universes: Sequence[IdSet]) -> None:
-    """Refuse, with ``ValueError``, a universe count other than n and a
-    universe that is empty, not strictly increasing or holds an id outside
-    ``0..n!-1``."""
+def _check_universes(n: int, universes: Sequence[int]) -> None:
+    """Refuse, with ``ValueError``, a universe count other than n or a universe out of range."""
     if len(universes) != n:
         raise ValueError(f"expected {n} universes, got {len(universes)}")
-    top = math.factorial(n) - 1
+    size = math.factorial(n)
     for i, u in enumerate(universes):
-        if not (u and 0 <= u[0] and u[-1] <= top and all(a < b for a, b in zip(u, u[1:]))):
-            raise ValueError(
-                f"universe of applicant {i} is not a nonempty increasing list of ids in 0..{top}"
-            )
+        if isinstance(u, bool) or not isinstance(u, int) or not 0 < u < 1 << size:
+            raise ValueError(f"universe of applicant {i} is not a nonzero bitmask of ids in 0..{size - 1}")
 
 
-def full_universe(n: int) -> IdSet:
-    return tuple(range(math.factorial(n)))
+def full_universe(n: int) -> int:
+    return (1 << math.factorial(n)) - 1
 
 
 @dataclass(frozen=True)
@@ -180,8 +178,7 @@ def validate(tree: MechanismTree) -> ValidationReport:
     reaches exactly one leaf.  Every node whose ancestors all passed is
     checked, and each of its problems is reported with its preorder id;
     the subtree below a node with a problem is skipped, because the type
-    sets its children inherit are not defined.  A child whose type list
-    repeats a type fails, as it does in :func:`ospmatch.jsonio.parse_tree`.
+    sets its children inherit are not defined.
     """
     problems: list[str] = []
     full = set(range(tree.n))
@@ -223,22 +220,19 @@ def _partition_problems(tree: MechanismTree, player: int, inherited: int,
     if bad:
         return tuple(f"child set {k} is not in type_sets[{player}] ({len(table)} sets)"
                      for k in bad)
-    parent = frozenset(tree.universes[player] if inherited < 0 else table[inherited])
+    parent = tree.universes[player] if inherited < 0 else table[inherited]
     problems = []
-    seen: set[int] = set()
+    seen = 0
     for k, _ in children:
-        types = table[k]
-        tset = set(types)
-        if not tset:
+        m = table[k]
+        if not m:
             problems.append("empty child type set")
-        if len(tset) != len(types):
-            problems.append("child repeats a type")
-        if tset & seen:
+        if m & seen:
             problems.append("overlapping child type sets")
-        if not tset <= parent:
+        if m & ~parent:
             problems.append("child types escape the parent set")
-        seen |= tset
-    if not parent <= seen:
+        seen |= m
+    if parent & ~seen:
         problems.append("child sets do not cover the parent set")
     return tuple(problems)
 
@@ -252,7 +246,7 @@ def execute_ids(tree: MechanismTree, type_ids: Sequence[int]) -> Ranking:
         t = type_ids[node.player]
         table = tree.type_sets[node.player]
         for k, child in node.children:
-            if t in table[k]:
+            if table[k] >> t & 1:
                 node = tree.nodes[child]
                 break
         else:
@@ -266,7 +260,7 @@ def execute(tree: MechanismTree, p: PreferenceProfile) -> Matching:
         raise ValueError("profile size does not match the tree")
     type_ids = tuple(map(ranking_id, p.rankings))
     for i, t in enumerate(type_ids):
-        if t not in tree.universes[i]:
+        if not tree.universes[i] >> t & 1:
             raise ValueError(f"applicant {i} holds a type outside the environment")
     try:
         return Matching(execute_ids(tree, type_ids))
@@ -319,11 +313,11 @@ def check_implements(
         if not valid.ok:
             raise ValueError("tree fails validation: " + valid.problems[0])
     ranks = q.rank_table()
-    sizes = tuple(map(len, tree.universes))
-    universes = [np.array(u, dtype=np.intp) for u in tree.universes]
+    universes = _index_arrays(tree.n, tree.universes)
+    sizes = tuple(map(len, universes))
     total = math.prod(sizes) if samples is None else samples
     rng = random.Random(seed if seed >= 0 else str(seed))
-    arrays = _set_arrays(tree)
+    arrays = [_index_arrays(tree.n, table) for table in tree.type_sets]
     matchings = np.array(
         [node.matching if isinstance(node, Leaf) else (-1,) * tree.n for node in tree.nodes],
         dtype=np.intp,
@@ -367,7 +361,7 @@ def _route(tree: MechanismTree, profiles: np.ndarray, arrays: list[list[np.ndarr
     preorder carrying the rows that reach each node, splits them at each
     internal node by a type -> child slot array (the first child holding
     a type takes it, as in :func:`execute_ids`), and jumps over subtrees
-    that no row reaches.  ``arrays`` is :func:`_set_arrays` of the tree."""
+    that no row reaches.  ``arrays[i]`` holds applicant i's index arrays."""
     import numpy as np
 
     nodes, end = tree.nodes, tree.end
@@ -396,11 +390,16 @@ def _route(tree: MechanismTree, profiles: np.ndarray, arrays: list[list[np.ndarr
     return leaves
 
 
-def _set_arrays(tree: MechanismTree) -> list[list[np.ndarray]]:
-    """Each applicant's table of edge sets as index arrays."""
+def _index_arrays(n: int, masks: Sequence[int]) -> list[np.ndarray]:
+    """Each of some type-id bitmasks as the ascending array of its ids,
+    from one ``np.unpackbits`` over all of them."""
     import numpy as np
 
-    return [[np.array(types, dtype=np.intp) for types in table] for table in tree.type_sets]
+    width = -(-math.factorial(n) // 8)
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    ids = np.flatnonzero(np.unpackbits(packed, bitorder="little")) % (8 * width)
+    ends = [*accumulate(m.bit_count() for m in masks)]
+    return [ids[a:b] for a, b in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)
@@ -439,7 +438,9 @@ def check_osp(tree: MechanismTree) -> OspReport:
     applicant who does not act below), and ``acted``, for each applicant
     who acts below, the truthful reach as an array of masks indexed by type
     id (0 for types that cannot reach the node).
-    """
+
+    ``check_osp`` does not run :func:`validate`: on a tree that fails it the
+    report means nothing, or the leaf search raises ``ValueError``."""
     import numpy as np
 
     n = tree.n
@@ -447,7 +448,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
     mask_type = np.min_scalar_type((1 << n) - 1)
     nodes, end = tree.nodes, tree.end
     raw_violations: list[tuple[int, int, int, int, int, int]] = []
-    arrays = _set_arrays(tree)
+    arrays = [_index_arrays(n, table) for table in tree.type_sets]
     # per node (masks, acted), held until the parent merges them
     results: dict[int, tuple[list[int], dict]] = {}
     for nid in range(len(nodes) - 1, -1, -1):
@@ -517,32 +518,31 @@ def _first_leaf(tree: MechanismTree, spans: list[tuple[int, int]], player: int,
             elif type_id is not None and node.player == player:
                 spans.append((end[nid], stop))
                 table = tree.type_sets[player]
-                nid, stop = next(
-                    (child, end[child]) for k, child in node.children if type_id in table[k]
-                )
+                child = next((c for k, c in node.children if table[k] >> type_id & 1), None)
+                if child is None:
+                    raise ValueError(f"tree fails validation: no child of node {nid} holds type {type_id}")
+                nid, stop = child, end[child]
                 continue
             nid += 1
-    raise AssertionError("recorded position not found under the searched spans")
+    raise ValueError("tree fails validation: no leaf matches a recorded position")
 
 
 def restrict_environment(
     tree: MechanismTree, sub_universes: Sequence[Sequence[int]]
 ) -> MechanismTree:
-    """Prune the tree to a subdomain: intersect every type set with the
-    sub-universe and drop children that become empty.  The nodes kept
-    stay in preorder and are numbered afresh."""
-    subs = tuple(tuple(sorted(set(u))) for u in sub_universes)
-    if len(subs) != tree.n:
-        raise ValueError(f"expected {tree.n} sub-universes, got {len(subs)}")
+    """Prune the tree to a subdomain, one list of type ids per applicant:
+    intersect every type set with the sub-universe and drop children that
+    become empty.  The nodes kept stay in preorder and are numbered afresh."""
+    if len(sub_universes) != tree.n:
+        raise ValueError(f"expected {tree.n} sub-universes, got {len(sub_universes)}")
+    subs = tuple(ids_mask(u, math.factorial(tree.n), f"sub-universe of applicant {i}")
+                 for i, u in enumerate(sub_universes))
     for i, (sub, full) in enumerate(zip(subs, tree.universes)):
-        if not sub:
-            raise ValueError(f"empty sub-universe for applicant {i}")
-        if not set(sub) <= set(full):
-            raise ValueError(f"sub-universe of applicant {i} escapes the environment")
-    states = {0: tuple(frozenset(u) for u in subs)}
-    shared: dict[IdSet, IdSet] = {}  # one tuple per distinct kept set
+        if not sub or sub & ~full:
+            raise ValueError(f"sub-universe of applicant {i} is empty or escapes the environment")
+    states = {0: subs}
     # per applicant: kept set -> its index in the new table, in order of first use
-    index: list[dict[IdSet, int]] = [{} for _ in subs]
+    index: list[dict[int, int]] = [{} for _ in subs]
     # the nodes reached, in preorder, with their kept children's old ids
     reached: list[Node] = []
     renumber: dict[int, int] = {}
@@ -554,12 +554,10 @@ def restrict_environment(
         if isinstance(node, Internal):
             pl, table, kept = node.player, tree.type_sets[node.player], []
             for k, child in node.children:
-                keep = frozenset(table[k]) & current[pl]
+                keep = table[k] & current[pl]
                 if keep:
                     states[child] = current[:pl] + (keep,) + current[pl + 1 :]
-                    types = tuple(sorted(keep))
-                    types = shared.setdefault(types, types)
-                    kept.append((index[pl].setdefault(types, len(index[pl])), child))
+                    kept.append((index[pl].setdefault(keep, len(index[pl])), child))
             node = Internal(pl, tuple(kept))
         reached.append(node)
     return MechanismTree(tree.n, subs, tuple(map(tuple, index)), tuple(
@@ -571,30 +569,28 @@ def restrict_environment(
 
 def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None) -> MechanismTree:
     """The naive mechanism: applicants 0..n-1 reveal their full order in
-    turn and the leaf plays deferred acceptance on the revealed profile.
+    turn (from every type, or from one list of type ids per applicant) and
+    the leaf plays deferred acceptance on the revealed profile.
 
     Implements DA by construction but is generally not OSP; used as a
     checker fixture.  An applicant with one type never acts.  The leaves in
     preorder are the universes' profiles in product order, so one
     :func:`ospmatch.da.da_match_product` pass matches them all.
     """
-    n = q.n
-    unis = (
-        tuple(tuple(sorted(set(u))) for u in universes)
-        if universes is not None
-        else tuple(full_universe(n) for _ in range(n))
-    )
+    n, count = q.n, math.factorial(q.n)
+    unis = tuple(ids_mask(u, count, f"universe of applicant {i}")
+                 for i, u in enumerate([range(count)] * n if universes is None else universes))
     _check_universes(n, unis)
     rankings = all_rankings(n)
-    matchings = iter(da_match_product(q.rank_table(), [[rankings[t] for t in u] for u in unis]))
-    movers = [i for i, u in enumerate(unis) if len(u) > 1]  # depth d asks movers[d]
+    ids = [mask_ids(u) for u in unis]
+    matchings = iter(da_match_product(q.rank_table(), [[rankings[t] for t in u] for u in ids]))
+    movers = [i for i, u in enumerate(ids) if len(u) > 1]  # depth d asks movers[d]
     # size[d]: the nodes of a subtree whose root is at depth d, so such a
     # root's children lie size[d + 1] ids apart
-    size = [*accumulate([len(unis[i]) for i in reversed(movers)],
+    size = [*accumulate([len(ids[i]) for i in reversed(movers)],
                         lambda below, k: 1 + k * below, initial=1)][::-1]
-    singles = {t: (t,) for u in unis for t in u}  # one shared set per type
     # type j of applicant i's universe is set j of its table (none if it never acts)
-    type_sets = tuple(tuple(singles[t] for t in u) if len(u) > 1 else () for u in unis)
+    type_sets = tuple(tuple(1 << t for t in u) if len(u) > 1 else () for u in ids)
     nodes: list[Node] = []
     depths = [0]  # the depths of the nodes still to list, the next one last
     while depths:
@@ -602,7 +598,7 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
         if d == len(movers):
             nodes.append(Leaf(next(matchings)))
             continue
-        nid, k = len(nodes), len(unis[movers[d]])
+        nid, k = len(nodes), len(ids[movers[d]])
         nodes.append(Internal(movers[d], tuple((j, nid + 1 + j * size[d + 1]) for j in range(k))))
         depths += [d + 1] * k
     return MechanismTree(n, unis, type_sets, nodes)

@@ -9,17 +9,17 @@ all-x branch (removing the lead applicant turns the u-list into the new
 v-list and vice versa) and the fall-through to smaller gadgets.
 
 Every internal node is one question, made by ``ask(player, types,
-offered, then)``, where ``types`` indexes the player's table of sets (-1
-for the whole universe): the player's types are grouped by their favorite
-w among ``offered``, one edge per group in ascending order of w, each with
-the subtree ``then(w, group)`` (``group`` the index of the edge's set);
-the favorites in ``last`` share one final edge, with ``then(None,
-group)``.  ``ask`` appends its node, and enters its new sets in the
-player's table, before the subtrees ``then`` appends, so the nodes come in
-preorder and each table lists its sets in order of first use.  Within one
-call of :func:`synthesize`, ``ask`` groups each distinct question (player,
-set index, ``offered`` and ``last``) once, and equal sets are one tuple
-across applicants.  ``fix`` pins (applicant, position) pairs and recurses
+offered, then)``, where ``types`` is the player's type set, a bitmask of
+type ids: the player's types are grouped by their favorite w among
+``offered``, one edge per group in ascending order of w, each with the
+subtree ``then(w, group)``; the favorites in ``last`` share one final
+edge, with ``then(None, group)``.  A group is ``types`` ``&`` the mask
+:func:`ospmatch.core.favorites` gives for w.  ``ask`` appends its node,
+and enters its new sets in the player's table, before the subtrees
+``then`` appends, so the nodes come in preorder and each table lists its
+sets in order of first use.  Within one call of :func:`synthesize`,
+``ask`` groups each distinct question (player, ``types``, ``offered``
+and ``last``) once.  ``fix`` pins (applicant, position) pairs and recurses
 on the rest; :func:`synthesize` unbinds its self-calling ``build`` on
 return, so reference counting frees the working tables.  The trade asks
 its lead applicant once: one edge per favorite in its half U, where it
@@ -41,8 +41,6 @@ from collections.abc import Callable, Set
 from .classify import Classification, classify, dominance_blocks, taa_labeling_table
 from .core import PrioritySet, favorites, restrict_table
 from .mechanism import Internal, Leaf, MechanismTree, full_universe
-
-ALL = -1  # the set index ask reads as the player's whole universe
 
 
 class NotLimitedCyclicError(ValueError):
@@ -71,20 +69,10 @@ def synthesize(q: PrioritySet) -> MechanismTree:
     lists = q.rankings
     universe = full_universe(n)
     nodes: list = []  # in preorder; each ask reserves its slot first
-    # per applicant: its distinct edge sets in order of first use, and each
-    # set's index there; one tuple per distinct set across applicants
-    tables: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
-    shared = {universe: universe}
-    # (player, set index, offered mask, last mask) -> ((w, set index), ...)
-    questions: dict[tuple[int, int, int, int], tuple[tuple[int | None, int], ...]] = {}
-
-    def set_index(player: int, group: tuple[int, ...]) -> int:
-        group = shared.setdefault(group, group)
-        k = index[player].setdefault(group, len(tables[player]))
-        if k == len(tables[player]):
-            tables[player].append(group)
-        return k
+    # per applicant: its distinct edge sets -> their index, in order of first use
+    tables: list[dict[int, int]] = [{} for _ in range(n)]
+    # (player, types, offered mask, last mask) -> ((w, group, set index), ...)
+    questions: dict[tuple[int, int, int, int], tuple[tuple[int | None, int, int], ...]] = {}
 
     def ask(player: int, types: int, offered: frozenset[int],
             then: Callable[[int | None, int], None], last: Set[int] = frozenset()) -> None:
@@ -94,19 +82,15 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         edges = questions.get(key)
         if edges is None:
             favorite = favorites(n, mask)
-            groups: dict[int | None, list[int]] = {}
-            for t in universe if types == ALL else tables[player][types]:
-                w = favorite[t]
-                groups.setdefault(None if w in last else w, []).append(t)
-            edges = questions[key] = tuple(
-                (w, set_index(player, tuple(groups[w])))
-                for w in sorted(groups, key=lambda w: (w is None, w))
-            )
+            groups = [(w, types & favorite[w]) for w in range(n) if w not in last]
+            groups.append((None, types & sum(favorite[w] for w in last)))
+            table = tables[player]
+            edges = questions[key] = tuple((w, g, table.setdefault(g, len(table))) for w, g in groups if g)
         slot = len(nodes)
         nodes.append(None)
         children = []
-        for w, group in edges:
-            children.append((group, len(nodes)))
+        for w, group, k in edges:
+            children.append((k, len(nodes)))
             then(w, group)
         nodes[slot] = Internal(player, tuple(children))
 
@@ -125,7 +109,7 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         block = tuple(apps[i] for i in dominance_blocks(restrict_table(lists, apps, rem_pos))[0])
         if len(block) == 1:
             s, = block
-            return ask(s, ALL, rem_pos, lambda w, _: fix((s, w)))
+            return ask(s, universe, rem_pos, lambda w, _: fix((s, w)))
         if len(block) == 2:
             # a has top priority on U, b on V; both nonempty in a finest block
             a, b = sorted(block, key=lists[min(rem_pos)].index)
@@ -134,11 +118,11 @@ def synthesize(q: PrioritySet) -> MechanismTree:
 
             def a_first(u: int | None, passers: int) -> None:
                 if u is not None:  # a clinched u
-                    return ask(b, ALL, rem_pos - {u}, lambda w, _: fix((a, u), (b, w)))
-                ask(b, ALL, rem_pos, lambda w, _: ask(  # a passed, b took w
+                    return ask(b, universe, rem_pos - {u}, lambda w, _: fix((a, u), (b, w)))
+                ask(b, universe, rem_pos, lambda w, _: ask(  # a passed, b took w
                     a, passers, rem_pos - {w}, lambda w2, _: fix((b, w), (a, w2))))
 
-            return ask(a, ALL, rem_pos, a_first, last=rem_pos - u_set)
+            return ask(a, universe, rem_pos, a_first, last=rem_pos - u_set)
 
         poss = sorted(rem_pos)
         labeling = taa_labeling_table(restrict_table(lists, block, poss))
@@ -148,7 +132,7 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         no_u, no_v = rem_pos - {u}, rem_pos - {v}
 
         def a2_node(a1_types: int) -> None:
-            ask(a2, ALL, rem_pos, lambda w, a2_types: (
+            ask(a2, universe, rem_pos, lambda w, a2_types: (
                 a3_node(a1_types, a2_types) if w is None else node_i(a1_types) if w == v
                 else fix((a1, v), (a2, w))), last={u})
 
@@ -156,7 +140,7 @@ def synthesize(q: PrioritySet) -> MechanismTree:
             ask(a1, a1_types, no_v, lambda w, _: fix((a2, v), (a1, w)))
 
         def a3_node(a1_types: int, a2_types: int) -> None:
-            ask(a3, ALL, no_v, lambda w, a3_types: (
+            ask(a3, universe, no_v, lambda w, a3_types: (
                 a2_second(a1_types, a2_types, a3_types) if w is None
                 else fix((a1, v), (a2, u), (a3, w))), last={u})
 
@@ -171,7 +155,7 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         def node_iii(a3_types: int) -> None:
             ask(a3, a3_types, no_v - {u}, lambda w, _: fix((a2, v), (a1, u), (a3, w)))
 
-        ask(a1, ALL, rem_pos, lambda w, a1_types: (
+        ask(a1, universe, rem_pos, lambda w, a1_types: (
             a2_node(a1_types) if w is None else fix((a1, w))), last={v})
 
     build(frozenset(range(n)), frozenset(range(n)), {})

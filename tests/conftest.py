@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
+from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings, ids_mask, mask_ids
 from ospmatch.jsonio import Names, default_names, tree_to_doc
 from ospmatch.mechanism import Internal, Leaf, MechanismTree
 
@@ -35,11 +35,13 @@ def profile_to_doc(p: PreferenceProfile, names: Names | None = None) -> dict:
 
 
 def flat_tree(n: int, universes, spec) -> MechanismTree:
-    """The tree of a nested spec, its nodes listed in preorder and each
-    applicant's sets in its table in order of first use.  A spec is a
-    ``Leaf`` or ``(player, ((types, spec), ...))``."""
+    """The tree of a nested spec over the given universe bitmasks, its
+    nodes listed in preorder and each applicant's sets in its table in
+    order of first use.  A spec is a ``Leaf`` or ``(player, ((types,
+    spec), ...))``, ``types`` a sequence of type ids."""
     nodes = []
-    index = [{} for _ in range(n)]  # per applicant: set -> its index
+    index = [{} for _ in range(n)]  # per applicant: set bitmask -> its index
+    size = len(all_rankings(n))
 
     def add(spec) -> int:
         nid = len(nodes)
@@ -48,7 +50,7 @@ def flat_tree(n: int, universes, spec) -> MechanismTree:
             return nid
         player, children = spec
         nodes.append(None)
-        sets = [index[player].setdefault(tuple(types), len(index[player])) for types, _ in children]
+        sets = [index[player].setdefault(ids_mask(types, size), len(index[player])) for types, _ in children]
         nodes[nid] = Internal(player, tuple((k, add(child)) for k, (_, child) in zip(sets, children)))
         return nid
 
@@ -62,7 +64,7 @@ def nested_spec(tree: MechanismTree, nid: int = 0):
     if isinstance(node, Leaf):
         return node
     table = tree.type_sets[node.player]
-    return node.player, tuple((table[k], nested_spec(tree, child)) for k, child in node.children)
+    return node.player, tuple((mask_ids(table[k]), nested_spec(tree, child)) for k, child in node.children)
 
 
 def assert_first_use_tables(tree: MechanismTree) -> None:
@@ -86,7 +88,7 @@ def format2_tree_doc(tree: MechanismTree, names: Names | None = None) -> dict:
     position names and child ids."""
     names = names or default_names(tree.n)
     rankings = all_rankings(tree.n)
-    local = [{t: j for j, t in enumerate(universe)} for universe in tree.universes]
+    local = [{t: j for j, t in enumerate(mask_ids(universe))} for universe in tree.universes]
     nodes = []
     for node in tree.nodes:
         if isinstance(node, Leaf):
@@ -104,11 +106,11 @@ def format2_tree_doc(tree: MechanismTree, names: Names | None = None) -> dict:
         "applicants": list(names.applicants),
         "positions": list(names.positions),
         "universes": [
-            [[names.positions[x] for x in rankings[t]] for t in universe]
+            [[names.positions[x] for x in rankings[t]] for t in mask_ids(universe)]
             for universe in tree.universes
         ],
         "type_sets": [
-            [[local[i][t] for t in types] for types in table]
+            [[local[i][t] for t in mask_ids(types)] for types in table]
             for i, table in enumerate(tree.type_sets)
         ],
         "nodes": nodes,

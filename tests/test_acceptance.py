@@ -16,6 +16,7 @@ from ospmatch.core import (
     PrioritySet,
     all_rankings,
     canonical_table,
+    mask_ids,
     relabel_table,
 )
 from ospmatch.da import da_match
@@ -266,7 +267,7 @@ def test_criterion_7_property_suite(taa3_tree):
     four_block = synthesize(q_of("dabc", "dabc", "dacb", "dbac"))
     cases = [(taa3_tree, 3, 60), (four_block, 4, 40)]
     for tree, n, count in cases:
-        universe = full_universe(n)
+        universe = mask_ids(full_universe(n))
         for _ in range(count):
             subs = [
                 sorted(rng.sample(universe, rng.randrange(1, len(universe) + 1)))

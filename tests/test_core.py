@@ -19,7 +19,9 @@ from ospmatch.core import (
     canonical_table,
     enumerate_priority_sets,
     favorites,
+    ids_mask,
     inverse,
+    mask_ids,
     relabel_table,
     relabelings,
     restrict,
@@ -196,6 +198,17 @@ def test_restriction_stream_deterministic():
     ]
 
 
+def test_ids_mask_and_mask_ids_invert_each_other():
+    rng = random.Random(4)
+    for size in (1, 6, 24, 720, 40_320):
+        ids = sorted(rng.sample(range(size), min(size, 50)))
+        mask = ids_mask(reversed(ids), size)
+        assert mask == sum(1 << t for t in ids)
+        assert mask_ids(mask) == tuple(ids)
+    assert ids_mask((), 6) == 0 and mask_ids(0) == ()
+    assert ids_mask((2, 2), 6) == 4  # a mask holds an id once
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_spot_tables_match_their_definition(n):
     tables = spot_tables(n)
@@ -209,4 +222,6 @@ def test_spot_tables_match_their_definition(n):
         worst = [max(r.index(pos) for pos in members) for r in rankings]
         assert tables.best[:, mask].tolist() == best
         assert tables.worst[:, mask].tolist() == worst
-        assert favorites(n, mask) == tuple(r[spot] for r, spot in zip(rankings, best))
+        favorite = [r[spot] for r, spot in zip(rankings, best)]
+        assert favorites(n, mask) == tuple(
+            sum(1 << t for t, w in enumerate(favorite) if w == pos) for pos in range(n))

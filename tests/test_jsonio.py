@@ -324,6 +324,14 @@ def test_every_layout_gives_the_same_tree(taa3_tree):
     taa3_v1, _ = parse_tree(json.loads((DATA / "taa3_tree_v1.json").read_text()))
     taa3_v3, _ = parse_tree(json.loads(json.dumps(tree_to_doc(taa3_tree))))
     assert _tables(taa3_v1) == _tables(taa3_v3)
+    # trees over universes that are not full: format 3 renumbers each set's
+    # ids by their place in the universe, and every layout reads them back
+    for tree in (restrict_environment(taa3_tree, ((0, 2, 5), (1, 3), (4,))),
+                 restrict_environment(reveal_tree(FIG_A), ((0, 1, 4), (2, 3, 5), (1, 5))),
+                 reveal_tree(FIG_A, ((0, 5), (3,), (1, 2, 4)))):
+        assert not all(u == full_universe(3) for u in tree.universes)
+        for layout in LAYOUTS:
+            assert _tables(parse_tree(json.loads(json.dumps(tree_doc(tree, layout))))[0]) == _tables(tree)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FORMAT3))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import re
 from itertools import product
@@ -12,7 +13,6 @@ from conftest import (
     FIG_A,
     FIG_C,
     FIG_E,
-    NAMED_LAYOUTS,
     STAR6,
     TAA3,
     assert_first_use_tables,
@@ -20,12 +20,11 @@ from conftest import (
     nested_spec,
     p_of,
     q_of,
-    tree_doc,
 )
 from ospmatch import mechanism
-from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings
+from ospmatch.core import PreferenceProfile, PrioritySet, all_rankings, ids_mask, mask_ids
 from ospmatch.da import da_match
-from ospmatch.jsonio import FormatError, parse_tree
+from ospmatch.jsonio import parse_tree, tree_to_doc
 from ospmatch.mechanism import (
     ImplementsReport,
     Internal,
@@ -109,7 +108,7 @@ def test_validate_reports_a_shared_question_at_every_node():
         ((0,), (1, ((half, Leaf((0, 1))),))),
         ((1,), (1, ((half, Leaf((1, 0))),))),
     )))
-    assert tree.type_sets[1] == (half,)
+    assert tree.type_sets[1] == (0b01,)  # the bitmask of half
     assert tree.nodes[1].children[0][0] == tree.nodes[3].children[0][0] == 0
     assert validate(tree).problems == (
         "node 1: child sets do not cover the parent set",
@@ -121,9 +120,9 @@ def test_reveal_and_restricted_trees_share_equal_sets(taa3_tree):
     # each table lists distinct sets in order of first use; the reveal
     # tree's applicants name type j of their universe by set j
     reveal = reveal_tree(FIG_A)
-    assert reveal.type_sets == (tuple((t,) for t in full_universe(3)),) * 3
+    assert reveal.type_sets == (tuple(1 << t for t in range(6)),) * 3
     small = restrict_environment(taa3_tree, ((0, 2, 5), (1, 3), (4,)))
-    assert small.type_sets[2] == ((4,),)  # single-child nodes keep their set
+    assert small.type_sets[2] == (1 << 4,)  # single-child nodes keep their set
     for tree in (reveal, small, reveal_tree(FIG_A, ((0, 5), (3,), (1, 2, 4)))):
         assert_first_use_tables(tree)
 
@@ -132,7 +131,7 @@ def test_validate_tells_apart_players_naming_the_same_indices():
     # both nodes name sets 0 and 1 of the acting applicant's own table,
     # which partition applicant 0's universe but overlap in applicant 1's
     uni = full_universe(2)
-    tree = MechanismTree(2, (uni, uni), (((0,), (1,)), ((0,), (0, 1))), (
+    tree = MechanismTree(2, (uni, uni), ((0b01, 0b10), (0b01, 0b11)), (
         Internal(0, ((0, 1), (1, 4))),
         Internal(1, ((0, 2), (1, 3))), Leaf((0, 1)), Leaf((1, 0)),
         Leaf((1, 0)),
@@ -142,7 +141,7 @@ def test_validate_tells_apart_players_naming_the_same_indices():
 
 def test_validate_reports_set_indices_out_of_range():
     uni = full_universe(2)
-    tree = flat_tree(2, (uni, uni), (0, (((0,), (1, ((uni, Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
+    tree = flat_tree(2, (uni, uni), (0, (((0,), (1, (((0, 1), Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
     nodes = list(tree.nodes)
     nodes[1] = Internal(1, ((1, 2),))
     nodes[0] = Internal(0, ((0, 1), (-1, 3)))
@@ -159,18 +158,6 @@ def test_validate_reports_set_indices_out_of_range():
         check_implements(bad, q_of("ab", "ab"))
 
 
-def test_validate_flags_repeated_child_types():
-    # the rule parse_tree applies to a child's type list
-    uni = full_universe(2)
-    tree = flat_tree(2, (uni, uni), (0, (((0, 0), Leaf((0, 1))), ((1,), Leaf((1, 0))))))
-    assert validate(tree).problems == ("node 0: child repeats a type",)
-    for layout in NAMED_LAYOUTS:  # a format-3 bitmask cannot repeat a type
-        with pytest.raises(FormatError, match="child repeats a type index"):
-            parse_tree(tree_doc(tree, layout))
-    with pytest.raises(ValueError, match="child repeats a type"):
-        check_implements(tree, q_of("ab", "ab"))
-
-
 @pytest.mark.parametrize("nodes, message", [
     # an out-of-range child id
     ((Internal(0, ((0, 1), (1, 2))), Leaf((0, 1))), "node reference 2 out of range"),
@@ -184,7 +171,7 @@ def test_validate_flags_repeated_child_types():
 ], ids=["out_of_range", "referenced_twice", "out_of_preorder", "unreachable"])
 def test_tree_constructor_refuses_nodes_out_of_preorder(nodes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        MechanismTree(2, (full_universe(2),) * 2, (((0,), (1,), (0, 1)), ()), nodes)
+        MechanismTree(2, (full_universe(2),) * 2, ((0b01, 0b10, 0b11), ()), nodes)
 
 
 def test_tree_constructor_refuses_a_table_count_other_than_n():
@@ -201,13 +188,14 @@ def test_tree_constructor_refuses_a_universe_count_other_than_n():
         MechanismTree(2, (full_universe(2),), ((), ()), (Leaf((0, 1)),))
 
 
-@pytest.mark.parametrize("universe", [(-1, 1), (0, 2), (1, 0), (0, 0, 1), ()],
+@pytest.mark.parametrize("universe", [-1, 0b101, (1, 0), (0, 0, 1), 0],
                          ids=["negative", "n_factorial", "unsorted", "repeated", "empty"])
 def test_tree_constructor_refuses_a_universe_outside_the_type_ids(universe):
-    # with id -1 check_implements read id 1 in its place, and with id n!
-    # the checkers indexed past their tables
-    with pytest.raises(ValueError, match=r"universe of applicant 1 is not a nonempty "
-                                         r"increasing list of ids in 0\.\.1$"):
+    # a universe is a bitmask: a negative one, or one with bit n! set, would
+    # make the checkers index past their tables; a list of ids, sorted or
+    # not, is not a universe
+    with pytest.raises(ValueError, match=r"universe of applicant 1 is not a nonzero "
+                                         r"bitmask of ids in 0\.\.1$"):
         MechanismTree(2, (full_universe(2), universe), ((), ()), (Leaf((0, 1)),))
 
 
@@ -222,14 +210,14 @@ def test_reveal_tree_refuses_a_universe_outside_the_type_ids():
 def test_tree_constructor_records_subtree_ends():
     uni = full_universe(2)
     tree = flat_tree(2, (uni, uni), (0, (((0,), (1, (((0, 1), Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
-    assert tree.type_sets == (((0,), (1,)), ((0, 1),))
+    assert tree.type_sets == ((0b01, 0b10), (0b11,))
     assert tree.nodes == (Internal(0, ((0, 1), (1, 3))), Internal(1, ((0, 2),)),
                           Leaf((0, 1)), Leaf((1, 0)))
     assert tree.end == [4, 3, 3, 4]
 
 
 def test_validate_single_leaf_market():
-    tree = MechanismTree(1, ((0,),), ((),), (Leaf((0,)),))
+    tree = MechanismTree(1, (1,), ((),), (Leaf((0,)),))
     assert validate(tree).ok
     assert execute_ids(tree, (0,)) == (0,)
 
@@ -284,10 +272,11 @@ def _scalar_check_implements(tree, q, samples=None, seed=0):
     scalar da_match; stop at the first mismatch."""
     rankings = all_rankings(tree.n)
     ranks = q.rank_table()
+    universes = [mask_ids(u) for u in tree.universes]
     if samples is None:
-        profiles = product(*tree.universes)
+        profiles = product(*universes)
     else:
-        profiles = _sampled_profiles(tree.universes, samples, seed)
+        profiles = _sampled_profiles(universes, samples, seed)
     checked = 0
     for type_ids in profiles:
         checked += 1
@@ -374,7 +363,8 @@ def test_check_implements_refuses_trees_whose_boxes_miss_profiles():
             check_implements(tree, q, samples=100, seed=3)
     # overlapping children without a hole: the sampled mode gives a verdict,
     # and the first child holding a type takes it, as in execute_ids
-    shadowed = flat_tree(3, (uni,) * 3, (0, ((uni, nested_spec(synthesize(TAA3))), ((0, 1), Leaf((1, 0, 2))))))
+    shadowed = flat_tree(3, (uni,) * 3, (0, (
+        (range(6), nested_spec(synthesize(TAA3))), ((0, 1), Leaf((1, 0, 2))))))
     assert not validate(shadowed).ok
     assert check_implements(shadowed, TAA3, samples=100, seed=3) == ImplementsReport(True, 100)
 
@@ -420,7 +410,7 @@ def _recursive_reveal_tree(q, universes=None):
     n = q.n
     rankings, ranks = all_rankings(n), q.rank_table()
     unis = (tuple(tuple(sorted(set(u))) for u in universes) if universes is not None
-            else (full_universe(n),) * n)
+            else (tuple(range(len(rankings))),) * n)
     nodes = []
 
     def build(i, chosen):
@@ -438,8 +428,8 @@ def _recursive_reveal_tree(q, universes=None):
             nodes[slot] = Internal(i, tuple(children))
 
     build(0, ())
-    type_sets = tuple(tuple((t,) for t in u) if len(u) > 1 else () for u in unis)
-    return MechanismTree(n, unis, type_sets, nodes)
+    type_sets = tuple(tuple(1 << t for t in u) if len(u) > 1 else () for u in unis)
+    return MechanismTree(n, tuple(ids_mask(u, len(rankings)) for u in unis), type_sets, nodes)
 
 
 def _restricted_reveal_cases():
@@ -470,13 +460,13 @@ def test_reveal_tree_matches_the_recursive_oracle(q, universes):
 def test_reveal_tree_with_pinned_opponents_is_clean():
     # against fixed opponents the reveal tree computes a strategyproof
     # function of one report, so no node can show regret
-    tree = reveal_tree(FIG_A, universes=(full_universe(3), (0,), (0,)))
+    tree = reveal_tree(FIG_A, universes=(range(6), (0,), (0,)))
     assert validate(tree).ok
     assert check_osp(tree).ok
 
 
 def test_single_leaf_tree_is_trivially_osp():
-    tree = MechanismTree(1, ((0,),), ((),), (Leaf((0,)),))
+    tree = MechanismTree(1, (1,), ((),), (Leaf((0,)),))
     assert check_osp(tree).ok
 
 
@@ -520,7 +510,7 @@ def test_osp_ok_implies_strategyproof(taa3_tree):
 
 def test_pruning_preserves_osp(taa3_tree):
     rng = random.Random(9)
-    uni = full_universe(3)
+    uni = mask_ids(full_universe(3))
     for _ in range(15):
         subs = [
             sorted(rng.sample(uni, rng.randrange(1, len(uni) + 1))) for _ in range(3)
@@ -528,6 +518,47 @@ def test_pruning_preserves_osp(taa3_tree):
         pruned = restrict_environment(taa3_tree, subs)
         assert validate(pruned).ok
         assert check_osp(pruned).ok
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, None, -1, 6, 10**30],
+                         ids=["bool", "float", "none", "negative", "n_factorial", "far_above"])
+def test_library_universes_refuse_what_is_not_a_type_id(taa3_tree, bad):
+    # one line naming the applicant and the id, never "negative shift count"
+    message = rf"^{{}}universe of applicant 1 is not a list of type ids in 0\.\.5: {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message.format("")):
+        reveal_tree(TAA3, ((0,), (0, bad), (1,)))
+    with pytest.raises(ValueError, match=message.format("sub-")):
+        restrict_environment(taa3_tree, ((0,), (0, bad), (1,)))
+
+
+def _uncovered_below_a_deviation():
+    # applicant a's type 1 reaches node 0's first child through b's second
+    # child, but node 2, where a acts again, has no child holding it
+    uni = full_universe(2)
+    return flat_tree(2, (uni, uni), (0, (
+        ((0, 1), (1, (((0,), (0, (((0,), Leaf((0, 1))),))), ((1,), Leaf((0, 1)))))),
+        ((1,), Leaf((1, 0))),
+    )))
+
+
+def _overlapping_taa3(taa3_tree):
+    doc = json.loads(json.dumps(tree_to_doc(taa3_tree)))
+    doc["type_sets"][1].insert(7, "c")
+    return parse_tree(doc)[0]
+
+
+@pytest.mark.parametrize("make, problem, message", [
+    (_overlapping_taa3, "node 24: overlapping child type sets", "no leaf matches a recorded position"),
+    (lambda _: _uncovered_below_a_deviation(), "node 0: overlapping child type sets",
+     "no child of node 2 holds type 1"),
+], ids=["taa3_overlap", "uncovered_type"])
+def test_check_osp_on_a_tree_that_fails_validation(taa3_tree, make, problem, message):
+    # check_osp does not validate; its leaf search ends in one ValueError line,
+    # not an AssertionError or a bare StopIteration
+    tree = make(taa3_tree)
+    assert validate(tree).problems[0] == problem
+    with pytest.raises(ValueError, match=f"^tree fails validation: {message}$"):
+        check_osp(tree)
 
 
 def test_restrict_environment_validates_input(taa3_tree):
@@ -543,7 +574,7 @@ def test_restrict_environment_validates_input(taa3_tree):
 
 def test_exactly_one_leaf_per_profile(taa3_tree):
     # execute is total over the environment and lands on a single leaf
-    for profile in product(full_universe(3), repeat=3):
+    for profile in product(mask_ids(full_universe(3)), repeat=3):
         matching = execute_ids(taa3_tree, profile)
         assert sorted(matching) == [0, 1, 2]
 
@@ -578,7 +609,7 @@ def _brute_osp_violations(tree):
             return [nid]
         if node.player == player:
             for k, child in node.children:
-                if type_id in tree.type_sets[player][k]:
+                if tree.type_sets[player][k] >> type_id & 1:
                     return truthful_leaves(child, player, type_id)
             return []
         out = []
@@ -599,7 +630,7 @@ def _brute_osp_violations(tree):
                     dev.extend(leaves_below(sibling))
             if not dev:
                 continue
-            for t in types:
+            for t in mask_ids(types):
                 spot = {pos: i for i, pos in enumerate(rankings[t])}
                 truthful = truthful_leaves(child, player, t)
                 worst = max(spot[nodes[leaf].matching[player]] for leaf in truthful)
@@ -651,7 +682,7 @@ def _brute_force_trees():
     trees.append(_reveal_top_first(FIG_A))
     trees.append(_reveal_top_first(q_of("abc", "acb", "cba")))
     base = synthesize(TAA3)
-    uni = full_universe(3)
+    uni = mask_ids(full_universe(3))
     for _ in range(10):
         subs = [sorted(rng.sample(uni, rng.randrange(1, 7))) for _ in range(3)]
         trees.append(restrict_environment(base, subs))
@@ -718,7 +749,7 @@ def _random_tree(rng, depth):
             (part, build(sets[:pl] + (part,) + sets[pl + 1 :], depth - 1)) for part in parts
         )
 
-    return flat_tree(3, universes, build(universes, depth))
+    return flat_tree(3, tuple(ids_mask(u, 6) for u in universes), build(universes, depth))
 
 
 def _act_again_trees():
@@ -726,7 +757,7 @@ def _act_again_trees():
     trees (three moves on a path) and seeded random trees."""
     small = ((0, 7), (3, 17), (11,))
     trees = [
-        _reveal_in_stages(q, (full_universe(4),) + small)
+        _reveal_in_stages(q, (range(24),) + small)
         for q in (q_of("abcd", "abdc", "acbd", "bacd"), q_of("dabc", "dabc", "dacb", "dbac"),
                   q_of("abcd", "bcda", "cdab", "dabc"))
     ]
@@ -772,7 +803,7 @@ def test_restricted_tree_still_implements_da():
     q = TAA3
     tree = synthesize(q)
     rng = random.Random(13)
-    uni = full_universe(3)
+    uni = mask_ids(full_universe(3))
     rankings = all_rankings(3)
     ranks = q.rank_table()
     for _ in range(10):
@@ -780,6 +811,6 @@ def test_restricted_tree_still_implements_da():
             sorted(rng.sample(uni, rng.randrange(1, 7))) for _ in range(3)
         ]
         pruned = restrict_environment(tree, subs)
-        for profile in product(*pruned.universes):
+        for profile in product(*map(mask_ids, pruned.universes)):
             prefs = tuple(rankings[t] for t in profile)
             assert execute_ids(pruned, profile) == da_match(ranks, prefs)

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from conftest import FIG_A, STAR6, TAA3, assert_first_use_tables, format2_tree_doc, inline_tree_doc, q_of
-from ospmatch.core import PrioritySet, all_rankings
+from ospmatch.core import PrioritySet, all_rankings, mask_ids
 from ospmatch.mechanism import (
     Internal,
     check_implements,
@@ -31,7 +31,7 @@ def test_small_gadget_tree_shape(taa3_tree):
     rankings = all_rankings(3)
     # first two branches clinch positions 1 and 2, the last passes on 3
     for (k, _), top in zip(root.children, (0, 1, 2)):
-        assert all(rankings[t][0] == top for t in taa3_tree.type_sets[0][k])
+        assert all(rankings[t][0] == top for t in mask_ids(taa3_tree.type_sets[0][k]))
     # the pass branch hands the move to the second block member
     pass_child = taa3_tree.nodes[root.children[-1][1]]
     assert isinstance(pass_child, Internal) and pass_child.player == 1
@@ -134,14 +134,14 @@ def test_five_applicant_composites(rows):
     from ospmatch.da import da_match
 
     rng = random.Random(15)
-    uni = full_universe(5)
+    uni = mask_ids(full_universe(5))
     subs = [sorted(rng.sample(uni, 6)) for _ in range(5)]
     pruned = restrict_environment(tree, subs)
     assert validate(pruned).ok
     assert check_osp(pruned).ok
     rankings = all_rankings(5)
     ranks = q.rank_table()
-    for profile in product(*pruned.universes):
+    for profile in product(*map(mask_ids, pruned.universes)):
         prefs = tuple(rankings[t] for t in profile)
         assert execute_ids(pruned, profile) == da_match(ranks, prefs)
 
