@@ -9,26 +9,22 @@ each position's ranking of the applicants and a :class:`PreferenceProfile`
 each applicant's ranking of the positions.  Both hold the ranking tuples
 themselves as ``rankings`` and build the inverse ``rank_table()`` once,
 from :data:`checked_ranks`, which checks and inverts each distinct
-ranking once per process.  The predicates and the sweeps read such tables of ranking tuples as they
-are.  A ranking's lexicographic index (:func:`ranking_id`) is used only
-where something is indexed by it: the rows of :func:`spot_tables`, and
-so the type ids of mechanism trees, whose sets of type ids are int
-bitmasks, bit t for id t (:func:`favorites`, :func:`ids_mask`, :func:`mask_ids`).
+ranking once per process.  The predicates and the sweeps read such
+tables of ranking tuples as they are.  A ranking's lexicographic index
+(:func:`ranking_id`) is used only for the type ids of mechanism trees,
+whose sets of type ids are int bitmasks, bit t for id t (:func:`above`,
+:func:`favorites`, :func:`ids_mask`, :func:`mask_ids`).
 
-All types here are immutable and hashable, and every operation is a pure
-function.  numpy is imported only where an array is built
-(:func:`spot_tables`, :func:`favorites`), so the types and the sweeps
-run without it.
+All types here are immutable and hashable, every operation is a pure
+function, and nothing here imports numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, compress, count, permutations, product
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
-
-if TYPE_CHECKING:
-    import numpy as np
+from functools import lru_cache, reduce
+from itertools import chain, combinations, compress, count, permutations, product
+from operator import and_, lt
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence, TypeVar
 
 Ranking = tuple[int, ...]
 
@@ -63,57 +59,31 @@ def ranking_id(ranking: Sequence[int]) -> int:
     return out
 
 
-class SpotTables(NamedTuple):
-    """Lookup tables over the n! rankings (row t is ``all_rankings(n)[t]``)
-    and the 2^n position sets, a set being the bitmask of its positions.
-
-    ``positions[t, spot]`` is the position ranking t puts at ``spot``;
-    ``best[t, mask]`` and ``worst[t, mask]`` are the best (least) and worst
-    spot ranking t gives to a position in ``mask``.  The empty mask has
-    best spot n and worst spot -1, so no comparison of the two involving
-    it holds.
-    """
-
-    positions: np.ndarray  # (n!, n) int8
-    best: np.ndarray  # (n!, 2^n) int8
-    worst: np.ndarray  # (n!, 2^n) int8
+# flag bytes (one per bit) to and from the digits "0" and "1" that int() and format() use
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FROM_FLAGS = bytes.maketrans(b"\0\1", b"01")
 
 
 @lru_cache(maxsize=None)
-def spot_tables(n: int) -> SpotTables:
-    """The :class:`SpotTables` of size n, built on first use (they take
-    2·n!·2^n bytes: 46 KB at n = 6, 20 MB at n = 8)."""
-    import numpy as np
-
-    positions = np.array(all_rankings(n), dtype=np.int8).reshape(-1, n)
-    spots = np.argsort(positions, axis=1).astype(np.int8)  # spots[t, pos]
-    best = np.empty((len(positions), 1 << n), dtype=np.int8)
-    worst = np.empty_like(best)
-    best[:, 0], worst[:, 0] = n, -1
-    for pos in range(n):
-        # the masks whose highest position is pos: those below plus pos
-        low = 1 << pos
-        np.minimum(best[:, :low], spots[:, pos : pos + 1], out=best[:, low : 2 * low])
-        np.maximum(worst[:, :low], spots[:, pos : pos + 1], out=worst[:, low : 2 * low])
-    for table in (positions, best, worst):
-        table.flags.writeable = False  # shared by every caller
-    return SpotTables(positions, best, worst)
+def above(n: int) -> tuple[tuple[int, ...], ...]:
+    """``above(n)[d][w]``: the bitmask of the type ids whose ranking puts
+    position d above position w (0 for d == w).  n² ints of n! bits, built
+    once per n from each position's spot in every ranking."""
+    spots = bytes(chain.from_iterable(map(inverse, all_rankings(n))))  # spots[t*n + pos]
+    return tuple(tuple(int(bytes(map(lt, spots[d::n], spots[w::n]))[::-1].translate(_FROM_FLAGS), 2)
+                       for w in range(n)) for d in range(n))
 
 
 @lru_cache(maxsize=None)
 def favorites(n: int, mask: int) -> tuple[int, ...]:
     """``favorites(n, mask)[w]``: the bitmask of the type ids whose ranking
-    likes position w best among the positions in the (nonempty) bitmask
+    puts position w above every other position in the (nonempty) bitmask
     ``mask`` (0 for a position outside it)."""
-    import numpy as np
-
-    tables = spot_tables(n)
-    best = tables.positions[np.arange(len(tables.positions)), tables.best[:, mask]]
-    return tuple(int.from_bytes(np.packbits(best == w, bitorder="little").tobytes(), "little")
-                 for w in range(n))
-
-
-_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+    table = above(n)
+    members = [pos for pos in range(n) if mask >> pos & 1]
+    everyone = (1 << len(all_rankings(n))) - 1
+    return tuple(reduce(and_, (table[w][d] for d in members if d != w), everyone)
+                 if mask >> w & 1 else 0 for w in range(n))
 
 
 def ids_mask(ids: Iterable[int], size: int, where: str = "type set") -> int:

@@ -19,10 +19,11 @@ kernels run without it.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Matching, PreferenceProfile, PrioritySet, Ranking, inverse, spot_tables
+from .core import Matching, PreferenceProfile, PrioritySet, Ranking, all_rankings, inverse
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,6 +112,16 @@ def da_match_product(rank_by_pos: Sequence[Sequence[int]],
     return out
 
 
+@lru_cache(maxsize=None)
+def _rankings_array(n: int) -> np.ndarray:
+    """``all_rankings(n)`` as a read-only (n!, n) int8 array, built once per n."""
+    import numpy as np
+
+    rankings = np.array(all_rankings(n), dtype=np.int8)
+    rankings.flags.writeable = False  # shared by every call
+    return rankings
+
+
 def da_match_batch(rank_by_pos: Sequence[Sequence[int]], type_ids) -> np.ndarray:
     """:func:`da_match` on every row of an (M, n) array of type ids (row m
     holds the profile ``all_rankings(n)[type_ids[m, a]]`` for each
@@ -129,7 +140,7 @@ def da_match_batch(rank_by_pos: Sequence[Sequence[int]], type_ids) -> np.ndarray
     m, n = type_ids.shape
     # flat views: prefs[(row*n + a)*n + choice], ranks[x*n + a],
     # held[row*n + x] (applicant or -1), next_choice[row*n + a]
-    prefs = spot_tables(n).positions[type_ids].reshape(-1)
+    prefs = _rankings_array(n)[type_ids].reshape(-1)
     ranks = np.asarray(rank_by_pos, dtype=np.intp).reshape(-1)
     held = np.full(m * n, -1, dtype=np.intp)
     next_choice = np.zeros(m * n, dtype=np.intp)

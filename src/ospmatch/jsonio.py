@@ -35,8 +35,8 @@ from .mechanism import Internal, Leaf, MechanismTree, Node
 from .witness import Improvement, Subdomain
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
-# the largest tree a file may hold: the exact checkers' lookup tables take
-# 2·n!·2^n bytes (core.spot_tables), 20 MB at n = 8 and 372 MB at n = 9
+# the largest tree a file may hold: the 8-applicant star's (26.6 MB) reads back and
+# passes check_osp in seconds, and one more applicant makes such a tree ~70x larger
 MAX_TREE_N = 8
 
 
@@ -237,7 +237,10 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
     names = names or default_names(tree.n)
     full = (1 << len(all_rankings(tree.n))) - 1
     type_sets = []
-    for universe, table in zip(tree.universes, tree.type_sets):
+    for i, (universe, table) in enumerate(zip(tree.universes, tree.type_sets)):
+        stray = next((k for k, m in enumerate(table) if m & ~universe), None)
+        if stray is not None:
+            raise ValueError(f"type set {stray} of applicant {i} holds a type outside its universe")
         if universe != full:  # renumber each set's ids by their place in the universe
             local = {t: j for j, t in enumerate(mask_ids(universe))}
             table = [ids_mask(map(local.__getitem__, mask_ids(m)), len(local)) for m in table]

@@ -26,49 +26,46 @@ producers (:func:`ospmatch.synth.synthesize`,
 :func:`ospmatch.jsonio.parse_tree`, :func:`reveal_tree` and
 :func:`restrict_environment`) fill each table in order of first use in
 preorder.  So :func:`validate` checks each distinct question (player,
-inherited set index, child set indices) once, and :func:`check_osp` and
-:func:`check_implements` unpack each table's masks into index arrays
+inherited set index, child set indices) once, and
+:func:`check_implements` unpacks each table's masks into index arrays
 once per call.
 
-The checkers work on tables and batches rather than per node or per
-profile.  :func:`check_osp` works on bitmasks of reachable positions
-(Li's condition, "Obviously Strategy-Proof Mechanisms", AER 2017,
-compares only the worst truthful and the best deviating position), and
-reads the best and worst spot of each type from
-:func:`ospmatch.core.spot_tables`.  Each node's record holds every
-applicant's mask over all leaves below (``masks``), and a mask per type
-only for the applicants who act below (``acted``): for everyone else
-every type reaches every leaf below, so the mask is the reach.
+The checkers work on tables, bitsets and batches rather than per type
+or per profile.  :func:`check_osp` works on bitmasks of positions and of
+type ids (Li's condition, "Obviously Strategy-Proof Mechanisms", AER
+2017, compares only the worst truthful and the best deviating position).
 :func:`check_implements` reads one stream of profiles, all of them in
 product order or seeded samples, in slices: each slice is routed down
 the preorder as a whole, the rows that reach a node split by their type
 there, and is compared with the batched DA kernel
 :func:`ospmatch.da.da_match_batch`.  The scalar walk
 :func:`execute_ids` and the scalar :func:`ospmatch.da.da_match` stay the
-oracles the tests hold it to.  numpy is imported only inside the
-functions that build arrays (:func:`check_implements`, its helpers and
-:func:`check_osp`), so building, validating and executing a tree run
-without it.
+oracles the tests hold it to.  numpy is imported only inside
+:func:`check_implements` and its helpers, so building, validating,
+executing and OSP-checking a tree run without it.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     Matching,
+    Memo,
     PreferenceProfile,
     PrioritySet,
     Ranking,
+    above,
     all_rankings,
     ids_mask,
     is_permutation,
     mask_ids,
     ranking_id,
-    spot_tables,
 )
 from .da import da_match_batch, da_match_product
 
@@ -431,33 +428,42 @@ def check_osp(tree: MechanismTree) -> OspReport:
     preorder that attains the truthful worst case and the best deviation.
 
     Both sides depend only on which positions can still be reached, so the
-    walk carries position bitmasks and reads the two spots from
-    :func:`ospmatch.core.spot_tables`.  Each node keeps one record:
+    walk carries position bitmasks.  Each node keeps one record:
     ``masks``, per applicant the positions of all leaves below (the
     deviating side's reach, and the truthful reach of every type of an
     applicant who does not act below), and ``acted``, for each applicant
-    who acts below, the truthful reach as an array of masks indexed by type
-    id (0 for types that cannot reach the node).
+    who acts below it and above it, a partition of all type ids by truthful
+    reach, ``{reach mask: type bitset}`` (reach 0: the types that cannot
+    reach the node).  The mover's partition is the union of its children's,
+    each cut to the child's set; another applicant's is their meet.  The
+    types of a class that fail at a child rank a deviating position above a
+    truthful one, an OR of :func:`ospmatch.core.above` entries.
 
     ``check_osp`` does not run :func:`validate`: on a tree that fails it the
     report means nothing, or the leaf search raises ``ValueError``."""
-    import numpy as np
-
     n = tree.n
-    tables = spot_tables(n)
-    mask_type = np.min_scalar_type((1 << n) - 1)
+    rankings, pairs = all_rankings(n), above(n)
+    everyone = full_universe(n)
     nodes, end = tree.nodes, tree.end
     raw_violations: list[tuple[int, int, int, int, int, int]] = []
-    arrays = [_index_arrays(n, table) for table in tree.type_sets]
+    # (truthful reach, deviating reach) -> the types that rank a deviating position higher
+    beaten = Memo(lambda key: reduce(or_, (pairs[d][w] for d in mask_ids(key[1])
+                                           for w in mask_ids(key[0])), 0))
+    # per node, the applicants who act above it: an ancestor reads only their reach
+    watched = [0] * len(nodes)
+    for nid, node in enumerate(nodes):
+        if isinstance(node, Internal):
+            for _, child in node.children:
+                watched[child] = watched[nid] | 1 << node.player
     # per node (masks, acted), held until the parent merges them
-    results: dict[int, tuple[list[int], dict]] = {}
+    results: dict[int, tuple[list[int], dict[int, dict[int, int]]]] = {}
     for nid in range(len(nodes) - 1, -1, -1):
         node = nodes[nid]
         if isinstance(node, Leaf):
             results[nid] = ([1 << pos for pos in node.matching], {})
             continue
         pl = node.player
-        kids = [(arrays[pl][k], child, *results.pop(child)) for k, child in node.children]
+        kids = [(tree.type_sets[pl][k], child, *results.pop(child)) for k, child in node.children]
         masks = [0] * n
         shared = 0  # the mover's positions under two or more children
         for *_, child_masks, _ in kids:
@@ -465,27 +471,37 @@ def check_osp(tree: MechanismTree) -> OspReport:
             masks = [a | m for a, m in zip(masks, child_masks)]
         # OSP condition at this node, one child (truthful branch) at a time;
         # the deviation reaches everything under the other children: the
-        # positions under two or more children and those this child lacks
-        mover = np.zeros(len(tables.positions), dtype=mask_type)
-        for types, child, child_masks, acted in kids:
-            truth = acted[pl][types] if pl in acted else child_masks[pl]
-            mover[types] = truth
+        # positions under two or more children and those this child lacks.
+        # A type in two children's sets (only on an invalid tree) takes its
+        # reach from the last of them.
+        keep = watched[nid] >> pl & 1
+        mover: dict[int, int] = {}
+        unclaimed = everyone if keep else 0
+        for types, child, child_masks, acted in reversed(kids):
+            truth = acted.get(pl, {child_masks[pl]: everyone})
+            fresh, unclaimed = types & unclaimed, unclaimed & ~types
             dev_mask = shared | (masks[pl] ^ child_masks[pl])
-            if not dev_mask:
-                continue
-            worst = tables.worst[types, truth]
-            best = tables.best[types, dev_mask]
-            for b in np.nonzero(worst > best)[0].tolist():
-                t = int(types[b])
-                raw_violations.append((nid, pl, t, child,
-                                       int(tables.positions[t, worst[b]]),
-                                       int(tables.positions[t, best[b]])))
-        # the other applicants' truthful reach is the union over the children
-        merged = {pl: mover}
-        for i in {i for *_, acted in kids for i in acted} - {pl}:
-            reach = 0
+            for reach, group in truth.items():
+                if mine := group & fresh:
+                    mover[reach] = mover.get(reach, 0) | mine
+                if (bad := beaten[reach, dev_mask]) and (bad := bad & group & types):
+                    for t in mask_ids(bad):
+                        ranking = rankings[t]
+                        raw_violations.append((nid, pl, t, child,
+                                               [p for p in ranking if reach >> p & 1][-1],
+                                               next(p for p in ranking if dev_mask >> p & 1)))
+        mover[0] = mover.get(0, 0) | unclaimed
+        # another applicant's truthful reach, per type, is the union over the children
+        merged = {pl: mover} if keep else {}
+        for i in {i for *_, acted in kids for i in acted if watched[nid] >> i & 1} - {pl}:
+            reach = {0: everyone}
             for *_, child_masks, acted in kids:
-                reach = reach | (acted[i] if i in acted else child_masks[i])
+                meet: dict[int, int] = {}
+                for r2, g2 in acted.get(i, {child_masks[i]: everyone}).items():
+                    for r1, g1 in reach.items():
+                        if group := g1 & g2:
+                            meet[r1 | r2] = meet.get(r1 | r2, 0) | group
+                reach = meet
             merged[i] = reach
         results[nid] = (masks, merged)
 

@@ -632,12 +632,14 @@ def test_pure_python_commands_never_load_numpy(files, argv, code):
     assert _fresh_main(argv) == (False, code, False)
 
 
-def test_tree_commands_load_numpy_on_first_use(files):
+def test_only_verify_tree_loads_numpy(files):
+    # synthesis and the OSP check work on type bitsets; only the DA replay
+    # of verify-tree builds arrays
     tree = str(files["tmp"] / "taa3_tree.json")
-    for argv in (["synthesize", files["taa3"], "-o", tree],
-                 ["verify-tree", tree, files["taa3"]],
-                 ["check-osp", tree]):
-        assert _fresh_main(argv) == (False, 0, True)
+    for argv, loads in ((["synthesize", files["taa3"], "-o", tree], False),
+                        (["check-osp", tree], False),
+                        (["verify-tree", tree, files["taa3"]], True)):
+        assert _fresh_main(argv) == (False, 0, loads)
 
 
 def test_library_decisions_never_load_numpy():
@@ -646,13 +648,18 @@ import sys
 from ospmatch.classify import classify, scan_forbidden
 from ospmatch.core import PrioritySet, Restriction
 from ospmatch.da import da_match, da_match_product
+from ospmatch.jsonio import parse_tree, tree_to_doc
+from ospmatch.mechanism import check_osp, validate
 from ospmatch.sweep import class_census, sweep_equivalence
+from ospmatch.synth import synthesize
 from ospmatch.witness import check_witness, find_witness, fixtures, lift_witness
 q = PrioritySet.from_rankings(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 classify(q), scan_forbidden(q), sweep_equivalence(3), class_census(3), fixtures()
 subdomain = lift_witness(q, Restriction((0, 1, 2), (0, 1, 2)))
 check_witness(q, subdomain), find_witness(q, 50, 0)
 da_match(q.rank_table(), q.rankings), da_match_product(q.rank_table(), subdomain.type_lists)
+tree, _ = parse_tree(tree_to_doc(synthesize(PrioritySet.from_rankings(((0, 1, 2), (0, 2, 1), (1, 0, 2))))))
+assert validate(tree).ok and check_osp(tree).ok
 print("numpy" in sys.modules)
 """
     assert _fresh_run(script) == ["False"]

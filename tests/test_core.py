@@ -15,6 +15,7 @@ from ospmatch.core import (
     PreferenceProfile,
     PrioritySet,
     Restriction,
+    above,
     all_rankings,
     canonical_table,
     enumerate_priority_sets,
@@ -26,7 +27,6 @@ from ospmatch.core import (
     relabelings,
     restrict,
     restrictions,
-    spot_tables,
 )
 
 
@@ -210,18 +210,15 @@ def test_ids_mask_and_mask_ids_invert_each_other():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_spot_tables_match_their_definition(n):
-    tables = spot_tables(n)
+def test_above_and_favorites_match_their_definition(n):
     rankings = all_rankings(n)
-    assert tables.positions.tolist() == [list(r) for r in rankings]
-    assert tables.best[:, 0].tolist() == [n] * len(rankings)
-    assert tables.worst[:, 0].tolist() == [-1] * len(rankings)
+    table = above(n)
+    assert len(table) == n and all(len(row) == n for row in table)
+    for d, w in product(range(n), repeat=2):
+        assert table[d][w] == sum(1 << t for t, r in enumerate(rankings) if r.index(d) < r.index(w))
     for mask in range(1, 1 << n):
         members = [pos for pos in range(n) if mask >> pos & 1]
         best = [min(r.index(pos) for pos in members) for r in rankings]
-        worst = [max(r.index(pos) for pos in members) for r in rankings]
-        assert tables.best[:, mask].tolist() == best
-        assert tables.worst[:, mask].tolist() == worst
         favorite = [r[spot] for r, spot in zip(rankings, best)]
         assert favorites(n, mask) == tuple(
             sum(1 << t for t, w in enumerate(favorite) if w == pos) for pos in range(n))
