@@ -6,12 +6,12 @@ index, so name mapping happens only here.  Parsing validates permutation
 structure and raises :class:`FormatError` with a pointered message.
 Tree documents list each applicant's distinct edge type sets once and
 name them by index, the layout a :class:`ospmatch.mechanism.MechanismTree`
-holds in memory.  Format 3, the one written, spells sets as hex bitmasks
-and nodes as arrays of numbers (see the comment above :func:`tree_to_doc`);
-files in format 2 and in the older inline layout are still read.  A tree
-holds its universes and sets as bitmasks over the type ids themselves, so
-a format-3 set is read and written as it stands unless its universe is
-not full, where its bit j stands for the universe's j-th id.
+holds in memory.  Format 3, the only one read or written, spells sets as
+hex bitmasks and nodes as arrays of numbers (see the comment above
+:func:`tree_to_doc`).  A tree holds its universes and sets as bitmasks
+over the type ids themselves, so a set is read and written as it stands
+unless its universe is not full, where its bit j stands for the
+universe's j-th id.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .core import (
     all_rankings,
     ids_mask,
     mask_ids,
-    ranking_id,
 )
 from .mechanism import Internal, Leaf, MechanismTree, Node
 from .witness import Improvement, Subdomain
@@ -197,19 +196,14 @@ def improvement_to_doc(imp: Improvement, names: Names) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Mechanism trees.  Format 3, the one tree_to_doc writes, holds a tree's own
-# tables.  "universes" has one lowercase hex bitmask per applicant, bit t
-# set iff ranking id t is in the universe; "type_sets" lists each table as
-# the tree holds it, a set being a hex bitmask over its applicant's
-# universe in increasing id order; "nodes" lists the nodes in preorder, a
-# leaf as its n position indices and an internal node as [player, [set
-# index, ...]].  Child ids are not written: preorder and arities imply them.
-# Format 2 is still read: its universes list position-name orders, a set
-# lists indices into its universe list as given, and a node is an object,
-# {"matching": {...}} or {"player": name, "children": [{"set": k, "node":
-# c}, ...]}.  A file without "format" carries each child's list inline, as
-# {"types": [...], "node": c}; its tables list each distinct set in order
-# of first use.  Every layout keeps a file's tables as listed.
+# Mechanism trees.  Format 3, the one tree_to_doc writes and parse_tree
+# reads, holds a tree's own tables.  "universes" has one lowercase hex
+# bitmask per applicant, bit t set iff ranking id t is in the universe;
+# "type_sets" lists each table as the tree holds it, a set being a hex
+# bitmask over its applicant's universe in increasing id order; "nodes"
+# lists the nodes in preorder, a leaf as its n position indices and an
+# internal node as [player, [set index, ...]].  Child ids are not written:
+# preorder and arities imply them.  A file keeps its tables as listed.
 # ---------------------------------------------------------------------------
 
 TREE_FORMAT = 3
@@ -274,62 +268,43 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
     ):
         raise FormatError("tree: 'applicants' and 'positions' must name n distinct entries each")
     names = Names(tuple(applicants), tuple(positions))
-    inline = "format" not in doc
-    if not inline and (type(doc["format"]) is not int or doc["format"] not in (2, TREE_FORMAT)):
-        raise FormatError(f"tree: 'format' must be 2, {TREE_FORMAT} or absent")
-    arrays = not inline and doc["format"] == TREE_FORMAT
+    if type(doc.get("format")) is not int or doc["format"] != TREE_FORMAT:
+        raise FormatError(
+            f"tree: 'format' must be {TREE_FORMAT} (format-2 and older tree files are no longer read)"
+        )
     raw_universes = doc.get("universes")
     if (
         not isinstance(raw_universes, Sequence) or len(raw_universes) != n
-        or arrays and isinstance(raw_universes, str)  # each digit would read as a mask
+        or isinstance(raw_universes, str)  # each digit would read as a mask
     ):
         raise FormatError("tree: 'universes' must list one type list per applicant")
     size = len(all_rankings(n))
-    if arrays:
-        universes = [
-            _hex_mask(text, size, f"universes[{i}]", "ranking id", "empty or repeats an order")
-            for i, text in enumerate(raw_universes)
-        ]
-    else:  # type indices point into the universe lists as given
-        pos_index = names.position_index()
-        given = []
-        for i, universe in enumerate(raw_universes):
-            if not isinstance(universe, Sequence) or isinstance(universe, str):
-                raise FormatError(f"universes[{i}]: expected a list of orders")
-            ids = [
-                ranking_id(_ranking_from_names(row, pos_index, f"universes[{i}][{j}]"))
-                for j, row in enumerate(universe)
-            ]
-            if len(set(ids)) != len(ids) or not ids:
-                raise FormatError(f"universes[{i}]: empty or repeats an order")
-            given.append(ids)
-    if not inline:
-        raw_sets = doc.get("type_sets")
-        if (
-            not isinstance(raw_sets, Sequence)
-            or len(raw_sets) != n
-            or not all(isinstance(row, Sequence) and not isinstance(row, str) for row in raw_sets)
-        ):
-            raise FormatError("tree: 'type_sets' must list one list of type sets per applicant")
+    universes = [
+        _hex_mask(text, size, f"universes[{i}]", "ranking id", "empty or repeats an order")
+        for i, text in enumerate(raw_universes)
+    ]
+    raw_sets = doc.get("type_sets")
+    if (
+        not isinstance(raw_sets, Sequence)
+        or len(raw_sets) != n
+        or not all(isinstance(row, Sequence) and not isinstance(row, str) for row in raw_sets)
+    ):
+        raise FormatError("tree: 'type_sets' must list one list of type sets per applicant")
     records = doc.get("nodes")
     if not isinstance(records, Sequence) or not records:
         raise FormatError("tree: 'nodes' must be a nonempty list")
-    if arrays:
-        tables = []
-        for i, row in enumerate(raw_sets):
-            bits = universes[i].bit_count()
-            table = [_hex_mask(text, bits, f"type_sets[{i}][{k}]", "type index", "child needs a type list")
-                     for k, text in enumerate(row)]
-            if bits < size:  # bit j stands for the universe's j-th id
-                ids = mask_ids(universes[i])
-                table = [ids_mask(map(ids.__getitem__, mask_ids(m)), size) for m in table]
-            tables.append(table)
-        nodes = _array_nodes(records, n, tables)
-    else:
-        universes = [ids_mask(ids, size) for ids in given]
-        tables, nodes = _named_nodes(doc, records, names, given, inline)
+    tables = []
+    for i, row in enumerate(raw_sets):
+        bits = universes[i].bit_count()
+        table = [_hex_mask(text, bits, f"type_sets[{i}][{k}]", "type index", "child needs a type list")
+                 for k, text in enumerate(row)]
+        if bits < size:  # bit j stands for the universe's j-th id
+            ids = mask_ids(universes[i])
+            table = [ids_mask(map(ids.__getitem__, mask_ids(m)), size) for m in table]
+        tables.append(table)
+    nodes = _array_nodes(records, n, tables)
     try:
-        # the constructor makes each table a tuple, of its keys for a dict
+        # the constructor makes each table a tuple
         return MechanismTree(n, tuple(universes), tables, nodes), names
     except ValueError as exc:
         raise FormatError(f"tree: {exc}") from exc
@@ -381,87 +356,3 @@ def _array_nodes(records: Sequence[Any], n: int, tables: list[list[int]]) -> lis
     if waiting:
         raise FormatError(f"nodes: the list ends while nodes[{waiting[-1][0]}] waits for a child")
     return nodes
-
-
-def _named_nodes(
-    doc: Mapping[str, Any], records: Sequence[Any], names: Names,
-    given: list[list[int]], inline: bool,
-) -> tuple[list, list[Node]]:
-    """The tables and nodes of format-2 and inline records."""
-    n = len(given)
-    size = len(all_rankings(n))
-    pos_index = names.position_index()
-    app_index = names.applicant_index()
-    valid = [frozenset(range(len(ids))) for ids in given]
-
-    def type_set(local_ids: Any, player: int, where: str) -> int:
-        if not isinstance(local_ids, Sequence) or not local_ids:
-            raise FormatError(f"{where}: child needs a type list")
-        # whole-list set operations keep these checks cheap on lists of
-        # thousands of indices; the exact type test rules out bools
-        if set(map(type, local_ids)) != {int}:
-            raise FormatError(f"{where}: type indices must be integers")
-        distinct = set(local_ids)
-        if not distinct <= valid[player]:
-            raise FormatError(f"{where}: type index outside 0..{len(given[player]) - 1}")
-        if len(distinct) != len(local_ids):
-            raise FormatError(f"{where}: child repeats a type index")
-        return ids_mask(map(given[player].__getitem__, local_ids), size)
-
-    if inline:  # each distinct set enters its table, a dict set -> index, at first use
-        tables = [{} for _ in range(n)]
-    else:
-        tables = [
-            [type_set(entry, i, f"type_sets[{i}][{k}]") for k, entry in enumerate(row)]
-            for i, row in enumerate(doc["type_sets"])
-        ]
-    # each record is checked in list order; the tree's constructor checks
-    # that the records come in preorder, so record i is node i in every report
-    nodes: list[Node] = []
-    for idx, record in enumerate(records):
-        record = _expect_mapping(record, f"nodes[{idx}]")
-        if "matching" in record:
-            mapping = record["matching"]
-            if not isinstance(mapping, Mapping) or set(mapping) != set(names.applicants):
-                raise FormatError(f"nodes[{idx}]: matching must assign every applicant")
-            try:
-                matching = tuple(
-                    pos_index[mapping[name]] for name in names.applicants
-                )
-            except (KeyError, TypeError) as exc:
-                raise FormatError(f"nodes[{idx}]: unknown position {exc}") from exc
-            if sorted(matching) != list(range(n)):
-                raise FormatError(f"nodes[{idx}]: matching is not a bijection")
-            nodes.append(Leaf(matching))
-            continue
-        player_name = record.get("player")
-        if not isinstance(player_name, str) or player_name not in app_index:
-            raise FormatError(f"nodes[{idx}]: unknown player {player_name!r}")
-        player = app_index[player_name]
-        children_doc = record.get("children")
-        if not isinstance(children_doc, Sequence) or not children_doc:
-            raise FormatError(f"nodes[{idx}]: internal node needs children")
-        children = []
-        for child in children_doc:
-            child = _expect_mapping(child, f"nodes[{idx}].children")
-            if inline:
-                types = type_set(child.get("types"), player, f"nodes[{idx}]")
-                k = tables[player].setdefault(types, len(tables[player]))
-            elif "types" in child:
-                raise FormatError(
-                    f"nodes[{idx}]: a format-2 child names its 'set', not inline types"
-                )
-            else:
-                k = child.get("set")
-                if type(k) is not int:
-                    raise FormatError(f"nodes[{idx}]: child needs an integer 'set'")
-                if not 0 <= k < len(tables[player]):
-                    raise FormatError(
-                        f"nodes[{idx}]: set {k} is not in type_sets[{player}]"
-                        f" ({len(tables[player])} sets)"
-                    )
-            # new int objects, so the tree keeps no part of the document alive
-            ref = child.get("node")
-            children.append((k + 0, ref + 0 if type(ref) is int else ref))
-        nodes.append(Internal(player, tuple(children)))
-    return tables, nodes

@@ -82,7 +82,7 @@ def assert_first_use_tables(tree: MechanismTree) -> None:
 
 def format2_tree_doc(tree: MechanismTree, names: Names | None = None) -> dict:
     """The format-2 document of ``tree``, which ``tree_to_doc`` wrote before
-    format 3 and ``parse_tree`` still reads: universes as lists of
+    format 3 and ``parse_tree`` no longer reads: universes as lists of
     position-name orders, each type set as a list of indices into its
     applicant's universe, and one object per node, with applicant and
     position names and child ids."""
@@ -136,10 +136,8 @@ def inline_tree_doc(doc):
     return doc
 
 
-# every layout parse_tree reads; the named ones spell universes and type
-# sets as lists, so a test can edit one type index in them
+# every layout a tree file was written in; parse_tree reads only format 3
 LAYOUTS = ("format3", "format2", "inline")
-NAMED_LAYOUTS = ("format2", "inline")
 
 
 def tree_doc(tree, layout):
@@ -148,17 +146,6 @@ def tree_doc(tree, layout):
         return tree_to_doc(tree)
     doc = format2_tree_doc(tree)
     return doc if layout == "format2" else inline_tree_doc(doc)
-
-
-def child_type_list(doc, nid, k):
-    """The type-index list of child ``k`` of record ``nid`` of a document in
-    a named layout, as a list in the document: inline in the record, or the
-    shared ``type_sets`` entry."""
-    record = doc["nodes"][nid]
-    child = record["children"][k]
-    if "types" in child:
-        return child["types"]
-    return doc["type_sets"][doc["applicants"].index(record["player"])][child["set"]]
 
 
 # each rewrite of a format-3 document of the TAA3 tree (n = 3, full

@@ -9,18 +9,10 @@ import sys
 
 import pytest
 
-from conftest import (
-    BAD_FORMAT3,
-    FIG_A,
-    NAMED_LAYOUTS,
-    child_type_list,
-    flat_tree,
-    format2_tree_doc,
-    tree_doc,
-)
+from conftest import BAD_FORMAT3, FIG_A, flat_tree
 import ospmatch.cli
 from ospmatch.cli import main
-from ospmatch.jsonio import parse_subdomain, parse_tree, subdomain_to_doc, tree_to_doc
+from ospmatch.jsonio import parse_subdomain, subdomain_to_doc, tree_to_doc
 from ospmatch.mechanism import Leaf, full_universe, reveal_tree, validate
 from ospmatch.witness import Subdomain
 
@@ -120,13 +112,12 @@ def test_check_osp_subcommand(files, capsys):
 
 def test_check_osp_output_is_pinned(files, capsys):
     # the CI smoke step compares the console script's output with this file
-    # too, on a fresh write and on the format-2 file
+    # too, on a fresh write
     data = os.path.join(os.path.dirname(__file__), "data")
     tree_path = write(files["tmp"] / "fig_a_reveal.json", tree_to_doc(reveal_tree(FIG_A)))
     with open(os.path.join(data, "fig_a_reveal_check_osp.json")) as f:
         golden = f.read()
-    for path in (tree_path, os.path.join(data, "fig_a_reveal_tree_v3.json"),
-                 os.path.join(data, "fig_a_reveal_tree.json")):
+    for path in (tree_path, os.path.join(data, "fig_a_reveal_tree_v3.json")):
         assert main(["--json", "check-osp", path]) == 1
         assert capsys.readouterr().out == golden
 
@@ -373,68 +364,18 @@ def _one_error_line(capsys, contains="error: "):
     assert err.startswith("error: ") and err.count("\n") == 1 and contains in err, err
 
 
-def _synthesized_doc(files, tmp_path, layout):
-    """The TAA3 tree file ``synthesize`` writes, as a document in ``layout``."""
+def _synthesized_doc(files, tmp_path):
+    """The TAA3 tree file ``synthesize`` writes, as a document."""
     tree_path = tmp_path / "t.json"
     assert main(["synthesize", files["taa3"], "-o", str(tree_path)]) == 0
-    doc = json.loads(tree_path.read_text())
-    return doc if layout == "format3" else tree_doc(parse_tree(doc)[0], layout)
-
-
-def _mutated_tree(files, tmp_path, mutate, layout):
-    """The TAA3 tree, written by ``synthesize`` and put in a named
-    ``layout``, with one child's type list rewritten by ``mutate``.  Under
-    plain Python indexing the negative, bool and repeated rewrites still
-    name the same types, so only strict parsing can refuse them."""
-    doc = _synthesized_doc(files, tmp_path, layout)
-    nid = next(i for i, n in enumerate(doc["nodes"]) if "children" in n)
-    universe = doc["universes"][doc["applicants"].index(doc["nodes"][nid]["player"])]
-    k = next(k for k in range(len(doc["nodes"][nid]["children"]))
-             if 1 in child_type_list(doc, nid, k))
-    types = child_type_list(doc, nid, k)
-    types[:] = mutate(list(types), len(universe))
-    return write(tmp_path / "mutated.json", doc)
-
-
-@pytest.mark.parametrize("mutate, message", [
-    (lambda types, size: [1 - size if t == 1 else t for t in types], "type index outside 0..5"),
-    (lambda types, size: [True if t == 1 else t for t in types], "type indices must be integers"),
-    (lambda types, size: types + [types[0]], "child repeats a type index"),
-    (lambda types, size: types + [[types[0]]], "type indices must be integers"),
-], ids=["negative", "bool", "repeated", "nested"])
-def test_verify_tree_rejects_bad_type_indices(files, tmp_path, capsys, mutate, message):
-    for layout in NAMED_LAYOUTS:  # the same refusal whether the list is shared or inline
-        mutated = _mutated_tree(files, tmp_path, mutate, layout)
-        capsys.readouterr()
-        assert main(["verify-tree", mutated, files["taa3"]]) == 2
-        _one_error_line(capsys, ": " + message + "\n")
-        assert main(["check-osp", mutated]) == 2
-        _one_error_line(capsys, ": " + message + "\n")
-
-
-@pytest.mark.parametrize("mutate, message", [
-    (lambda child: child.pop("set"), "child needs an integer 'set'"),
-    (lambda child: child.update(set="0"), "child needs an integer 'set'"),
-    (lambda child: child.update(set=True), "child needs an integer 'set'"),
-    (lambda child: child.update(set=-1), "is not in type_sets"),
-    (lambda child: child.update(set=99), "is not in type_sets"),
-    (lambda child: child.update(types=[0]), "not inline types"),
-], ids=["missing", "string", "bool", "negative", "out_of_range", "inline_types"])
-def test_verify_tree_rejects_bad_set_references(files, tmp_path, capsys, mutate, message):
-    doc = _synthesized_doc(files, tmp_path, "format2")
-    mutate(doc["nodes"][0]["children"][0])
-    mutated = write(tmp_path / "mutated.json", doc)
-    capsys.readouterr()
-    for argv in (["verify-tree", mutated, files["taa3"]], ["check-osp", mutated]):
-        assert main(argv) == 2
-        _one_error_line(capsys, message)
+    return json.loads(tree_path.read_text())
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FORMAT3))
 def test_format_three_refusals_exit_two(files, tmp_path, capsys, case):
     # hostile format-3 input: exit 2 and one line, never a traceback or exit 1
     rewrite, message = BAD_FORMAT3[case]
-    doc = _synthesized_doc(files, tmp_path, "format3")
+    doc = _synthesized_doc(files, tmp_path)
     rewrite(doc)
     mutated = write(tmp_path / "mutated.json", doc)
     capsys.readouterr()
@@ -460,35 +401,31 @@ def test_priorities_reject_bool_size(tmp_path, capsys):
     _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("field", ["node", "player", "applicants", "positions", "universes", "record",
-                                   "applicants_string", "applicants_repeated", "positions_repeated"])
+# each rewrite of a synthesized TAA3 file, with the tail of its refusal
+BAD_NODE_FIELDS = {
+    "player": (lambda d: d["nodes"][0].__setitem__(0, ["a"]), "nodes[0]: unknown player ['a']"),
+    "applicants": (lambda d: d["applicants"].__setitem__(0, ["a"]), "must name n distinct entries each"),
+    "positions": (lambda d: d["positions"].__setitem__(0, ["1"]), "must name n distinct entries each"),
+    "universes": (lambda d: d["universes"].__setitem__(1, True),
+                  "universes[1]: expected a lowercase hex bitmask"),
+    "record": (lambda d: d["nodes"].__setitem__(1, 5), "nodes[1]: expected an array"),
+    "applicants_string": (lambda d: d.__setitem__("applicants", "abc"), "must name n distinct entries each"),
+    "applicants_repeated": (lambda d: d.__setitem__("applicants", ["a", "a", "c"]),
+                            "must name n distinct entries each"),
+    "positions_repeated": (lambda d: d.__setitem__("positions", ["1", "1", "3"]),
+                           "must name n distinct entries each"),
+}
+
+
+@pytest.mark.parametrize("field", list(BAD_NODE_FIELDS))
 def test_verify_tree_rejects_bad_node_fields(files, tmp_path, capsys, field):
-    doc = _synthesized_doc(files, tmp_path, "format2")
-    root = doc["nodes"][0]
-    if field == "node":
-        assert root["children"][0]["node"] == 1
-        root["children"][0]["node"] = True
-    elif field == "player":
-        root["player"] = ["a"]
-    elif field == "universes":
-        doc["universes"][1] = True
-    elif field == "record":
-        doc["nodes"][1] = 5
-    elif field == "applicants_string":
-        doc["applicants"] = "abc"
-    elif field == "applicants_repeated":
-        doc["applicants"] = ["a", "a", "c"]
-    elif field == "positions_repeated":
-        doc["positions"] = ["1", "1", "3"]
-    else:
-        doc[field][0] = [doc[field][0]]
+    rewrite, message = BAD_NODE_FIELDS[field]
+    doc = _synthesized_doc(files, tmp_path)
+    rewrite(doc)
     mutated = write(tmp_path / "mutated.json", doc)
     capsys.readouterr()
     assert main(["verify-tree", mutated, files["taa3"]]) == 2
-    if field.endswith(("_string", "_repeated")):
-        _one_error_line(capsys, "must name n distinct entries each")
-    else:
-        _one_error_line(capsys)
+    _one_error_line(capsys, message + "\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -510,32 +447,6 @@ def test_verify_tree_checks_samples_before_validating(files, capsys, samples):
     capsys.readouterr()
     assert main(["verify-tree", tree_path, files["taa3"], "--samples", samples]) == 2
     _one_error_line(capsys)
-
-
-def test_tree_records_out_of_preorder_are_refused(files, capsys):
-    # the format-2 FIG_A reveal tree with records 1..258 renumbered to 258..1
-    doc = format2_tree_doc(reveal_tree(FIG_A))
-    last = len(doc["nodes"]) - 1
-    assert last == 258
-    renumber = [0] + list(range(last, 0, -1))
-    records = [None] * len(doc["nodes"])
-    for old, record in enumerate(doc["nodes"]):
-        if "children" in record:
-            record = {**record, "children": [
-                {**child, "node": renumber[child["node"]]} for child in record["children"]
-            ]}
-        records[renumber[old]] = record
-    shuffled = write(files["tmp"] / "shuffled.json", {**doc, "nodes": records})
-    fig1a = files["fig1a"]
-    capsys.readouterr()
-    assert main(["check-osp", shuffled]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "nodes[258] is out of preorder" in err
-    assert main(["verify-tree", shuffled, fig1a]) == 2
-    _one_error_line(capsys)
-    # the same records in preorder are accepted
-    in_order = write(files["tmp"] / "in_order.json", doc)
-    assert main(["check-osp", in_order]) == 1
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -577,11 +488,13 @@ def test_tree_files_above_eight_applicants_are_refused(files, capsys):
     names = list("abcdefghi")
     positions = [str(i + 1) for i in range(9)]
     doc = {
+        "format": 3,
         "n": 9,
         "applicants": names,
         "positions": positions,
-        "universes": [[positions] for _ in names],
-        "nodes": [{"matching": dict(zip(names, positions))}],
+        "universes": ["1"] * 9,
+        "type_sets": [[] for _ in names],
+        "nodes": [list(range(9))],
     }
     tree = write(files["tmp"] / "n9.json", doc)
     prio = write(files["tmp"] / "n9_prio.json", {"n": 9, "priorities": [names] * 9})

@@ -5,10 +5,11 @@ from.  The CLI runs feed ``cli.main`` drawn documents, both arbitrary JSON
 values and valid documents with one field mutated, and hold every run to
 the exit-code contract: 0, 1, 2 or 3, never 4 and never a traceback, and
 an input error (exit 2) is exactly one line on stderr.  Tree documents
-come in every layout the reader takes: format 3, with hex-bitmask sets and
-array nodes, format 2, with its shared ``type_sets`` table of index lists,
-and the older inline layout.  A mutated format-3 field may also become a
-malformed hex bitmask.
+come in format 3, with hex-bitmask sets and array nodes, the only layout
+the reader takes, and in the two layouts written before it: format 2,
+with its shared ``type_sets`` table of index lists, and the older inline
+layout.  Those must exit 2, mutated or not.  A mutated format-3 field may
+also become a malformed hex bitmask.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from ospmatch.jsonio import (
     parse_subdomain,
     parse_tree,
     subdomain_to_doc,
+    tree_to_doc,
 )
 from ospmatch.mechanism import restrict_environment, reveal_tree
 from ospmatch.synth import synthesize
@@ -109,10 +111,10 @@ def test_subdomains_round_trip(subdomain):
 
 
 @settings(FUZZ, max_examples=60)
-@given(trees(restricted=False), st.sampled_from(LAYOUTS))
-def test_trees_round_trip(drawn, layout):
+@given(trees(restricted=False))
+def test_trees_round_trip(drawn):
     _, tree = drawn
-    parsed, _ = parse_tree(json.loads(json.dumps(tree_doc(tree, layout))))
+    parsed, _ = parse_tree(json.loads(json.dumps(tree_to_doc(tree))))
     assert (parsed.n, parsed.universes, parsed.type_sets, parsed.nodes) == (
         tree.n, tree.universes, tree.type_sets, tree.nodes)
 
@@ -198,6 +200,7 @@ def test_cli_survives_drawn_documents(command, data):
         n = data.draw(st.integers(1, 6))
         q = PrioritySet.from_rankings(data.draw(tables(n)))
     profile = PreferenceProfile.from_rankings(data.draw(tables(n)))
+    layout = "format3"  # of the tree file, drawn for the tree commands
     with tempfile.TemporaryDirectory() as tmp:
         def put(name, valid):
             path = os.path.join(tmp, name)
@@ -217,9 +220,11 @@ def test_cli_survives_drawn_documents(command, data):
         elif command == "synthesize":
             argv = ["synthesize", put("q.json", priorities_to_doc(q)), "-o", os.path.join(tmp, "t.json")]
         elif command == "check-osp":
-            argv = ["check-osp", put("t.json", tree_doc(tree, data.draw(st.sampled_from(LAYOUTS))))]
+            layout = data.draw(st.sampled_from(LAYOUTS))
+            argv = ["check-osp", put("t.json", tree_doc(tree, layout))]
         else:
-            argv = ["verify-tree", put("t.json", tree_doc(tree, data.draw(st.sampled_from(LAYOUTS)))),
+            layout = data.draw(st.sampled_from(LAYOUTS))
+            argv = ["verify-tree", put("t.json", tree_doc(tree, layout)),
                     put("q.json", priorities_to_doc(q))]
             mode = data.draw(st.sampled_from(["default", "--exhaustive", "--samples"]))
             if mode == "--samples":
@@ -228,6 +233,7 @@ def test_cli_survives_drawn_documents(command, data):
                 argv.append(mode)
         code, out, err = _run(flags + argv)
     assert code in (0, 1, 2, 3), (code, err)
+    assert code == 2 or layout == "format3", (layout, code, out)
     assert "Traceback" not in out + err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err

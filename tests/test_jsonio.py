@@ -2,26 +2,24 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import (
     BAD_FORMAT3,
-    LAYOUTS,
-    NAMED_LAYOUTS,
     FIG_A,
     TAA3,
     assert_first_use_tables,
-    child_type_list,
     flat_tree,
     format2_tree_doc,
     inline_tree_doc,
     p_of,
     priorities_to_doc,
     profile_to_doc,
-    tree_doc,
 )
+from ospmatch.cli import main
 from ospmatch.jsonio import (
     FormatError,
     default_names,
@@ -153,63 +151,31 @@ def test_tree_to_doc_refuses_a_set_outside_its_universe(universe):
         tree_to_doc(tree)
 
 
-def test_tree_rejects_cycles_and_double_references(taa3_tree):
-    # only format 2 and the inline layout write child ids
-    doc = format2_tree_doc(taa3_tree)
-    bad = {**doc, "nodes": [dict(n) for n in doc["nodes"]]}
-    for record in bad["nodes"]:
-        if "children" in record:
-            record["children"] = [
-                {**child, "node": 1} for child in record["children"]
-            ]
-            break
-    with pytest.raises(FormatError):
-        parse_tree(bad)
-
-
 def test_tree_rejects_out_of_range_type_index(taa3_tree):
-    for layout in NAMED_LAYOUTS:
-        doc = tree_doc(taa3_tree, layout)
-        nid = next(i for i, record in enumerate(doc["nodes"]) if "children" in record)
-        for k in range(len(doc["nodes"][nid]["children"])):
-            child_type_list(doc, nid, k)[:] = [999]
-        with pytest.raises(FormatError, match=r": type index outside 0\.\.5$"):
-            parse_tree(doc)
+    # a set's bits count the places of its universe, here 3, 2 and 1 types
+    pruned = restrict_environment(taa3_tree, ((0, 2, 5), (1, 3), (4,)))
+    doc = tree_to_doc(pruned)
+    for i, table in enumerate(doc["type_sets"]):
+        size = pruned.universes[i].bit_count()
+        for k in range(len(table)):
+            bad = json.loads(json.dumps(doc))
+            bad["type_sets"][i][k] = format(1 << size, "x")
+            with pytest.raises(FormatError) as caught:
+                parse_tree(bad)
+            assert str(caught.value) == f"type_sets[{i}][{k}]: type index outside 0..{size - 1}"
 
 
-# each rewrite of one child's type-index list, with the refusal it gets
-BAD_TYPE_LISTS = {
-    "empty": (lambda ids: [], "child needs a type list"),
-    "not_a_list": (lambda ids: 3, "child needs a type list"),
-    "string": (lambda ids: ["0"], "type indices must be integers"),
-    "bool": (lambda ids: [True], "type indices must be integers"),
-    "float": (lambda ids: [0.0], "type indices must be integers"),
-    "nested": (lambda ids: [ids], "type indices must be integers"),
-    "negative": (lambda ids: [-1], "type index outside 0..5"),
-    "too_large": (lambda ids: [6], "type index outside 0..5"),
-    "repeated": (lambda ids: ids + ids[:1], "child repeats a type index"),
-}
+FORMAT_REFUSAL = "tree: 'format' must be 3 (format-2 and older tree files are no longer read)"
+MISSING = object()
 
 
-@pytest.mark.parametrize("case", sorted(BAD_TYPE_LISTS))
-def test_tree_type_list_refusals_match_across_layouts(taa3_tree, case):
-    rewrite, message = BAD_TYPE_LISTS[case]
-    for layout, where in (("format2", "type_sets[0][0]"), ("inline", "nodes[0]")):
-        doc = tree_doc(taa3_tree, layout)
-        record = doc["nodes"][0]
-        if layout == "format2":
-            doc["type_sets"][0][0] = rewrite(child_type_list(doc, 0, 0))
-        else:
-            record["children"][0]["types"] = rewrite(child_type_list(doc, 0, 0))
-        with pytest.raises(FormatError) as caught:
-            parse_tree(doc)
-        assert str(caught.value) == f"{where}: {message}"
-
-
-@pytest.mark.parametrize("value", [1, 4, "2", "3", True, 2.0, 3.0, None])
+@pytest.mark.parametrize("value", [1, 4, "2", "3", True, 2.0, 3.0, None,
+                                   pytest.param(2, id="int_2"), pytest.param(MISSING, id="missing")])
 def test_tree_rejects_unknown_format(taa3_tree, value):
     doc = {**tree_to_doc(taa3_tree), "format": value}
-    with pytest.raises(FormatError, match="'format' must be 2, 3 or absent"):
+    if value is MISSING:
+        del doc["format"]
+    with pytest.raises(FormatError, match=f"^{re.escape(FORMAT_REFUSAL)}$"):
         parse_tree(doc)
 
 
@@ -223,11 +189,10 @@ def test_tree_rejects_unknown_format(taa3_tree, value):
     lambda sets: [sets[0], "xy", sets[2]],
 ], ids=["missing", "string", "object", "short", "long", "row_not_a_list", "row_string"])
 def test_tree_rejects_bad_type_set_table(taa3_tree, rewrite):
-    for layout in ("format3", "format2"):
-        doc = tree_doc(taa3_tree, layout)
-        doc["type_sets"] = rewrite(doc["type_sets"])
-        with pytest.raises(FormatError, match="'type_sets' must list one list of type sets per applicant"):
-            parse_tree(doc)
+    doc = tree_to_doc(taa3_tree)
+    doc["type_sets"] = rewrite(doc["type_sets"])
+    with pytest.raises(FormatError, match="^tree: 'type_sets' must list one list of type sets per applicant$"):
+        parse_tree(doc)
 
 
 def test_tree_document_lists_each_set_once(star6_tree):
@@ -262,18 +227,15 @@ def test_tree_document_keeps_a_table_per_applicant():
     doc = tree_to_doc(tree)
     assert doc["type_sets"] == [["1", "2"], ["2", "1"]]
     assert doc["nodes"][1] == [1, [0, 1]]
-    assert parse_tree(doc)[0].nodes == tree.nodes
-    doc = format2_tree_doc(tree)
-    assert doc["type_sets"] == [[[0], [1]], [[1], [0]]]
-    assert doc["nodes"][1]["children"] == [{"set": 0, "node": 2}, {"set": 1, "node": 3}]
-    assert parse_tree(doc)[0].nodes == tree.nodes
+    parsed = parse_tree(doc)[0]
+    assert parsed.nodes == tree.nodes and parsed.type_sets == tree.type_sets
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_parsed_tree_shares_equal_sets(star6_tree, layout):
-    # both layouts give the synthesized tables back: 309 distinct sets in
-    # 439 entries, each table listing its sets once in order of first use
-    parsed, _ = parse_tree(json.loads(json.dumps(tree_doc(star6_tree, layout))))
+@pytest.mark.parametrize("write", [tree_to_doc], ids=["format3"])
+def test_parsed_tree_shares_equal_sets(star6_tree, write):
+    # the file gives the synthesized tables back: 309 distinct sets in 439
+    # entries, each table listing its sets once in order of first use
+    parsed, _ = parse_tree(json.loads(json.dumps(write(star6_tree))))
     assert parsed.nodes == star6_tree.nodes
     assert parsed.type_sets == star6_tree.type_sets
     assert_first_use_tables(parsed)
@@ -281,43 +243,46 @@ def test_parsed_tree_shares_equal_sets(star6_tree, layout):
     assert sum(map(len, parsed.type_sets)) == 439
 
 
-def test_format_two_tables_round_trip_as_listed(taa3_tree):
+def test_tree_tables_round_trip_as_listed(taa3_tree):
     # a file may list its sets in any order and hold sets no edge names;
     # the tree keeps its tables as listed and writes them back unchanged
-    doc = format2_tree_doc(taa3_tree)
+    doc = tree_to_doc(taa3_tree)
     order = list(range(len(doc["type_sets"][0])))[::-1]
     renamed = {old: new for new, old in enumerate(order)}
-    doc["type_sets"][0] = [doc["type_sets"][0][old] for old in order] + [[0, 5]]
+    doc["type_sets"][0] = [doc["type_sets"][0][old] for old in order] + ["21"]  # types 0 and 5
     for record in doc["nodes"]:
-        if record.get("player") == "a":
-            for child in record["children"]:
-                child["set"] = renamed[child["set"]]
-    tree, _ = parse_tree(doc)
+        if len(record) == 2 and record[0] == 0:
+            record[1] = [renamed[k] for k in record[1]]
+    tree, _ = parse_tree(json.loads(json.dumps(doc)))
     assert validate(tree).ok
-    assert format2_tree_doc(tree) == doc
-    assert len(tree.type_sets[0]) == len(order) + 1
-    assert format2_tree_doc(parse_tree(json.loads(json.dumps(doc)))[0]) == doc
-    # format 3 writes the same tables, the unused set included
-    v3 = tree_to_doc(tree)
-    assert len(v3["type_sets"][0]) == len(order) + 1
-    assert parse_tree(json.loads(json.dumps(v3)))[0].type_sets == tree.type_sets
+    assert len(tree.type_sets[0]) == len(order) + 1 and tree.type_sets[0][-1] == 0b100001
+    assert tree_to_doc(tree) == doc
 
 
-def test_tree_reads_the_inline_file_synthesize_used_to_write(taa3_tree):
-    # written by `ospmatch synthesize` before format 2, from the TAA3 market
+def test_tree_files_before_format_three_are_refused(taa3_tree, tmp_path, capsys):
+    # the inline file `ospmatch synthesize` wrote before format 2, and the
+    # format-2 file of FIG_A's reveal tree: each holds the tree today's code
+    # builds (test_fig_a_reveal_tree_file_is_pinned), which synthesize or
+    # tree_to_doc write again in format 3
     v1 = DATA / "taa3_tree_v1.json"
     assert v1.read_text() == json.dumps(inline_tree_doc(format2_tree_doc(taa3_tree))) + "\n"
-    from_v1, names = parse_tree(json.loads(v1.read_text()))
-    from_v2, _ = parse_tree(json.loads(json.dumps(tree_to_doc(taa3_tree))))
-    assert names == default_names(3)
-    assert (from_v1.n, from_v1.universes, from_v1.nodes) == (
-        from_v2.n, from_v2.universes, from_v2.nodes)
-    assert tree_to_doc(from_v1) == tree_to_doc(taa3_tree)
+    for path, q in ((v1, TAA3), (DATA / "fig_a_reveal_tree.json", FIG_A)):
+        with pytest.raises(FormatError, match=f"^{re.escape(FORMAT_REFUSAL)}$"):
+            parse_tree(json.loads(path.read_text()))
+        market = tmp_path / "q.json"
+        market.write_text(json.dumps(priorities_to_doc(q)))
+        tree, market = str(path), str(market)
+        for argv in (["check-osp", tree], ["--json", "check-osp", tree],
+                     ["verify-tree", tree, market], ["--json", "verify-tree", tree, market]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {FORMAT_REFUSAL}\n"
 
 
 def test_fig_a_reveal_tree_file_is_pinned():
     # the CI smoke step writes this tree with json.dump and cmp-s it with the
-    # v3 file; the format-2 file is what the same step wrote before format 3
+    # v3 file; the format-2 file, what the same step wrote before format 3,
+    # is a fixture of test_tree_files_before_format_three_are_refused
     tree = reveal_tree(FIG_A)
     assert json.dumps(tree_to_doc(tree)) == (DATA / "fig_a_reveal_tree_v3.json").read_text()
     assert json.dumps(format2_tree_doc(tree)) == (DATA / "fig_a_reveal_tree.json").read_text()
@@ -328,23 +293,19 @@ def _tables(tree):
 
 
 def test_every_layout_gives_the_same_tree(taa3_tree):
-    # the format-2 and v3 files of FIG_A's reveal tree, and the inline file
-    # and a format-3 write of TAA3's tree, each pair one tree
-    fig_a_v2, names = parse_tree(json.loads((DATA / "fig_a_reveal_tree.json").read_text()))
-    fig_a_v3, names_v3 = parse_tree(json.loads((DATA / "fig_a_reveal_tree_v3.json").read_text()))
-    assert _tables(fig_a_v2) == _tables(fig_a_v3) == _tables(reveal_tree(FIG_A))
-    assert names == names_v3 == default_names(3)
-    taa3_v1, _ = parse_tree(json.loads((DATA / "taa3_tree_v1.json").read_text()))
-    taa3_v3, _ = parse_tree(json.loads(json.dumps(tree_to_doc(taa3_tree))))
-    assert _tables(taa3_v1) == _tables(taa3_v3)
-    # trees over universes that are not full: format 3 renumbers each set's
-    # ids by their place in the universe, and every layout reads them back
-    for tree in (restrict_environment(taa3_tree, ((0, 2, 5), (1, 3), (4,))),
-                 restrict_environment(reveal_tree(FIG_A), ((0, 1, 4), (2, 3, 5), (1, 5))),
-                 reveal_tree(FIG_A, ((0, 5), (3,), (1, 2, 4)))):
-        assert not all(u == full_universe(3) for u in tree.universes)
-        for layout in LAYOUTS:
-            assert _tables(parse_tree(json.loads(json.dumps(tree_doc(tree, layout))))[0]) == _tables(tree)
+    # format 3 gives back every tree it is written from: the v3 file of
+    # FIG_A's reveal tree, TAA3's synthesized tree, and trees over universes
+    # that are not full, where each set's ids are renumbered by their place
+    # in the universe
+    fig_a, names = parse_tree(json.loads((DATA / "fig_a_reveal_tree_v3.json").read_text()))
+    assert _tables(fig_a) == _tables(reveal_tree(FIG_A))
+    assert names == default_names(3)
+    restricted = (restrict_environment(taa3_tree, ((0, 2, 5), (1, 3), (4,))),
+                  restrict_environment(reveal_tree(FIG_A), ((0, 1, 4), (2, 3, 5), (1, 5))),
+                  reveal_tree(FIG_A, ((0, 5), (3,), (1, 2, 4))))
+    assert not any(all(u == full_universe(3) for u in tree.universes) for tree in restricted)
+    for tree in (taa3_tree, reveal_tree(FIG_A), *restricted):
+        assert _tables(parse_tree(json.loads(json.dumps(tree_to_doc(tree))))[0]) == _tables(tree)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FORMAT3))
@@ -359,14 +320,13 @@ def test_format_three_refusals(taa3_tree, case):
 
 
 def test_tree_rejects_bad_matching(taa3_tree):
-    doc = format2_tree_doc(taa3_tree)
-    bad_nodes = [dict(n) for n in doc["nodes"]]
-    for record in bad_nodes:
-        if "matching" in record:
-            record["matching"] = {k: "1" for k in record["matching"]}
-            break
-    with pytest.raises(FormatError):
-        parse_tree({**doc, "nodes": bad_nodes})
+    doc = tree_to_doc(taa3_tree)
+    idx = next(i for i, record in enumerate(doc["nodes"]) if len(record) == 3)
+    for leaf in ([0, 0, 0], [0, 1, 3], [0, 1, -1]):
+        bad = json.loads(json.dumps(doc))
+        bad["nodes"][idx] = leaf
+        with pytest.raises(FormatError, match=rf"^nodes\[{idx}\]: matching is not a bijection$"):
+            parse_tree(bad)
 
 
 def test_star_tree_serialization_is_stable(star6_tree):

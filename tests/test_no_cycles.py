@@ -6,7 +6,7 @@ import gc
 
 import pytest
 
-from conftest import FIG_A, STAR6, TAA3, format2_tree_doc, inline_tree_doc, p_of
+from conftest import FIG_A, STAR6, TAA3, p_of
 from ospmatch.classify import classify, scan_forbidden
 from ospmatch.core import all_rankings
 from ospmatch.da import da_match_product, run_da
@@ -38,8 +38,6 @@ CALLS = {
     "restrict_environment": lambda: restrict_environment(TREE, ((0, 1, 2), (3, 4), (5,))),
     "execute": lambda: execute(TREE, PROFILE),
     "json_format3": lambda: parse_tree(tree_to_doc(TREE)),
-    "json_format2": lambda: parse_tree(format2_tree_doc(TREE)),
-    "json_inline": lambda: parse_tree(inline_tree_doc(format2_tree_doc(TREE))),
     "classify": lambda: classify(FIG_A),
     "scan_forbidden": lambda: scan_forbidden(FIG_A),
     "check_witness": lambda: check_witness(fixtures()[0].priorities, fixtures()[0].subdomain),
