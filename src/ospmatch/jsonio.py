@@ -8,10 +8,11 @@ Tree documents list each applicant's distinct edge type sets once and
 name them by index, the layout a :class:`ospmatch.mechanism.MechanismTree`
 holds in memory.  Format 3, the only one read or written, spells sets as
 hex bitmasks and nodes as arrays of numbers (see the comment above
-:func:`tree_to_doc`).  A tree holds its universes and sets as bitmasks
-over the type ids themselves, so a set is read and written as it stands
-unless its universe is not full, where its bit j stands for the
-universe's j-th id.
+:func:`tree_to_doc`).  :func:`parse_tree` checks fields and arities
+and passes the tree constructor's ``nodes[i]:`` refusals through.  A tree
+holds its universes and sets as bitmasks over the type ids themselves,
+so a set is read and written as it stands unless its universe is not
+full, where its bit j stands for the universe's j-th id.
 """
 from __future__ import annotations
 
@@ -231,10 +232,7 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
     names = names or default_names(tree.n)
     full = (1 << len(all_rankings(tree.n))) - 1
     type_sets = []
-    for i, (universe, table) in enumerate(zip(tree.universes, tree.type_sets)):
-        stray = next((k for k, m in enumerate(table) if m & ~universe), None)
-        if stray is not None:
-            raise ValueError(f"type set {stray} of applicant {i} holds a type outside its universe")
+    for universe, table in zip(tree.universes, tree.type_sets):
         if universe != full:  # renumber each set's ids by their place in the universe
             local = {t: j for j, t in enumerate(mask_ids(universe))}
             table = [ids_mask(map(local.__getitem__, mask_ids(m)), len(local)) for m in table]
@@ -302,57 +300,38 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
             ids = mask_ids(universes[i])
             table = [ids_mask(map(ids.__getitem__, mask_ids(m)), size) for m in table]
         tables.append(table)
-    nodes = _array_nodes(records, n, tables)
+    nodes = _array_nodes(records)
     try:
-        # the constructor makes each table a tuple
+        # the constructor makes each table a tuple, and its messages point at nodes[i]
         return MechanismTree(n, tuple(universes), tables, nodes), names
     except ValueError as exc:
-        raise FormatError(f"tree: {exc}") from exc
+        raise FormatError(str(exc)) from exc
 
 
-def _array_nodes(records: Sequence[Any], n: int, tables: list[list[int]]) -> list[Node]:
+def _array_nodes(records: Sequence[Any]) -> list[Node]:
     """The nodes of format-3 records.  One stack holds the internal nodes
     still missing children: each record is the next child of the top one,
-    so its child ids follow from preorder and the arities."""
-    full = list(range(n))
-    leaves: dict[tuple[int, ...], Leaf] = {}  # one Leaf per distinct matching
+    so its child ids follow from preorder and the arities.  Players, set
+    indices and leaves are taken as written, and a record after the root's
+    subtree starts a tree of its own: the constructor refuses each fault."""
+    leaves: dict[tuple[int, ...], Leaf] = {}  # one Leaf per distinct all-int matching
     nodes: list[Node | None] = [None] * len(records)
-    waiting: list[tuple[int, int, list[int], list[int]]] = []  # (id, player, sets, child ids)
+    waiting: list[tuple[int, Any, list[Any], list[int]]] = []  # (id, player, sets, child ids)
     for idx, record in enumerate(records):
         if waiting:
-            nid, player, sets, children = waiting[-1]
-            children.append(idx)
-            if len(children) == len(sets):
-                waiting.pop()
-                nodes[nid] = Internal(player, tuple(zip(sets, children)))
-        elif idx:
-            raise FormatError(f"nodes[{idx}]: record after the root's subtree ends")
+            waiting[-1][3].append(idx)
         if type(record) is not list:
             raise FormatError(f"nodes[{idx}]: expected an array")
         if len(record) == 2 and type(record[1]) is list:
-            player, sets = record
-            if type(player) is not int or not 0 <= player < n:
-                raise FormatError(f"nodes[{idx}]: unknown player {player!r}")
-            if not sets:
-                raise FormatError(f"nodes[{idx}]: internal node needs children")
-            count = len(tables[player])
-            for k in sets:
-                # the exact type test rules out bools
-                if type(k) is not int or not 0 <= k < count:
-                    raise FormatError(
-                        f"nodes[{idx}]: set {k!r} is not in type_sets[{player}] ({count} sets)"
-                    )
-            waiting.append((idx, player, sets, []))
-            continue
-        if len(record) != n or set(map(type, record)) != {int}:
-            raise FormatError(f"nodes[{idx}]: matching is not a bijection")
-        matching = tuple(record)
-        leaf = leaves.get(matching)
-        if leaf is None:
-            if sorted(matching) != full:
-                raise FormatError(f"nodes[{idx}]: matching is not a bijection")
-            leaf = leaves[matching] = Leaf(matching)
-        nodes[idx] = leaf
+            waiting.append((idx, *record, []))
+        elif set(map(type, record)) == {int}:  # true and 1.0 must not share the Leaf of 1
+            matching = tuple(record)
+            nodes[idx] = leaves.get(matching) or leaves.setdefault(matching, Leaf(matching))
+        else:
+            nodes[idx] = Leaf(tuple(record))
+        while waiting and len(waiting[-1][2]) == len(waiting[-1][3]):
+            nid, player, sets, children = waiting.pop()
+            nodes[nid] = Internal(player, tuple(zip(sets, children)))
     if waiting:
         raise FormatError(f"nodes: the list ends while nodes[{waiting[-1][0]}] waits for a child")
     return nodes

@@ -7,7 +7,8 @@ an int bitmask over them, bit t set iff id t is in the set: membership is
 a shift and restriction is ``&``.  Each applicant's type set along a path
 only refines at nodes where that applicant acts, so the partition axioms
 hold by construction for synthesized trees and are re-checked from
-scratch by :func:`validate` for arbitrary ones.
+scratch by :func:`validate` for arbitrary ones, whose structure the
+:class:`MechanismTree` constructor has checked.
 
 A tree stores its nodes in preorder, and an internal node names its
 children by id, so a node's id is its place in preorder (the record order
@@ -63,7 +64,6 @@ from .core import (
     above,
     all_rankings,
     ids_mask,
-    is_permutation,
     mask_ids,
     ranking_id,
 )
@@ -98,10 +98,16 @@ class MechanismTree:
     applicant i's edge sets, which a child of a node where i acts names by
     index; each is an int bitmask over the type ids.  ``nodes`` lists the
     nodes in preorder, so node 0 is the root and a node's id is its index;
-    node i's subtree is ids ``i..end[i]-1``.  The constructor refuses, with
-    ``ValueError``, a universe or table count other than n, a universe that
-    is not an int in ``1..(1 << n!) - 1``, child ids that are out of range,
-    referenced twice or out of preorder, and unreachable nodes."""
+    node i's subtree is ids ``i..end[i]-1``.
+
+    The constructor is the one check of a tree's structure (:func:`validate`
+    checks the partition axioms).  It raises ``ValueError`` on a universe or
+    table count other than n, a universe outside ``1..(1 << n!) - 1``, a set
+    that is empty or escapes its universe, and, as ``nodes[i]: ...``, on a
+    node that is no Leaf or Internal, a player outside ``0..n-1``, no
+    children, a set index outside the player's table, a child id off
+    preorder, a leaf that is no bijection and records after the root's
+    subtree.  Players, indices, child ids and leaf entries are exact ints."""
 
     n: int
     universes: tuple[int, ...]
@@ -110,33 +116,55 @@ class MechanismTree:
     end: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        n = self.n
         self.type_sets = tuple(map(tuple, self.type_sets))
-        _check_universes(self.n, self.universes)
-        if len(self.type_sets) != self.n:
-            raise ValueError(f"expected {self.n} type-set tables, got {len(self.type_sets)}")
+        _check_universes(n, self.universes)
+        if len(self.type_sets) != n:
+            raise ValueError(f"expected {n} type-set tables, got {len(self.type_sets)}")
+        for i, (universe, table) in enumerate(zip(self.universes, self.type_sets)):
+            for k, m in enumerate(table):
+                if isinstance(m, bool) or not isinstance(m, int) or m <= 0 or m & ~universe:
+                    raise ValueError(f"type set {k} of applicant {i} is empty or escapes its universe")
         nodes = self.nodes = tuple(self.nodes)
-        visited = 0
-        stack: list = [0]
-        while stack:
-            idx = stack.pop()
-            if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(nodes):
-                raise ValueError(f"node reference {idx!r} out of range")
-            if idx < visited:
-                raise ValueError(f"node {idx} referenced twice")
-            if idx != visited:
-                raise ValueError(
-                    f"nodes[{idx}] is out of preorder (preorder reaches it as node "
-                    f"{visited}); records must be listed in preorder"
-                )
-            visited += 1
-            if isinstance(nodes[idx], Internal):
-                stack.extend(child for _, child in reversed(nodes[idx].children))
-        if visited != len(nodes):
-            raise ValueError("some nodes are unreachable from the root")
-        end = self.end = list(range(1, len(nodes) + 1))
-        for i in range(len(nodes) - 1, -1, -1):
-            if isinstance(nodes[i], Internal) and nodes[i].children:
-                end[i] = end[nodes[i].children[-1][1]]
+        count = len(nodes)
+        if not count:
+            raise ValueError("nodes: a tree needs a root")
+        end = self.end = [0] * count
+        full = list(range(n))
+        sizes = [len(table) for table in self.type_sets]
+        checked: set[int] = set()  # ids of the matchings already checked
+        # one backward pass: each child's subtree ends before its parent is read
+        for nid in range(count - 1, -1, -1):
+            node = nodes[nid]
+            if isinstance(node, Leaf):
+                m = node.matching
+                # by identity, so that (True, 0) is checked after an equal (1, 0)
+                if id(m) not in checked:
+                    if type(m) is not tuple or len(m) != n or set(map(type, m)) != {int} or sorted(m) != full:
+                        raise ValueError(f"nodes[{nid}]: matching is not a bijection")
+                    checked.add(id(m))
+                end[nid] = nid + 1
+                continue
+            if not isinstance(node, Internal):
+                raise ValueError(f"nodes[{nid}]: expected a Leaf or an Internal, got {type(node).__name__}")
+            pl = node.player
+            if type(pl) is not int or not 0 <= pl < n:
+                raise ValueError(f"nodes[{nid}]: unknown player {pl!r}")
+            if not node.children:
+                raise ValueError(f"nodes[{nid}]: internal node needs children")
+            sets = sizes[pl]
+            slot = nid + 1  # where preorder puts the next child
+            for k, child in node.children:
+                if type(k) is not int or not 0 <= k < sets:
+                    raise ValueError(f"nodes[{nid}]: set {k!r} is not in type_sets[{pl}] ({sets} sets)")
+                if slot == count:
+                    raise ValueError(f"nodes[{nid}]: the node list ends before child {child!r}")
+                if type(child) is not int or child != slot:
+                    raise ValueError(f"nodes[{nid}]: child {child!r} is not node {slot}, the next in preorder")
+                slot = end[child]
+            end[nid] = slot
+        if end[0] != count:
+            raise ValueError(f"nodes[{end[0]}]: record after the root's subtree ends")
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -169,7 +197,8 @@ class ValidationReport:
 
 
 def validate(tree: MechanismTree) -> ValidationReport:
-    """Check the partition axiom at every node and the leaf matchings.
+    """Check that each internal node's child sets partition the mover's
+    inherited set (the constructor has checked the tree's structure).
 
     Together with path inheritance this implies every full type profile
     reaches exactly one leaf.  Every node whose ancestors all passed is
@@ -178,7 +207,6 @@ def validate(tree: MechanismTree) -> ValidationReport:
     sets its children inherit are not defined.
     """
     problems: list[str] = []
-    full = set(range(tree.n))
     # per node whose parent was entered: each applicant's inherited set, as
     # an index into its table or -1 for its universe; each distinct question
     # (player, inherited set, child sets) is checked once
@@ -186,16 +214,9 @@ def validate(tree: MechanismTree) -> ValidationReport:
     verdicts: dict[tuple[int, ...], tuple[str, ...]] = {}
     for nid, node in enumerate(tree.nodes):
         current = states.pop(nid, None)
-        if current is None:
-            continue
-        if isinstance(node, Leaf):
-            if not is_permutation(node.matching, full):
-                problems.append(f"node {nid}: leaf matching is not a bijection")
+        if current is None or isinstance(node, Leaf):
             continue
         pl = node.player
-        if not 0 <= pl < tree.n:
-            problems.append(f"node {nid}: player index out of range")
-            continue
         key = (pl, current[pl], *[k for k, _ in node.children])
         found = verdicts.get(key)
         if found is None:
@@ -213,17 +234,11 @@ def _partition_problems(tree: MechanismTree, player: int, inherited: int,
     """What keeps the children's type sets from partitioning the inherited
     set (an index into ``player``'s table, or -1 for the universe)."""
     table = tree.type_sets[player]
-    bad = [k for k, _ in children if not 0 <= k < len(table)]
-    if bad:
-        return tuple(f"child set {k} is not in type_sets[{player}] ({len(table)} sets)"
-                     for k in bad)
     parent = tree.universes[player] if inherited < 0 else table[inherited]
     problems = []
     seen = 0
     for k, _ in children:
         m = table[k]
-        if not m:
-            problems.append("empty child type set")
         if m & seen:
             problems.append("overlapping child type sets")
         if m & ~parent:
@@ -608,11 +623,13 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
     # type j of applicant i's universe is set j of its table (none if it never acts)
     type_sets = tuple(tuple(1 << t for t in u) if len(u) > 1 else () for u in ids)
     nodes: list[Node] = []
+    leaves: dict[Ranking, Leaf] = {}  # one Leaf per distinct matching
     depths = [0]  # the depths of the nodes still to list, the next one last
     while depths:
         d = depths.pop()
         if d == len(movers):
-            nodes.append(Leaf(next(matchings)))
+            matching = next(matchings)
+            nodes.append(leaves.get(matching) or leaves.setdefault(matching, Leaf(matching)))
             continue
         nid, k = len(nodes), len(ids[movers[d]])
         nodes.append(Internal(movers[d], tuple((j, nid + 1 + j * size[d + 1]) for j in range(k))))

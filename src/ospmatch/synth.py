@@ -73,6 +73,7 @@ def synthesize(q: PrioritySet) -> MechanismTree:
     tables: list[dict[int, int]] = [{} for _ in range(n)]
     # (player, types, offered mask, last mask) -> ((w, group, set index), ...)
     questions: dict[tuple[int, int, int, int], tuple[tuple[int | None, int, int], ...]] = {}
+    leaves: dict[tuple[int, ...], Leaf] = {}  # one Leaf per distinct matching
 
     def ask(player: int, types: int, offered: frozenset[int],
             then: Callable[[int | None, int], None], last: Set[int] = frozenset()) -> None:
@@ -96,7 +97,8 @@ def synthesize(q: PrioritySet) -> MechanismTree:
 
     def build(rem_apps: frozenset[int], rem_pos: frozenset[int], assigned: dict[int, int]) -> None:
         if not rem_apps:
-            nodes.append(Leaf(tuple(assigned[i] for i in range(n))))
+            matching = tuple(assigned[i] for i in range(n))
+            nodes.append(leaves.get(matching) or leaves.setdefault(matching, Leaf(matching)))
             return
 
         def fix(*moves: tuple[int, int]) -> None:

@@ -9,7 +9,9 @@ come in format 3, with hex-bitmask sets and array nodes, the only layout
 the reader takes, and in the two layouts written before it: format 2,
 with its shared ``type_sets`` table of index lists, and the older inline
 layout.  Those must exit 2, mutated or not.  A mutated format-3 field may
-also become a malformed hex bitmask.
+also become a malformed hex bitmask.  Hand-built node lists with bad
+players, set indices, child ids and leaves must be refused by the tree
+constructor, or else be trees the checkers and the writer take.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 from conftest import LAYOUTS, priorities_to_doc, profile_to_doc, tree_doc
 from ospmatch.classify import classify
 from ospmatch.cli import main
-from ospmatch.core import PreferenceProfile, PrioritySet
+from ospmatch.core import PreferenceProfile, PrioritySet, ids_mask
 from ospmatch.jsonio import (
     default_names,
     parse_priorities,
@@ -39,7 +41,16 @@ from ospmatch.jsonio import (
     subdomain_to_doc,
     tree_to_doc,
 )
-from ospmatch.mechanism import restrict_environment, reveal_tree
+from ospmatch.mechanism import (
+    Internal,
+    Leaf,
+    MechanismTree,
+    check_implements,
+    check_osp,
+    restrict_environment,
+    reveal_tree,
+    validate,
+)
 from ospmatch.synth import synthesize
 from ospmatch.witness import Subdomain
 
@@ -117,6 +128,76 @@ def test_trees_round_trip(drawn):
     parsed, _ = parse_tree(json.loads(json.dumps(tree_to_doc(tree))))
     assert (parsed.n, parsed.universes, parsed.type_sets, parsed.nodes) == (
         tree.n, tree.universes, tree.type_sets, tree.nodes)
+
+
+# values a hand-built tree may hold where an exact int belongs
+NOT_INDICES = st.integers(-2, 9) | st.booleans() | st.sampled_from([1.0, "0", None, (0,)])
+
+
+def _often(draw, good, bad):
+    """A value of ``good``, or one time in six a value of ``bad``."""
+    return draw(bad) if draw(st.integers(0, 5)) == 5 else draw(good)
+
+
+@st.composite
+def node_lists(draw):
+    """The fields of a hand-built tree at n <= 3: drawn universes and
+    tables of nonempty sets within them, and nodes listed in preorder whose
+    players, set indices, child ids and leaves are now and then out of
+    range, bools, floats or no ints at all, with now and then a node that
+    is neither a Leaf nor an Internal or a record after the root's
+    subtree."""
+    n = draw(st.integers(1, 3))
+    size = math.factorial(n)
+    universes = [draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+                 for _ in range(n)]
+    type_sets = tuple(tuple(ids_mask(draw(st.lists(st.sampled_from(u), min_size=1, unique=True)), size)
+                            for _ in range(draw(st.integers(1, 3)))) for u in universes)
+    leaves = st.permutations(range(n)).map(tuple)
+    bad_leaves = st.lists(NOT_INDICES, max_size=n + 1).map(tuple) | leaves.map(list)
+    nodes = []
+
+    def build(depth):
+        nid = len(nodes)
+        nodes.append(None)
+        if depth == 0 or nid and draw(st.booleans()):
+            nodes[nid] = Leaf(_often(draw, leaves, bad_leaves))
+            return
+        player = _often(draw, st.integers(0, n - 1), NOT_INDICES)
+        count = len(type_sets[player]) if type(player) is int and 0 <= player < n else 1
+        children = []
+        for _ in range(_often(draw, st.integers(1, 3), st.just(0))):
+            k = _often(draw, st.integers(0, count - 1), NOT_INDICES)
+            children.append((k, _often(draw, st.just(len(nodes)), NOT_INDICES)))
+            build(depth - 1)
+        internal = st.just(Internal(player, tuple(children)))
+        nodes[nid] = _often(draw, internal, st.sampled_from([None, 0, (0, 1)]))
+
+    build(3)
+    if draw(st.integers(0, 9)) == 9:
+        build(0)
+    return n, tuple(ids_mask(u, size) for u in universes), type_sets, nodes
+
+
+@settings(FUZZ, max_examples=300)
+@given(node_lists(), st.data())
+def test_constructor_refuses_or_the_checkers_run(drawn, data):
+    # a tree the constructor takes is well formed: validate, check_osp and
+    # sampled check_implements report on it or raise ValueError, and it
+    # round-trips through format 3
+    n, universes, type_sets, nodes = drawn
+    try:
+        tree = MechanismTree(n, universes, type_sets, nodes)
+    except ValueError:
+        return
+    q = PrioritySet.from_rankings(data.draw(tables(n)))
+    validate(tree)
+    for check in (lambda: check_osp(tree), lambda: check_implements(tree, q, samples=20)):
+        with contextlib.suppress(ValueError):
+            check()
+    parsed, _ = parse_tree(json.loads(json.dumps(tree_to_doc(tree))))
+    assert (parsed.n, parsed.universes, parsed.type_sets, parsed.nodes) == (
+        n, universes, type_sets, tuple(nodes))
 
 
 KEYS = st.sampled_from(["n", "priorities", "preferences", "types", "applicants", "positions",

@@ -35,7 +35,6 @@ from ospmatch.da import run_da
 from ospmatch.mechanism import (
     Internal,
     Leaf,
-    MechanismTree,
     check_osp,
     execute_ids,
     full_universe,
@@ -137,18 +136,6 @@ def test_restricted_tree_round_trip(taa3_tree):
     rebuilt, _ = parse_tree(doc)
     assert rebuilt.universes == pruned.universes
     assert validate(rebuilt).ok
-
-
-@pytest.mark.parametrize("universe", [0b01, 0b11], ids=["partial", "full"])
-def test_tree_to_doc_refuses_a_set_outside_its_universe(universe):
-    # applicant b's set 1 holds id 1, outside a universe of id 0 alone (or,
-    # with the full universe, set 1 holds id 2 of a 2-applicant market)
-    stray = 0b10 if universe == 0b01 else 0b100
-    tree = MechanismTree(2, (0b11, universe), ((), (0b01, stray)),
-                         (Internal(1, ((0, 1), (1, 2))), Leaf((0, 1)), Leaf((1, 0))))
-    assert not validate(tree).ok
-    with pytest.raises(ValueError, match=r"^type set 1 of applicant 1 holds a type outside its universe$"):
-        tree_to_doc(tree)
 
 
 def test_tree_rejects_out_of_range_type_index(taa3_tree):

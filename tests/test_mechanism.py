@@ -64,18 +64,18 @@ def test_validate_flags_missing_cover():
 
 
 def test_validate_checks_nodes_below_a_problem_elsewhere():
-    # node 1's bad leaf must not hide node 4, where type 0 escapes {1}
+    # node 1's cover fault must not hide node 5, where type 0 escapes {1}
     uni = full_universe(2)
     tree = flat_tree(2, (uni, uni), (0, (
-        ((0,), Leaf((0, 0))),
+        ((0,), (1, (((0,), Leaf((0, 1))),))),
         ((1,), (1, (
             ((0,), Leaf((0, 1))),
             ((1,), (0, (((1,), Leaf((0, 1))), ((0,), Leaf((1, 0)))))),
         ))),
     )))
     assert validate(tree).problems == (
-        "node 1: leaf matching is not a bijection",
-        "node 4: child types escape the parent set",
+        "node 1: child sets do not cover the parent set",
+        "node 5: child types escape the parent set",
     )
 
 
@@ -139,39 +139,102 @@ def test_validate_tells_apart_players_naming_the_same_indices():
     assert validate(tree).problems == ("node 1: overlapping child type sets",)
 
 
-def test_validate_reports_set_indices_out_of_range():
+def test_tree_constructor_refuses_set_indices_out_of_range():
     uni = full_universe(2)
     tree = flat_tree(2, (uni, uni), (0, (((0,), (1, (((0, 1), Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
     nodes = list(tree.nodes)
-    nodes[1] = Internal(1, ((1, 2),))
     nodes[0] = Internal(0, ((0, 1), (-1, 3)))
-    bad = MechanismTree(2, tree.universes, tree.type_sets, nodes)
-    assert validate(bad).problems == (
-        "node 0: child set -1 is not in type_sets[0] (2 sets)",
-    )
+    with pytest.raises(ValueError, match=r"^nodes\[0\]: set -1 is not in type_sets\[0\] \(2 sets\)$"):
+        MechanismTree(2, tree.universes, tree.type_sets, nodes)
     nodes[0] = tree.nodes[0]
-    bad = MechanismTree(2, tree.universes, tree.type_sets, nodes)
-    assert validate(bad).problems == (
-        "node 1: child set 1 is not in type_sets[1] (1 sets)",
-    )
-    with pytest.raises(ValueError, match="child set 1 is not in type_sets"):
-        check_implements(bad, q_of("ab", "ab"))
+    nodes[1] = Internal(1, ((1, 2),))
+    with pytest.raises(ValueError, match=r"^nodes\[1\]: set 1 is not in type_sets\[1\] \(1 sets\)$"):
+        MechanismTree(2, tree.universes, tree.type_sets, nodes)
 
 
 @pytest.mark.parametrize("nodes, message", [
     # an out-of-range child id
-    ((Internal(0, ((0, 1), (1, 2))), Leaf((0, 1))), "node reference 2 out of range"),
+    ((Internal(0, ((0, 1), (1, 2))), Leaf((0, 1))), "nodes[0]: the node list ends before child 2"),
     # a child referenced twice
-    ((Internal(0, ((0, 1), (1, 1))), Leaf((0, 1))), "node 1 referenced twice"),
+    ((Internal(0, ((0, 1), (1, 1))), Leaf((0, 1))), "nodes[0]: the node list ends before child 1"),
     # the second child listed before the first child's subtree
     ((Internal(0, ((0, 2), (1, 1))), Leaf((0, 1)), Leaf((1, 0))),
-     "nodes[2] is out of preorder (preorder reaches it as node 1)"),
+     "nodes[0]: child 2 is not node 1, the next in preorder"),
     # a node no edge reaches
-    ((Internal(0, ((2, 1),)), Leaf((0, 1)), Leaf((1, 0))), "unreachable"),
+    ((Internal(0, ((2, 1),)), Leaf((0, 1)), Leaf((1, 0))), "nodes[2]: record after the root's subtree ends"),
 ], ids=["out_of_range", "referenced_twice", "out_of_preorder", "unreachable"])
 def test_tree_constructor_refuses_nodes_out_of_preorder(nodes, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MechanismTree(2, (full_universe(2),) * 2, ((0b01, 0b10, 0b11), ()), nodes)
+
+
+def _split(*leaves):
+    """Applicant 0's two-way question at the root over the given nodes."""
+    return (Internal(0, ((0, 1), (1, 2))), *leaves)
+
+
+# each structural fault with its refusal: n = 2, full universes, applicant
+# 0's table {0}, {1} and applicant 1's table {0, 1}
+MALFORMED = {
+    "not_a_node": (_split(Leaf((0, 1)), (1, 0)), "nodes[2]: expected a Leaf or an Internal, got tuple"),
+    "none": ((None,), "nodes[0]: expected a Leaf or an Internal, got NoneType"),
+    "player_bool": ((Internal(True, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player True"),
+    "player_negative": ((Internal(-1, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player -1"),
+    "player_n": ((Internal(2, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player 2"),
+    "player_float": ((Internal(1.0, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player 1.0"),
+    "no_children": ((Internal(0, ()),), "nodes[0]: internal node needs children"),
+    "set_out_of_range": ((Internal(1, ((1, 1),)), Leaf((0, 1))),
+                         "nodes[0]: set 1 is not in type_sets[1] (1 sets)"),
+    "set_negative": ((Internal(0, ((-1, 1),)), Leaf((0, 1))),
+                     "nodes[0]: set -1 is not in type_sets[0] (2 sets)"),
+    "set_bool": ((Internal(0, ((0, 1), (True, 2))), Leaf((0, 1)), Leaf((1, 0))),
+                 "nodes[0]: set True is not in type_sets[0] (2 sets)"),
+    "child_bool": ((Internal(0, ((0, True), (1, 2))), Leaf((0, 1)), Leaf((1, 0))),
+                   "nodes[0]: child True is not node 1, the next in preorder"),
+    "child_skips": ((Internal(0, ((0, 2), (1, 3))), Leaf((0, 1)), Leaf((1, 0)), Leaf((0, 1))),
+                    "nodes[0]: child 2 is not node 1, the next in preorder"),
+    "child_past_end": ((Internal(0, ((0, 1), (1, 2))), Leaf((0, 1))),
+                       "nodes[0]: the node list ends before child 2"),
+    "leaf_repeats": (_split(Leaf((0, 1)), Leaf((0, 0))), "nodes[2]: matching is not a bijection"),
+    "leaf_short": (_split(Leaf((0,)), Leaf((1, 0))), "nodes[1]: matching is not a bijection"),
+    "leaf_out_of_range": (_split(Leaf((0, 2)), Leaf((1, 0))), "nodes[1]: matching is not a bijection"),
+    # the pass runs backward, so the int leaf at node 2 is checked first
+    "leaf_bool": (_split(Leaf((True, 0)), Leaf((1, 0))), "nodes[1]: matching is not a bijection"),
+    "leaf_float": (_split(Leaf((1.0, 0)), Leaf((1, 0))), "nodes[1]: matching is not a bijection"),
+    "leaf_list": (_split(Leaf([0, 1]), Leaf((1, 0))), "nodes[1]: matching is not a bijection"),
+    "trailing": ((Leaf((0, 1)), Leaf((1, 0))), "nodes[1]: record after the root's subtree ends"),
+    "empty": ((), "nodes: a tree needs a root"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_tree_constructor_refuses_malformed_nodes(case):
+    # the constructor is the one place that checks structure: validate,
+    # check_osp and tree_to_doc only ever see well-formed trees
+    nodes, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MechanismTree(2, (full_universe(2),) * 2, ((0b01, 0b10), (0b11,)), nodes)
+
+
+@pytest.mark.parametrize("table, message", [
+    ((0b01, 0), "type set 1 of applicant 0 is empty or escapes its universe"),
+    ((0b01, -2), "type set 1 of applicant 0 is empty or escapes its universe"),
+    ((True, 0b10), "type set 0 of applicant 0 is empty or escapes its universe"),
+    ((0b01, "2"), "type set 1 of applicant 0 is empty or escapes its universe"),
+], ids=["zero", "negative", "bool", "string"])
+def test_tree_constructor_refuses_bad_sets(table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MechanismTree(2, (full_universe(2),) * 2, (table, ()), (Leaf((0, 1)),))
+
+
+@pytest.mark.parametrize("universe", [0b01, 0b11], ids=["partial", "full"])
+def test_tree_constructor_refuses_a_set_outside_its_universe(universe):
+    # applicant b's set 1 holds id 1, outside a universe of id 0 alone (or,
+    # with the full universe, set 1 holds id 2 of a 2-applicant market)
+    stray = 0b10 if universe == 0b01 else 0b100
+    with pytest.raises(ValueError, match=r"^type set 1 of applicant 1 is empty or escapes its universe$"):
+        MechanismTree(2, (0b11, universe), ((), (0b01, stray)),
+                      (Internal(1, ((0, 1), (1, 2))), Leaf((0, 1)), Leaf((1, 0))))
 
 
 def test_tree_constructor_refuses_a_table_count_other_than_n():
@@ -786,7 +849,7 @@ def test_check_osp_reports_are_pinned(star6_tree):
     trees = _brute_force_trees() + _act_again_trees() + [
         _swapped_leaf(star6_tree, 780),
         MechanismTree(3, (uni,) * 3, ((uni,), (), ()), chain),
-        MechanismTree(2, (full_universe(2),) * 2, ((), ()), (Internal(0, ()),)),
+        MechanismTree(2, (full_universe(2),) * 2, ((), ()), (Leaf((0, 1)),)),
     ]
     reports = [check_osp(tree) for tree in trees]
     assert sum(len(r.violations) for r in reports) == 765
