@@ -246,7 +246,7 @@ def tree_to_doc(tree: MechanismTree, names: Names | None = None) -> dict[str, An
         "type_sets": type_sets,
         "nodes": [
             list(node.matching) if isinstance(node, Leaf)
-            else [node.player, [k for k, _ in node.children]]
+            else [node.player, list(node.sets)]
             for node in tree.nodes
         ],
     }
@@ -309,29 +309,19 @@ def parse_tree(doc: Any) -> tuple[MechanismTree, Names]:
 
 
 def _array_nodes(records: Sequence[Any]) -> list[Node]:
-    """The nodes of format-3 records.  One stack holds the internal nodes
-    still missing children: each record is the next child of the top one,
-    so its child ids follow from preorder and the arities.  Players, set
-    indices and leaves are taken as written, and a record after the root's
-    subtree starts a tree of its own: the constructor refuses each fault."""
-    leaves: dict[tuple[int, ...], Leaf] = {}  # one Leaf per distinct all-int matching
-    nodes: list[Node | None] = [None] * len(records)
-    waiting: list[tuple[int, Any, list[Any], list[int]]] = []  # (id, player, sets, child ids)
+    """The nodes of format-3 records, one per record: ``[player, [set
+    index, ...]]`` is an internal node and any other array a leaf, its
+    fields taken as written for the constructor to check, which also
+    derives the child ids.  Equal records of exact ints share one node."""
+    shared: dict[tuple[Any, ...], Node] = {}  # an internal node's key holds a tuple, a leaf's does not
+    nodes: list[Node] = []
     for idx, record in enumerate(records):
-        if waiting:
-            waiting[-1][3].append(idx)
         if type(record) is not list:
             raise FormatError(f"nodes[{idx}]: expected an array")
-        if len(record) == 2 and type(record[1]) is list:
-            waiting.append((idx, *record, []))
-        elif set(map(type, record)) == {int}:  # true and 1.0 must not share the Leaf of 1
-            matching = tuple(record)
-            nodes[idx] = leaves.get(matching) or leaves.setdefault(matching, Leaf(matching))
-        else:
-            nodes[idx] = Leaf(tuple(record))
-        while waiting and len(waiting[-1][2]) == len(waiting[-1][3]):
-            nid, player, sets, children = waiting.pop()
-            nodes[nid] = Internal(player, tuple(zip(sets, children)))
-    if waiting:
-        raise FormatError(f"nodes: the list ends while nodes[{waiting[-1][0]}] waits for a child")
+        internal = len(record) == 2 and type(record[1]) is list
+        key = (record[0], tuple(record[1])) if internal else tuple(record)
+        # true and 1.0 must not share the node of 1, so only records of exact ints share
+        exact = set(map(type, [record[0], *record[1]] if internal else record)) == {int}
+        node = exact and shared.get(key) or (Internal(*key) if internal else Leaf(key))
+        nodes.append(shared.setdefault(key, node) if exact else node)
     return nodes

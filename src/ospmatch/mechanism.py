@@ -10,9 +10,10 @@ hold by construction for synthesized trees and are re-checked from
 scratch by :func:`validate` for arbitrary ones, whose structure the
 :class:`MechanismTree` constructor has checked.
 
-A tree stores its nodes in preorder, and an internal node names its
-children by id, so a node's id is its place in preorder (the record order
-:func:`ospmatch.jsonio.tree_to_doc` writes) and its subtree follows it.
+A tree stores its nodes in preorder, as :func:`ospmatch.jsonio.tree_to_doc`
+writes its records, and an internal node holds what a record holds, a
+player and one set index per child: a node's id is its place in preorder,
+its subtree follows it, and the constructor derives the child ids.
 Tree walks are loops, so trees of any depth run under the default
 recursion limit: top-down walks run forward with per-node state keyed by
 id, bottom-up walks run backward and pop each child's result when the
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     Matching,
@@ -84,7 +85,7 @@ class Leaf:
 @dataclass(frozen=True, slots=True)
 class Internal:
     player: int
-    children: tuple[tuple[int, int], ...]  # (set index in type_sets[player], child id)
+    sets: tuple[int, ...]  # per child in order, its set's index in type_sets[player]
 
 
 Node = Leaf | Internal
@@ -95,29 +96,38 @@ class MechanismTree:
     """Rooted tree plus the per-applicant type universes it is played over.
 
     ``universes[i]`` is applicant i's universe and ``type_sets[i]`` lists
-    applicant i's edge sets, which a child of a node where i acts names by
-    index; each is an int bitmask over the type ids.  ``nodes`` lists the
-    nodes in preorder, so node 0 is the root and a node's id is its index;
-    node i's subtree is ids ``i..end[i]-1``.
+    applicant i's edge sets, which a node where i acts names by index, one
+    per child; each is an int bitmask over the type ids.  ``nodes`` lists
+    the nodes in preorder, so node 0 is the root and a node's id is its
+    index.  The constructor derives ``children[i]``, node i's ``(set index,
+    child id)`` pairs in order (``()`` for a leaf), and ``end[i]``: node i's
+    subtree is ids ``i..end[i]-1``.
 
     The constructor is the one check of a tree's structure (:func:`validate`
-    checks the partition axioms).  It raises ``ValueError`` on a universe or
+    checks the partition axioms).  It raises ``ValueError`` on an n that is
+    not a positive int, an argument that is not a sequence, a universe or
     table count other than n, a universe outside ``1..(1 << n!) - 1``, a set
     that is empty or escapes its universe, and, as ``nodes[i]: ...``, on a
-    node that is no Leaf or Internal, a player outside ``0..n-1``, no
-    children, a set index outside the player's table, a child id off
-    preorder, a leaf that is no bijection and records after the root's
-    subtree.  Players, indices, child ids and leaf entries are exact ints."""
+    node that is no Leaf or Internal, a player outside ``0..n-1``, sets that
+    are no tuple or empty, a set index outside the player's table, a leaf
+    that is no bijection, a list that ends before a node's last child and
+    records after the root's subtree.  Players, indices and leaf entries are
+    exact ints."""
 
     n: int
     universes: tuple[int, ...]
     type_sets: tuple[tuple[int, ...], ...]
     nodes: tuple[Node, ...]
+    children: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False)
     end: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
-        self.type_sets = tuple(map(tuple, self.type_sets))
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive int, got {n!r}")
+        self.universes = _as_tuple(self.universes, "universes")
+        self.type_sets = tuple(_as_tuple(table, f"type_sets[{i}]")
+                               for i, table in enumerate(_as_tuple(self.type_sets, "type_sets")))
         _check_universes(n, self.universes)
         if len(self.type_sets) != n:
             raise ValueError(f"expected {n} type-set tables, got {len(self.type_sets)}")
@@ -125,15 +135,17 @@ class MechanismTree:
             for k, m in enumerate(table):
                 if isinstance(m, bool) or not isinstance(m, int) or m <= 0 or m & ~universe:
                     raise ValueError(f"type set {k} of applicant {i} is empty or escapes its universe")
-        nodes = self.nodes = tuple(self.nodes)
+        nodes = self.nodes = _as_tuple(self.nodes, "nodes")
         count = len(nodes)
         if not count:
             raise ValueError("nodes: a tree needs a root")
+        children = self.children = [()] * count
         end = self.end = [0] * count
         full = list(range(n))
         sizes = [len(table) for table in self.type_sets]
         checked: set[int] = set()  # ids of the matchings already checked
-        # one backward pass: each child's subtree ends before its parent is read
+        # one backward pass: each subtree's end is known before its parent is
+        # read, and a node's next child starts where the last one's subtree ends
         for nid in range(count - 1, -1, -1):
             node = nodes[nid]
             if isinstance(node, Leaf):
@@ -144,25 +156,26 @@ class MechanismTree:
                         raise ValueError(f"nodes[{nid}]: matching is not a bijection")
                     checked.add(id(m))
                 end[nid] = nid + 1
-                continue
-            if not isinstance(node, Internal):
+            elif isinstance(node, Internal):
+                pl, sets = node.player, node.sets
+                if type(pl) is not int or not 0 <= pl < n:
+                    raise ValueError(f"nodes[{nid}]: unknown player {pl!r}")
+                if type(sets) is not tuple:
+                    raise ValueError(f"nodes[{nid}]: sets must be a tuple, got {type(sets).__name__}")
+                if not sets:
+                    raise ValueError(f"nodes[{nid}]: internal node needs children")
+                slot, kids = nid + 1, []
+                for k in sets:
+                    if type(k) is not int or not 0 <= k < sizes[pl]:
+                        raise ValueError(f"nodes[{nid}]: set {k!r} is not in type_sets[{pl}] ({sizes[pl]} sets)")
+                    if slot == count:
+                        raise ValueError(f"nodes: the list ends while nodes[{nid}] waits for a child")
+                    kids.append((k, slot))
+                    slot = end[slot]
+                children[nid] = tuple(kids)
+                end[nid] = slot
+            else:
                 raise ValueError(f"nodes[{nid}]: expected a Leaf or an Internal, got {type(node).__name__}")
-            pl = node.player
-            if type(pl) is not int or not 0 <= pl < n:
-                raise ValueError(f"nodes[{nid}]: unknown player {pl!r}")
-            if not node.children:
-                raise ValueError(f"nodes[{nid}]: internal node needs children")
-            sets = sizes[pl]
-            slot = nid + 1  # where preorder puts the next child
-            for k, child in node.children:
-                if type(k) is not int or not 0 <= k < sets:
-                    raise ValueError(f"nodes[{nid}]: set {k!r} is not in type_sets[{pl}] ({sets} sets)")
-                if slot == count:
-                    raise ValueError(f"nodes[{nid}]: the node list ends before child {child!r}")
-                if type(child) is not int or child != slot:
-                    raise ValueError(f"nodes[{nid}]: child {child!r} is not node {slot}, the next in preorder")
-                slot = end[child]
-            end[nid] = slot
         if end[0] != count:
             raise ValueError(f"nodes[{end[0]}]: record after the root's subtree ends")
 
@@ -171,6 +184,14 @@ class MechanismTree:
 
     def leaf_count(self) -> int:
         return sum(isinstance(node, Leaf) for node in self.nodes)
+
+
+def _as_tuple(items: Iterable, what: str) -> tuple:
+    """``items`` as a tuple; ``ValueError`` if it is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what}: expected a sequence, got {type(items).__name__}") from None
 
 
 def _check_universes(n: int, universes: Sequence[int]) -> None:
@@ -211,33 +232,33 @@ def validate(tree: MechanismTree) -> ValidationReport:
     # an index into its table or -1 for its universe; each distinct question
     # (player, inherited set, child sets) is checked once
     states = {0: (-1,) * tree.n}
-    verdicts: dict[tuple[int, ...], tuple[str, ...]] = {}
+    verdicts: dict[tuple[int, int, tuple[int, ...]], tuple[str, ...]] = {}
     for nid, node in enumerate(tree.nodes):
         current = states.pop(nid, None)
         if current is None or isinstance(node, Leaf):
             continue
         pl = node.player
-        key = (pl, current[pl], *[k for k, _ in node.children])
+        key = (pl, current[pl], node.sets)
         found = verdicts.get(key)
         if found is None:
-            found = verdicts[key] = _partition_problems(tree, pl, current[pl], node.children)
+            found = verdicts[key] = _partition_problems(tree, pl, current[pl], node.sets)
         if found:
             problems.extend(f"node {nid}: {problem}" for problem in found)
             continue
-        for k, child in node.children:
+        for k, child in tree.children[nid]:
             states[child] = current[:pl] + (k,) + current[pl + 1 :]
     return ValidationReport(not problems, tuple(problems))
 
 
 def _partition_problems(tree: MechanismTree, player: int, inherited: int,
-                        children: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
+                        sets: tuple[int, ...]) -> tuple[str, ...]:
     """What keeps the children's type sets from partitioning the inherited
     set (an index into ``player``'s table, or -1 for the universe)."""
     table = tree.type_sets[player]
     parent = tree.universes[player] if inherited < 0 else table[inherited]
     problems = []
     seen = 0
-    for k, _ in children:
+    for k in sets:
         m = table[k]
         if m & seen:
             problems.append("overlapping child type sets")
@@ -253,13 +274,13 @@ def execute_ids(tree: MechanismTree, type_ids: Sequence[int]) -> Ranking:
     """The leaf matching the profile reaches, taking at each node the first
     child whose type set holds the acting applicant's type; ``LookupError``
     if none does (only on a tree that fails :func:`validate`)."""
-    node = tree.nodes[0]
-    while isinstance(node, Internal):
+    nid = 0
+    while isinstance(node := tree.nodes[nid], Internal):
         t = type_ids[node.player]
         table = tree.type_sets[node.player]
-        for k, child in node.children:
+        for k, child in tree.children[nid]:
             if table[k] >> t & 1:
-                node = tree.nodes[child]
+                nid = child
                 break
         else:
             raise LookupError(t)
@@ -391,10 +412,10 @@ def _route(tree: MechanismTree, profiles: np.ndarray, arrays: list[list[np.ndarr
             leaves[rows] = nid
         else:
             slot = unheld.copy()
-            for k in range(len(node.children) - 1, -1, -1):
-                slot[arrays[node.player][node.children[k][0]]] = k
+            for k in range(len(node.sets) - 1, -1, -1):
+                slot[arrays[node.player][node.sets[k]]] = k
             picked = slot[profiles[rows, node.player]]
-            for k, (_, child) in enumerate(node.children):
+            for k, (_, child) in enumerate(tree.children[nid]):
                 taken = rows[picked == k]
                 if taken.size:
                     pending[child] = taken
@@ -468,7 +489,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
     watched = [0] * len(nodes)
     for nid, node in enumerate(nodes):
         if isinstance(node, Internal):
-            for _, child in node.children:
+            for _, child in tree.children[nid]:
                 watched[child] = watched[nid] | 1 << node.player
     # per node (masks, acted), held until the parent merges them
     results: dict[int, tuple[list[int], dict[int, dict[int, int]]]] = {}
@@ -478,7 +499,7 @@ def check_osp(tree: MechanismTree) -> OspReport:
             results[nid] = ([1 << pos for pos in node.matching], {})
             continue
         pl = node.player
-        kids = [(tree.type_sets[pl][k], child, *results.pop(child)) for k, child in node.children]
+        kids = [(tree.type_sets[pl][k], child, *results.pop(child)) for k, child in tree.children[nid]]
         masks = [0] * n
         shared = 0  # the mover's positions under two or more children
         for *_, child_masks, _ in kids:
@@ -549,7 +570,7 @@ def _first_leaf(tree: MechanismTree, spans: list[tuple[int, int]], player: int,
             elif type_id is not None and node.player == player:
                 spans.append((end[nid], stop))
                 table = tree.type_sets[player]
-                child = next((c for k, c in node.children if table[k] >> type_id & 1), None)
+                child = next((c for k, c in tree.children[nid] if table[k] >> type_id & 1), None)
                 if child is None:
                     raise ValueError(f"tree fails validation: no child of node {nid} holds type {type_id}")
                 nid, stop = child, end[child]
@@ -563,7 +584,7 @@ def restrict_environment(
 ) -> MechanismTree:
     """Prune the tree to a subdomain, one list of type ids per applicant:
     intersect every type set with the sub-universe and drop children that
-    become empty.  The nodes kept stay in preorder and are numbered afresh."""
+    become empty.  The nodes reached, in preorder, are the new tree."""
     if len(sub_universes) != tree.n:
         raise ValueError(f"expected {tree.n} sub-universes, got {len(sub_universes)}")
     subs = tuple(ids_mask(u, math.factorial(tree.n), f"sub-universe of applicant {i}")
@@ -574,28 +595,21 @@ def restrict_environment(
     states = {0: subs}
     # per applicant: kept set -> its index in the new table, in order of first use
     index: list[dict[int, int]] = [{} for _ in subs]
-    # the nodes reached, in preorder, with their kept children's old ids
     reached: list[Node] = []
-    renumber: dict[int, int] = {}
     for nid, node in enumerate(tree.nodes):
         current = states.pop(nid, None)
         if current is None:
             continue
-        renumber[nid] = len(reached)
         if isinstance(node, Internal):
             pl, table, kept = node.player, tree.type_sets[node.player], []
-            for k, child in node.children:
+            for k, child in tree.children[nid]:
                 keep = table[k] & current[pl]
                 if keep:
                     states[child] = current[:pl] + (keep,) + current[pl + 1 :]
-                    kept.append((index[pl].setdefault(keep, len(index[pl])), child))
+                    kept.append(index[pl].setdefault(keep, len(index[pl])))
             node = Internal(pl, tuple(kept))
         reached.append(node)
-    return MechanismTree(tree.n, subs, tuple(map(tuple, index)), tuple(
-        node if isinstance(node, Leaf)
-        else Internal(node.player, tuple((k, renumber[child]) for k, child in node.children))
-        for node in reached
-    ))
+    return MechanismTree(tree.n, subs, tuple(map(tuple, index)), reached)
 
 
 def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None) -> MechanismTree:
@@ -615,11 +629,8 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
     rankings = all_rankings(n)
     ids = [mask_ids(u) for u in unis]
     matchings = iter(da_match_product(q.rank_table(), [[rankings[t] for t in u] for u in ids]))
-    movers = [i for i, u in enumerate(ids) if len(u) > 1]  # depth d asks movers[d]
-    # size[d]: the nodes of a subtree whose root is at depth d, so such a
-    # root's children lie size[d + 1] ids apart
-    size = [*accumulate([len(ids[i]) for i in reversed(movers)],
-                        lambda below, k: 1 + k * below, initial=1)][::-1]
+    # depth d asks the d-th applicant with two or more types, one child per type
+    asks = [Internal(i, tuple(range(len(u)))) for i, u in enumerate(ids) if len(u) > 1]
     # type j of applicant i's universe is set j of its table (none if it never acts)
     type_sets = tuple(tuple(1 << t for t in u) if len(u) > 1 else () for u in ids)
     nodes: list[Node] = []
@@ -627,13 +638,12 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
     depths = [0]  # the depths of the nodes still to list, the next one last
     while depths:
         d = depths.pop()
-        if d == len(movers):
+        if d == len(asks):
             matching = next(matchings)
             nodes.append(leaves.get(matching) or leaves.setdefault(matching, Leaf(matching)))
             continue
-        nid, k = len(nodes), len(ids[movers[d]])
-        nodes.append(Internal(movers[d], tuple((j, nid + 1 + j * size[d + 1]) for j in range(k))))
-        depths += [d + 1] * k
+        nodes.append(asks[d])
+        depths += [d + 1] * len(asks[d].sets)
     return MechanismTree(n, unis, type_sets, nodes)
 
 
@@ -647,7 +657,7 @@ def player_move_bound(tree: MechanismTree) -> int:
             best = max(best, max(here, default=0))
             continue
         bumped = here[: node.player] + (here[node.player] + 1,) + here[node.player + 1 :]
-        for _, child in node.children:
+        for _, child in tree.children[nid]:
             counts[child] = bumped
     return best
 
@@ -665,7 +675,7 @@ def max_active_applicants(tree: MechanismTree) -> int:
             position_sets[nid] = tuple(1 << pos for pos in node.matching)
             continue
         acc = [0] * tree.n
-        for _, child in node.children:
+        for _, child in tree.children[nid]:
             for i, m in enumerate(position_sets[child]):
                 acc[i] |= m
         position_sets[nid] = tuple(acc)
@@ -676,6 +686,6 @@ def max_active_applicants(tree: MechanismTree) -> int:
         here = position_sets[nid]
         best = max(best, sum(1 for i in players if here[i] & (here[i] - 1)))
         if isinstance(node, Internal):
-            for _, child in node.children:
+            for _, child in tree.children[nid]:
                 acted[child] = players | {node.player}
     return best

@@ -19,7 +19,8 @@ and enters its new sets in the player's table, before the subtrees
 ``then`` appends, so the nodes come in preorder and each table lists its
 sets in order of first use.  Within one call of :func:`synthesize`,
 ``ask`` groups each distinct question (player, ``types``, ``offered``
-and ``last``) once.  ``fix`` pins (applicant, position) pairs and recurses
+and ``last``) once and makes one node for it, which every ask of it
+shares.  ``fix`` pins (applicant, position) pairs and recurses
 on the rest; :func:`synthesize` unbinds its self-calling ``build`` on
 return, so reference counting frees the working tables.  The trade asks
 its lead applicant once: one edge per favorite in its half U, where it
@@ -68,11 +69,11 @@ def synthesize(q: PrioritySet) -> MechanismTree:
     n = q.n
     lists = q.rankings
     universe = full_universe(n)
-    nodes: list = []  # in preorder; each ask reserves its slot first
+    nodes: list = []  # in preorder
     # per applicant: its distinct edge sets -> their index, in order of first use
     tables: list[dict[int, int]] = [{} for _ in range(n)]
-    # (player, types, offered mask, last mask) -> ((w, group, set index), ...)
-    questions: dict[tuple[int, int, int, int], tuple[tuple[int | None, int, int], ...]] = {}
+    # (player, types, offered mask, last mask) -> (its node, ((w, group), ...))
+    questions: dict[tuple[int, int, int, int], tuple[Internal, list[tuple[int | None, int]]]] = {}
     leaves: dict[tuple[int, ...], Leaf] = {}  # one Leaf per distinct matching
 
     def ask(player: int, types: int, offered: frozenset[int],
@@ -80,20 +81,18 @@ def synthesize(q: PrioritySet) -> MechanismTree:
         """The question node: ``player`` names its favorite among ``offered``."""
         mask = sum(1 << pos for pos in offered)
         key = (player, types, mask, sum(1 << pos for pos in last))
-        edges = questions.get(key)
-        if edges is None:
+        found = questions.get(key)
+        if found is None:
             favorite = favorites(n, mask)
             groups = [(w, types & favorite[w]) for w in range(n) if w not in last]
             groups.append((None, types & sum(favorite[w] for w in last)))
+            groups = [(w, g) for w, g in groups if g]
             table = tables[player]
-            edges = questions[key] = tuple((w, g, table.setdefault(g, len(table))) for w, g in groups if g)
-        slot = len(nodes)
-        nodes.append(None)
-        children = []
-        for w, group, k in edges:
-            children.append((k, len(nodes)))
+            sets = tuple(table.setdefault(g, len(table)) for _, g in groups)
+            found = questions[key] = (Internal(player, sets), groups)
+        nodes.append(found[0])
+        for w, group in found[1]:
             then(w, group)
-        nodes[slot] = Internal(player, tuple(children))
 
     def build(rem_apps: frozenset[int], rem_pos: frozenset[int], assigned: dict[int, int]) -> None:
         if not rem_apps:

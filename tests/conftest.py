@@ -43,16 +43,16 @@ def flat_tree(n: int, universes, spec) -> MechanismTree:
     index = [{} for _ in range(n)]  # per applicant: set bitmask -> its index
     size = len(all_rankings(n))
 
-    def add(spec) -> int:
-        nid = len(nodes)
+    def add(spec) -> None:
         if isinstance(spec, Leaf):
             nodes.append(spec)
-            return nid
+            return
         player, children = spec
-        nodes.append(None)
-        sets = [index[player].setdefault(ids_mask(types, size), len(index[player])) for types, _ in children]
-        nodes[nid] = Internal(player, tuple((k, add(child)) for k, (_, child) in zip(sets, children)))
-        return nid
+        table = index[player]
+        nodes.append(Internal(player, tuple(table.setdefault(ids_mask(types, size), len(table))
+                                            for types, _ in children)))
+        for _, child in children:
+            add(child)
 
     add(spec)
     return MechanismTree(n, tuple(universes), tuple(map(tuple, index)), nodes)
@@ -64,7 +64,7 @@ def nested_spec(tree: MechanismTree, nid: int = 0):
     if isinstance(node, Leaf):
         return node
     table = tree.type_sets[node.player]
-    return node.player, tuple((mask_ids(table[k]), nested_spec(tree, child)) for k, child in node.children)
+    return node.player, tuple((mask_ids(table[k]), nested_spec(tree, child)) for k, child in tree.children[nid])
 
 
 def assert_first_use_tables(tree: MechanismTree) -> None:
@@ -73,7 +73,7 @@ def assert_first_use_tables(tree: MechanismTree) -> None:
     used = [{} for _ in range(tree.n)]  # per applicant: set indices in order of first use
     for node in tree.nodes:
         if isinstance(node, Internal):
-            for k, _ in node.children:
+            for k in node.sets:
                 used[node.player].setdefault(k, None)
     for table, order in zip(tree.type_sets, used):
         assert len(set(table)) == len(table)
@@ -90,7 +90,7 @@ def format2_tree_doc(tree: MechanismTree, names: Names | None = None) -> dict:
     rankings = all_rankings(tree.n)
     local = [{t: j for j, t in enumerate(mask_ids(universe))} for universe in tree.universes]
     nodes = []
-    for node in tree.nodes:
+    for node, children in zip(tree.nodes, tree.children):
         if isinstance(node, Leaf):
             nodes.append({"matching": {
                 names.applicants[a]: names.positions[x] for a, x in enumerate(node.matching)
@@ -98,7 +98,7 @@ def format2_tree_doc(tree: MechanismTree, names: Names | None = None) -> dict:
         else:
             nodes.append({
                 "player": names.applicants[node.player],
-                "children": [{"set": k, "node": child} for k, child in node.children],
+                "children": [{"set": k, "node": child} for k, child in children],
             })
     return {
         "format": 2,

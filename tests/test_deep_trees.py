@@ -26,8 +26,7 @@ DEPTHS = [5_000, 100_000]
 
 def chain(depth: int) -> MechanismTree:
     uni = full_universe(3)
-    nodes = [Internal(0, ((0, nid + 1),)) for nid in range(depth)]
-    nodes.append(Leaf((0, 1, 2)))
+    nodes = [Internal(0, (0,))] * depth + [Leaf((0, 1, 2))]
     return MechanismTree(3, (uni,) * 3, ((uni,), (), ()), nodes)
 
 

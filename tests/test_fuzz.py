@@ -143,10 +143,11 @@ def _often(draw, good, bad):
 def node_lists(draw):
     """The fields of a hand-built tree at n <= 3: drawn universes and
     tables of nonempty sets within them, and nodes listed in preorder whose
-    players, set indices, child ids and leaves are now and then out of
-    range, bools, floats or no ints at all, with now and then a node that
-    is neither a Leaf nor an Internal or a record after the root's
-    subtree."""
+    players, set indices and leaves are now and then out of range, bools,
+    floats or no ints at all, with now and then a node that is neither a
+    Leaf nor an Internal, sets that are no tuple, an internal node followed
+    by fewer or more subtrees than it has sets, or a record after the
+    root's subtree."""
     n = draw(st.integers(1, 3))
     size = math.factorial(n)
     universes = [draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
@@ -158,20 +159,17 @@ def node_lists(draw):
     nodes = []
 
     def build(depth):
-        nid = len(nodes)
-        nodes.append(None)
-        if depth == 0 or nid and draw(st.booleans()):
-            nodes[nid] = Leaf(_often(draw, leaves, bad_leaves))
+        if depth == 0 or nodes and draw(st.booleans()):
+            nodes.append(Leaf(_often(draw, leaves, bad_leaves)))
             return
         player = _often(draw, st.integers(0, n - 1), NOT_INDICES)
         count = len(type_sets[player]) if type(player) is int and 0 <= player < n else 1
-        children = []
-        for _ in range(_often(draw, st.integers(1, 3), st.just(0))):
-            k = _often(draw, st.integers(0, count - 1), NOT_INDICES)
-            children.append((k, _often(draw, st.just(len(nodes)), NOT_INDICES)))
+        arity = _often(draw, st.integers(1, 3), st.just(0))
+        sets = tuple(_often(draw, st.integers(0, count - 1), NOT_INDICES) for _ in range(arity))
+        nodes.append(_often(draw, st.just(Internal(player, sets)),
+                            st.sampled_from([None, 0, (0, 1), Internal(player, list(sets))])))
+        for _ in range(_often(draw, st.just(arity), st.integers(0, 3))):
             build(depth - 1)
-        internal = st.just(Internal(player, tuple(children)))
-        nodes[nid] = _often(draw, internal, st.sampled_from([None, 0, (0, 1)]))
 
     build(3)
     if draw(st.integers(0, 9)) == 9:
@@ -196,8 +194,8 @@ def test_constructor_refuses_or_the_checkers_run(drawn, data):
         with contextlib.suppress(ValueError):
             check()
     parsed, _ = parse_tree(json.loads(json.dumps(tree_to_doc(tree))))
-    assert (parsed.n, parsed.universes, parsed.type_sets, parsed.nodes) == (
-        n, universes, type_sets, tuple(nodes))
+    assert (parsed.n, parsed.universes, parsed.type_sets, parsed.nodes, parsed.children) == (
+        n, universes, type_sets, tuple(nodes), tree.children)
 
 
 KEYS = st.sampled_from(["n", "priorities", "preferences", "types", "applicants", "positions",

@@ -190,8 +190,8 @@ def test_tree_document_lists_each_set_once(star6_tree):
     for node in star6_tree.nodes:
         if isinstance(node, Internal):
             table = star6_tree.type_sets[node.player]
-            distinct[node.player].update(table[k] for k, _ in node.children)
-            edges += len(node.children)
+            distinct[node.player].update(table[k] for k in node.sets)
+            edges += len(node.sets)
     assert list(map(len, doc["type_sets"])) == list(map(len, distinct))
     # 309 distinct sets on 4,253 edges; 439 (applicant, set) table entries
     assert len(set().union(*distinct)) == 309 and edges == 4_253

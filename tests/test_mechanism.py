@@ -109,7 +109,7 @@ def test_validate_reports_a_shared_question_at_every_node():
         ((1,), (1, ((half, Leaf((1, 0))),))),
     )))
     assert tree.type_sets[1] == (0b01,)  # the bitmask of half
-    assert tree.nodes[1].children[0][0] == tree.nodes[3].children[0][0] == 0
+    assert tree.nodes[1].sets == tree.nodes[3].sets == (0,)
     assert validate(tree).problems == (
         "node 1: child sets do not cover the parent set",
         "node 3: child sets do not cover the parent set",
@@ -132,8 +132,8 @@ def test_validate_tells_apart_players_naming_the_same_indices():
     # which partition applicant 0's universe but overlap in applicant 1's
     uni = full_universe(2)
     tree = MechanismTree(2, (uni, uni), ((0b01, 0b10), (0b01, 0b11)), (
-        Internal(0, ((0, 1), (1, 4))),
-        Internal(1, ((0, 2), (1, 3))), Leaf((0, 1)), Leaf((1, 0)),
+        Internal(0, (0, 1)),
+        Internal(1, (0, 1)), Leaf((0, 1)), Leaf((1, 0)),
         Leaf((1, 0)),
     ))
     assert validate(tree).problems == ("node 1: overlapping child type sets",)
@@ -143,26 +143,24 @@ def test_tree_constructor_refuses_set_indices_out_of_range():
     uni = full_universe(2)
     tree = flat_tree(2, (uni, uni), (0, (((0,), (1, (((0, 1), Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
     nodes = list(tree.nodes)
-    nodes[0] = Internal(0, ((0, 1), (-1, 3)))
+    nodes[0] = Internal(0, (0, -1))
     with pytest.raises(ValueError, match=r"^nodes\[0\]: set -1 is not in type_sets\[0\] \(2 sets\)$"):
         MechanismTree(2, tree.universes, tree.type_sets, nodes)
     nodes[0] = tree.nodes[0]
-    nodes[1] = Internal(1, ((1, 2),))
+    nodes[1] = Internal(1, (1,))
     with pytest.raises(ValueError, match=r"^nodes\[1\]: set 1 is not in type_sets\[1\] \(1 sets\)$"):
         MechanismTree(2, tree.universes, tree.type_sets, nodes)
 
 
 @pytest.mark.parametrize("nodes, message", [
-    # an out-of-range child id
-    ((Internal(0, ((0, 1), (1, 2))), Leaf((0, 1))), "nodes[0]: the node list ends before child 2"),
-    # a child referenced twice
-    ((Internal(0, ((0, 1), (1, 1))), Leaf((0, 1))), "nodes[0]: the node list ends before child 1"),
-    # the second child listed before the first child's subtree
-    ((Internal(0, ((0, 2), (1, 1))), Leaf((0, 1)), Leaf((1, 0))),
-     "nodes[0]: child 2 is not node 1, the next in preorder"),
+    # the root's second child would lie past the end of the list
+    ((Internal(0, (0, 1)), Leaf((0, 1))), "nodes: the list ends while nodes[0] waits for a child"),
+    # the deepest node still missing a child is named
+    ((Internal(0, (0, 1)), Internal(0, (0, 1)), Leaf((0, 1))),
+     "nodes: the list ends while nodes[1] waits for a child"),
     # a node no edge reaches
-    ((Internal(0, ((2, 1),)), Leaf((0, 1)), Leaf((1, 0))), "nodes[2]: record after the root's subtree ends"),
-], ids=["out_of_range", "referenced_twice", "out_of_preorder", "unreachable"])
+    ((Internal(0, (2,)), Leaf((0, 1)), Leaf((1, 0))), "nodes[2]: record after the root's subtree ends"),
+], ids=["out_of_range", "ends_in_a_subtree", "unreachable"])
 def test_tree_constructor_refuses_nodes_out_of_preorder(nodes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MechanismTree(2, (full_universe(2),) * 2, ((0b01, 0b10, 0b11), ()), nodes)
@@ -170,7 +168,7 @@ def test_tree_constructor_refuses_nodes_out_of_preorder(nodes, message):
 
 def _split(*leaves):
     """Applicant 0's two-way question at the root over the given nodes."""
-    return (Internal(0, ((0, 1), (1, 2))), *leaves)
+    return (Internal(0, (0, 1)), *leaves)
 
 
 # each structural fault with its refusal: n = 2, full universes, applicant
@@ -178,23 +176,20 @@ def _split(*leaves):
 MALFORMED = {
     "not_a_node": (_split(Leaf((0, 1)), (1, 0)), "nodes[2]: expected a Leaf or an Internal, got tuple"),
     "none": ((None,), "nodes[0]: expected a Leaf or an Internal, got NoneType"),
-    "player_bool": ((Internal(True, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player True"),
-    "player_negative": ((Internal(-1, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player -1"),
-    "player_n": ((Internal(2, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player 2"),
-    "player_float": ((Internal(1.0, ((0, 1),)), Leaf((0, 1))), "nodes[0]: unknown player 1.0"),
+    "player_bool": ((Internal(True, (0,)), Leaf((0, 1))), "nodes[0]: unknown player True"),
+    "player_negative": ((Internal(-1, (0,)), Leaf((0, 1))), "nodes[0]: unknown player -1"),
+    "player_n": ((Internal(2, (0,)), Leaf((0, 1))), "nodes[0]: unknown player 2"),
+    "player_float": ((Internal(1.0, (0,)), Leaf((0, 1))), "nodes[0]: unknown player 1.0"),
     "no_children": ((Internal(0, ()),), "nodes[0]: internal node needs children"),
-    "set_out_of_range": ((Internal(1, ((1, 1),)), Leaf((0, 1))),
+    "sets_int": ((Internal(0, 5),), "nodes[0]: sets must be a tuple, got int"),
+    "sets_list": ((Internal(0, [0]), Leaf((0, 1))), "nodes[0]: sets must be a tuple, got list"),
+    "sets_pairs": ((Internal(0, ((0,),)), Leaf((0, 1))), "nodes[0]: set (0,) is not in type_sets[0] (2 sets)"),
+    "set_out_of_range": ((Internal(1, (1,)), Leaf((0, 1))),
                          "nodes[0]: set 1 is not in type_sets[1] (1 sets)"),
-    "set_negative": ((Internal(0, ((-1, 1),)), Leaf((0, 1))),
+    "set_negative": ((Internal(0, (-1,)), Leaf((0, 1))),
                      "nodes[0]: set -1 is not in type_sets[0] (2 sets)"),
-    "set_bool": ((Internal(0, ((0, 1), (True, 2))), Leaf((0, 1)), Leaf((1, 0))),
+    "set_bool": ((Internal(0, (0, True)), Leaf((0, 1)), Leaf((1, 0))),
                  "nodes[0]: set True is not in type_sets[0] (2 sets)"),
-    "child_bool": ((Internal(0, ((0, True), (1, 2))), Leaf((0, 1)), Leaf((1, 0))),
-                   "nodes[0]: child True is not node 1, the next in preorder"),
-    "child_skips": ((Internal(0, ((0, 2), (1, 3))), Leaf((0, 1)), Leaf((1, 0)), Leaf((0, 1))),
-                    "nodes[0]: child 2 is not node 1, the next in preorder"),
-    "child_past_end": ((Internal(0, ((0, 1), (1, 2))), Leaf((0, 1))),
-                       "nodes[0]: the node list ends before child 2"),
     "leaf_repeats": (_split(Leaf((0, 1)), Leaf((0, 0))), "nodes[2]: matching is not a bijection"),
     "leaf_short": (_split(Leaf((0,)), Leaf((1, 0))), "nodes[1]: matching is not a bijection"),
     "leaf_out_of_range": (_split(Leaf((0, 2)), Leaf((1, 0))), "nodes[1]: matching is not a bijection"),
@@ -234,12 +229,31 @@ def test_tree_constructor_refuses_a_set_outside_its_universe(universe):
     stray = 0b10 if universe == 0b01 else 0b100
     with pytest.raises(ValueError, match=r"^type set 1 of applicant 1 is empty or escapes its universe$"):
         MechanismTree(2, (0b11, universe), ((), (0b01, stray)),
-                      (Internal(1, ((0, 1), (1, 2))), Leaf((0, 1)), Leaf((1, 0))))
+                      (Internal(1, (0, 1)), Leaf((0, 1)), Leaf((1, 0))))
 
 
 def test_tree_constructor_refuses_a_table_count_other_than_n():
     with pytest.raises(ValueError, match="expected 2 type-set tables, got 1"):
         MechanismTree(2, (full_universe(2),) * 2, ((),), (Leaf((0, 1)),))
+
+
+WRONG_KIND = {
+    "n_string": (("2", (0b11,) * 2, ((), ()), (Leaf((0, 1)),)), "n must be a positive int, got '2'"),
+    "n_bool": ((True, (1,), ((),), (Leaf((0,)),)), "n must be a positive int, got True"),
+    "n_zero": ((0, (), (), (Leaf(()),)), "n must be a positive int, got 0"),
+    "universes_int": ((2, 5, ((), ()), (Leaf((0, 1)),)), "universes: expected a sequence, got int"),
+    "type_sets_int": ((2, (0b11,) * 2, 5, (Leaf((0, 1)),)), "type_sets: expected a sequence, got int"),
+    "table_int": ((2, (0b11,) * 2, ((), 5), (Leaf((0, 1)),)), "type_sets[1]: expected a sequence, got int"),
+    "nodes_int": ((2, (0b11,) * 2, ((), ()), 5), "nodes: expected a sequence, got int"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_KIND))
+def test_tree_constructor_refuses_arguments_of_the_wrong_kind(case):
+    # a library caller gets one ValueError line, never a bare TypeError
+    args, message = WRONG_KIND[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MechanismTree(*args)
 
 
 def test_tree_constructor_refuses_a_universe_count_other_than_n():
@@ -274,8 +288,8 @@ def test_tree_constructor_records_subtree_ends():
     uni = full_universe(2)
     tree = flat_tree(2, (uni, uni), (0, (((0,), (1, (((0, 1), Leaf((0, 1))),))), ((1,), Leaf((1, 0))))))
     assert tree.type_sets == ((0b01, 0b10), (0b11,))
-    assert tree.nodes == (Internal(0, ((0, 1), (1, 3))), Internal(1, ((0, 2),)),
-                          Leaf((0, 1)), Leaf((1, 0)))
+    assert tree.nodes == (Internal(0, (0, 1)), Internal(1, (0,)), Leaf((0, 1)), Leaf((1, 0)))
+    assert tree.children == [((0, 1), (1, 3)), ((0, 2),), (), ()]
     assert tree.end == [4, 3, 3, 4]
 
 
@@ -482,13 +496,9 @@ def _recursive_reveal_tree(q, universes=None):
         elif len(unis[i]) == 1:
             build(i + 1, chosen + (unis[i][0],))
         else:
-            slot = len(nodes)
-            nodes.append(None)
-            children = []
-            for j, t in enumerate(unis[i]):
-                children.append((j, len(nodes)))
+            nodes.append(Internal(i, tuple(range(len(unis[i])))))
+            for t in unis[i]:
                 build(i + 1, chosen + (t,))
-            nodes[slot] = Internal(i, tuple(children))
 
     build(0, ())
     type_sets = tuple(tuple(1 << t for t in u) if len(u) > 1 else () for u in unis)
@@ -662,7 +672,7 @@ def _brute_osp_violations(tree):
         if not isinstance(node, Internal):
             return [nid]
         out = []
-        for _, child in node.children:
+        for _, child in tree.children[nid]:
             out.extend(leaves_below(child))
         return out
 
@@ -671,12 +681,12 @@ def _brute_osp_violations(tree):
         if not isinstance(node, Internal):
             return [nid]
         if node.player == player:
-            for k, child in node.children:
+            for k, child in tree.children[nid]:
                 if tree.type_sets[player][k] >> type_id & 1:
                     return truthful_leaves(child, player, type_id)
             return []
         out = []
-        for _, child in node.children:
+        for _, child in tree.children[nid]:
             out.extend(truthful_leaves(child, player, type_id))
         return out
 
@@ -685,10 +695,10 @@ def _brute_osp_violations(tree):
         if not isinstance(node, Internal):
             return
         player = node.player
-        for k, (s, child) in enumerate(node.children):
+        for k, (s, child) in enumerate(tree.children[nid]):
             types = tree.type_sets[player][s]
             dev = []
-            for j, (_, sibling) in enumerate(node.children):
+            for j, (_, sibling) in enumerate(tree.children[nid]):
                 if j != k:
                     dev.extend(leaves_below(sibling))
             if not dev:
@@ -705,7 +715,7 @@ def _brute_osp_violations(tree):
                         {leaf for leaf in dev
                          if spot[nodes[leaf].matching[player]] == best},
                     )
-        for _, child in node.children:
+        for _, child in tree.children[nid]:
             walk(child)
 
     walk(0)
@@ -845,7 +855,7 @@ def test_check_osp_matches_brute_force_when_players_act_again():
 def test_check_osp_reports_are_pinned(star6_tree):
     # whole reports: both leaves of each violation, in order, plus ok
     uni = full_universe(3)
-    chain = [Internal(0, ((0, nid + 1),)) for nid in range(5_000)] + [Leaf((0, 1, 2))]
+    chain = [Internal(0, (0,))] * 5_000 + [Leaf((0, 1, 2))]
     trees = _brute_force_trees() + _act_again_trees() + [
         _swapped_leaf(star6_tree, 780),
         MechanismTree(3, (uni,) * 3, ((uni,), (), ()), chain),

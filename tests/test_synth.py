@@ -27,13 +27,13 @@ from ospmatch.synth import NotLimitedCyclicError, synthesize
 def test_small_gadget_tree_shape(taa3_tree):
     root = taa3_tree.nodes[0]
     assert isinstance(root, Internal) and root.player == 0
-    assert len(root.children) == 3
+    assert len(root.sets) == 3
     rankings = all_rankings(3)
     # first two branches clinch positions 1 and 2, the last passes on 3
-    for (k, _), top in zip(root.children, (0, 1, 2)):
+    for k, top in zip(root.sets, (0, 1, 2)):
         assert all(rankings[t][0] == top for t in mask_ids(taa3_tree.type_sets[0][k]))
     # the pass branch hands the move to the second block member
-    pass_child = taa3_tree.nodes[root.children[-1][1]]
+    pass_child = taa3_tree.nodes[taa3_tree.children[0][-1][1]]
     assert isinstance(pass_child, Internal) and pass_child.player == 1
 
 
@@ -56,7 +56,7 @@ def test_single_applicant_market():
     tree = synthesize(q)
     assert validate(tree).ok
     assert isinstance(tree.nodes[0], Internal)
-    assert len(tree.nodes[0].children) == 1
+    assert len(tree.nodes[0].sets) == 1
     assert check_implements(tree, q).ok
 
 
@@ -79,14 +79,15 @@ def test_star_tree_checks(star6_tree):
 def test_star_tree_recurses_through_lurker_levels(star6_tree):
     # following the all-x branch: the lead applicant of each level clinches
     # the smallest shared-list position and the next level starts
-    node = star6_tree.nodes[0]
+    nid = 0
     acting = []
     widths = []
     for _ in range(4):
+        node = star6_tree.nodes[nid]
         assert isinstance(node, Internal)
         acting.append(node.player)
-        widths.append(len(node.children))
-        node = star6_tree.nodes[node.children[0][1]]
+        widths.append(len(node.sets))
+        nid = star6_tree.children[nid][0][1]
     assert acting == [0, 1, 2, 3]
     assert widths == [6, 5, 4, 3]
 
@@ -99,7 +100,7 @@ def test_two_block_market_composes_gadgets():
     assert check_osp(tree).ok
     root = tree.nodes[0]
     assert isinstance(root, Internal) and root.player == 3
-    assert len(root.children) == 4
+    assert len(root.sets) == 4
 
 
 def test_all_two_applicant_markets():
