@@ -194,6 +194,13 @@ def _as_tuple(items: Iterable, what: str) -> tuple:
         raise ValueError(f"{what}: expected a sequence, got {type(items).__name__}") from None
 
 
+def _universe_masks(universes: Iterable, count: int, what: str) -> tuple[int, ...]:
+    """Each applicant's list of type ids in 0..count-1 as a bitmask;
+    ``ValueError``, starting with ``what``, for what is no such list."""
+    return tuple(ids_mask(_as_tuple(ids, f"{what} of applicant {i}"), count, f"{what} of applicant {i}")
+                 for i, ids in enumerate(_as_tuple(universes, f"{what}s")))
+
+
 def _check_universes(n: int, universes: Sequence[int]) -> None:
     """Refuse, with ``ValueError``, a universe count other than n or a universe out of range."""
     if len(universes) != n:
@@ -585,10 +592,9 @@ def restrict_environment(
     """Prune the tree to a subdomain, one list of type ids per applicant:
     intersect every type set with the sub-universe and drop children that
     become empty.  The nodes reached, in preorder, are the new tree."""
-    if len(sub_universes) != tree.n:
-        raise ValueError(f"expected {tree.n} sub-universes, got {len(sub_universes)}")
-    subs = tuple(ids_mask(u, math.factorial(tree.n), f"sub-universe of applicant {i}")
-                 for i, u in enumerate(sub_universes))
+    subs = _universe_masks(sub_universes, math.factorial(tree.n), "sub-universe")
+    if len(subs) != tree.n:
+        raise ValueError(f"expected {tree.n} sub-universes, got {len(subs)}")
     for i, (sub, full) in enumerate(zip(subs, tree.universes)):
         if not sub or sub & ~full:
             raise ValueError(f"sub-universe of applicant {i} is empty or escapes the environment")
@@ -623,8 +629,7 @@ def reveal_tree(q: PrioritySet, universes: Sequence[Sequence[int]] | None = None
     :func:`ospmatch.da.da_match_product` pass matches them all.
     """
     n, count = q.n, math.factorial(q.n)
-    unis = tuple(ids_mask(u, count, f"universe of applicant {i}")
-                 for i, u in enumerate([range(count)] * n if universes is None else universes))
+    unis = _universe_masks([range(count)] * n if universes is None else universes, count, "universe")
     _check_universes(n, unis)
     rankings = all_rankings(n)
     ids = [mask_ids(u) for u in unis]

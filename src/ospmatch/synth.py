@@ -21,8 +21,14 @@ sets in order of first use.  Within one call of :func:`synthesize`,
 ``ask`` groups each distinct question (player, ``types``, ``offered``
 and ``last``) once and makes one node for it, which every ask of it
 shares.  ``fix`` pins (applicant, position) pairs and recurses
-on the rest; :func:`synthesize` unbinds its self-calling ``build`` on
-return, so reference counting frees the working tables.  The trade asks
+on the rest, the residual market.  A residual's subtree depends only on
+its applicants and positions, apart from the leaf entries of those pinned
+above it, since every gadget starts its asks from the full universe.  So
+within one call each residual is built once; a residual met again replays
+the preorder slice of nodes its first build appended, each Internal as
+the same object and each Leaf remapped to the new pins.
+:func:`synthesize` unbinds its self-calling ``build`` on return, so
+reference counting frees the working tables.  The trade asks
 its lead applicant once: one edge per favorite in its half U, where it
 clinches, and the pass edge (favorites outside U) last.  The lurker
 gadget on applicants a1, a2, a3 and positions u, v is one ask per step:
@@ -75,6 +81,9 @@ def synthesize(q: PrioritySet) -> MechanismTree:
     # (player, types, offered mask, last mask) -> (its node, ((w, group), ...))
     questions: dict[tuple[int, int, int, int], tuple[Internal, list[tuple[int | None, int]]]] = {}
     leaves: dict[tuple[int, ...], Leaf] = {}  # one Leaf per distinct matching
+    # residual (rem_apps, rem_pos) -> the slice of nodes its first build
+    # appended, and the pins that build's leaves hold
+    built: dict[tuple[frozenset[int], frozenset[int]], tuple[slice, dict[int, int]]] = {}
 
     def ask(player: int, types: int, offered: frozenset[int],
             then: Callable[[int | None, int], None], last: Set[int] = frozenset()) -> None:
@@ -101,10 +110,27 @@ def synthesize(q: PrioritySet) -> MechanismTree:
             return
 
         def fix(*moves: tuple[int, int]) -> None:
-            """Pin each (applicant, position) and recurse on the rest."""
+            """Pin each (applicant, position) and recurse on the rest; a rest
+            built before is replayed, each leaf given the pins that differ."""
             pinned = dict(moves)
-            build(rem_apps.difference(pinned), rem_pos.difference(pinned.values()),
-                  {**assigned, **pinned})
+            rest = rem_apps.difference(pinned), rem_pos.difference(pinned.values())
+            pins = {**assigned, **pinned}
+            first = built.get(rest)
+            if first is None:
+                start = len(nodes)
+                build(*rest, pins)
+                built[rest] = slice(start, len(nodes)), pins
+                return
+            span, first_pins = first
+            changed = [(i, w) for i, w in pins.items() if first_pins[i] != w]
+            for node in nodes[span]:
+                if isinstance(node, Leaf):
+                    entries = list(node.matching)
+                    for i, w in changed:
+                        entries[i] = w
+                    matching = tuple(entries)
+                    node = leaves.get(matching) or leaves.setdefault(matching, Leaf(matching))
+                nodes.append(node)
 
         apps = tuple(sorted(rem_apps))
         block = tuple(apps[i] for i in dominance_blocks(restrict_table(lists, apps, rem_pos))[0])

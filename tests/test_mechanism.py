@@ -634,6 +634,19 @@ def test_check_osp_on_a_tree_that_fails_validation(taa3_tree, make, problem, mes
         check_osp(tree)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda tree: restrict_environment(tree, 5), "sub-universes: expected a sequence, got int"),
+    (lambda tree: restrict_environment(tree, ((0,), 5, (0,))),
+     "sub-universe of applicant 1: expected a sequence, got int"),
+    (lambda _: reveal_tree(TAA3, 5), "universes: expected a sequence, got int"),
+    (lambda _: reveal_tree(TAA3, (5, (0,), (0,))), "universe of applicant 0: expected a sequence, got int"),
+], ids=["restrict_int", "restrict_int_universe", "reveal_int", "reveal_int_universe"])
+def test_library_universes_refuse_what_is_not_a_sequence(taa3_tree, call, message):
+    # one ValueError line, never a bare TypeError from len() or iteration
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(taa3_tree)
+
+
 def test_restrict_environment_validates_input(taa3_tree):
     with pytest.raises(ValueError):
         restrict_environment(taa3_tree, ((), (0,), (0,)))

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import FIG_A, STAR6, TAA3, assert_first_use_tables, format2_tree_doc, inline_tree_doc, q_of
 from ospmatch.core import PrioritySet, all_rankings, mask_ids
+from ospmatch.jsonio import tree_to_doc
 from ospmatch.mechanism import (
     Internal,
     check_implements,
@@ -257,6 +258,29 @@ GOLDEN_FOUR = {
 }
 
 
+# Seven applicants: five shared lists, then two alternating ones.
+STAR7 = q_of("abcdefg", "abcdefg", "abcdefg", "abcdefg", "abcdefg", "acbedgf", "badcfeg")
+
+# SHA-256 of the format-3 document's JSON for markets of several dominance
+# blocks, where synthesis meets the same residual market on many paths:
+# the two test_five_applicant_composites markets, then the six drawn by
+# test_random_six_applicant_markets_end_to_end (keyed like GOLDEN_FOUR)
+GOLDEN_MULTI_BLOCK = {
+    "01234 01234 01234 01324 02143": "806338dc407c283c028ebf1b8bad4b855aec6e15bbdbbc8ca6bd6a75a2e2c989",
+    "01234 01234 01234 02134 10243": "493b3e367799652c9164d5651a76a464489ae7736ecffde9010cc4dec617fd63",
+    "340152 340152 304512 431052 340152 340152": "ce0f65df1c636b36cb692820b21dfd2758fcedb6acb06db1cc6f5cadcf982fe8",
+    "231045 213405 231045 231045 231045 320145": "b903afb0ebe7f7e132be90687d00a2a43bd2cac5388183993f725ca9fe90381e",
+    "413250 413250 413250 413250 413250 413250": "49b3cd522cf5f22f72dc4d7fefccf999456040799ad89b1c0bd04ce83dbb743d",
+    "402351 402315 402315 402135 420315 402315": "5fce049d76d1859cf930551fb3827a9b7b9d06778579f3529d7b304ea548b85a",
+    "241350 243105 243105 234015 243105 243105": "99afdec87f862e9b46fdd198a5cf1df228c92f1724bbd3910cc5b6ef8d8c2982",
+    "532410 523410 523401 254301 523410 523401": "1e5a7e3bc0fe3ddb040cc30e47238658692098bb9511f9f41933bd5e9b091259",
+}
+
+
+def _doc_digest(tree) -> str:
+    return hashlib.sha256(json.dumps(tree_to_doc(tree)).encode()).hexdigest()
+
+
 def test_synthesized_trees_are_byte_stable(taa3_tree, star6_tree):
     assert _tree_digest(taa3_tree) == (
         "bb1eab37ae947586e87a27cf783fd89fa9a2fb220969dded13748e7947e5434c")
@@ -268,6 +292,16 @@ def test_synthesized_trees_are_byte_stable(taa3_tree, star6_tree):
         for row in class_census(4) if row.limited_cyclic
     }
     assert got == GOLDEN_FOUR
+    got = {key: _doc_digest(synthesize(PrioritySet.from_rankings(
+        tuple(tuple(map(int, lst)) for lst in key.split()))))
+        for key in GOLDEN_MULTI_BLOCK}
+    assert got == GOLDEN_MULTI_BLOCK
+    star7_tree = synthesize(STAR7)
+    assert _doc_digest(star7_tree) == (
+        "8e3419573c819f42bb68b1e5dbaee045054f31fae0911131053c7926f567ad88")
+    # equal nodes are one object: 4,254 nodes in 916 objects, 30,365 in 5,460
+    for tree, count, distinct in ((star6_tree, 4254, 916), (star7_tree, 30365, 5460)):
+        assert (len(tree.nodes), len({id(x) for x in tree.nodes})) == (count, distinct)
 
 
 def test_synthesized_format_two_documents_are_byte_stable(taa3_tree, star6_tree):
